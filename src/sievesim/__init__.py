@@ -17,25 +17,19 @@ from .chains import (
     empirical_pmf,
     exact_zero_decrement_pmf,
     geometric_pmf,
-    geometric_rep_sampler,
     mixed_poisson_diagnostic,
     sample_geometric_rep,
     sample_zero_decrements,
     sieve_chain_spec,
-    simulate_zero_decrements,
 )
 from .limitlaw import (
     AlphaBeta,
-    JumpProcessPath,
-    SubordinatorPath,
     levy_tail_mass,
     mittag_leffler_moment,
     phi_alpha,
-    sample_jump_path,
     sample_levy_jump,
     sample_mittag_leffler,
     sample_subordinator_marginal,
-    sample_subordinator_path,
     sample_z_expfunctional,
     sample_z_pathint,
     z_moment,
@@ -43,10 +37,6 @@ from .limitlaw import (
 from .randkit import (
     RngStream,
     StableSpec,
-    beta_fn,
-    gamma_fn,
-    sample_exponential,
-    sample_poisson,
     sample_stable,
     sample_uniform01,
 )
@@ -57,20 +47,15 @@ from .sieve import (
     LogParetoMixtureW,
     OccupancyResult,
     UniformW,
-    allocate_multinomial,
     allocate_uniform,
     mean_empty_given_freqs,
     var_empty_given_freqs,
     normalization_ratio,
-    poissonized_occupancy,
     sample_occupancy,
     limit_trend_experiment,
 )
 from .stats import (
-    Accumulator,
     McEstimate,
-    chi_square,
-    ecdf,
     ks_one_sample,
     ks_two_sample,
     mc_accumulate,

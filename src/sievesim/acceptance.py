@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chains, limitlaw, sieve, stats, walks
-from .randkit import RngStream, gamma_fn
+from .randkit import RngStream
 
 DEFAULT_SEED = 20260811
 
@@ -59,6 +59,48 @@ def suite_criteria(suite: str):
         return SUITES[suite]
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}") from None
+
+
+# ----------------------------------------------------------------------
+# checks that the CLI experiments run as well
+
+TV_TOL = 0.01
+
+
+def moment_check(draws, params: limitlaw.AlphaBeta, order: int):
+    """Criterion 3's test of one empirical moment against ``z_moment``:
+    |mean - target| <= 3 SE + 2% of the target.
+
+    Returns the estimate, the target, the tolerance and the verdict.
+    """
+    target = limitlaw.z_moment(params, order)
+    est = stats.mc_accumulate(draws**order)
+    tol = 3.0 * est.stderr + 0.02 * target
+    return est, target, tol, abs(est.mean - target) <= tol
+
+
+def geometric_half_check(emp: chains.Pmf):
+    """Criterion 8's test: TV between an empty-box pmf and geometric(1/2).
+
+    Returns the distance and the verdict.
+    """
+    tv = stats.tv_distance(emp, chains.geometric_pmf(0.5, emp.masses.size))
+    return tv, tv <= TV_TOL
+
+
+def chain_sampler_check(dp: chains.Pmf, sim, rep):
+    """Criterion 7's test: TV of the direct and the geometric-representation
+    samples against the DP law.
+
+    Returns both empirical pmfs (on one common support), both distances and
+    the verdict.
+    """
+    width = max(dp.masses.size, int(sim.max()) + 1, int(rep.max()) + 1)
+    sim_pmf = chains.empirical_pmf(sim, width=width)
+    rep_pmf = chains.empirical_pmf(rep, width=width)
+    tv_sim = stats.tv_distance(sim_pmf, dp)
+    tv_rep = stats.tv_distance(rep_pmf, dp)
+    return sim_pmf, rep_pmf, tv_sim, tv_rep, max(tv_sim, tv_rep) <= TV_TOL
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +164,7 @@ def crit_02_moment_identities(seed: int, jobs: int) -> CriterionResult:
             ml = limitlaw.mittag_leffler_moment(alpha, n)
             rel2 = abs(limitlaw.z_moment(limitlaw.AlphaBeta(alpha, 0.0), n) - ml) / ml
             prod = math.prod(limitlaw.phi_alpha(alpha, float(k)) + 1.0 for k in range(1, n + 1))
-            closed = gamma_fn(1.0 + n * alpha) * gamma_fn(1.0 - alpha) ** n
+            closed = math.gamma(1.0 + n * alpha) * math.gamma(1.0 - alpha) ** n
             rel3 = abs(prod - closed) / closed
             worst = max(worst, rel1, rel2, rel3)
     passed = worst <= 1e-10
@@ -140,10 +182,7 @@ def crit_03_pathint_moments(seed: int, jobs: int) -> CriterionResult:
         z = _z_draws(alpha, beta, seed)
         params = limitlaw.AlphaBeta(alpha, beta)
         for order in (1, 2):
-            target = limitlaw.z_moment(params, order)
-            est = stats.mc_accumulate(z**order)
-            tol = 3.0 * est.stderr + 0.02 * target
-            ok = abs(est.mean - target) <= tol
+            est, target, _, ok = moment_check(z, params, order)
             if not ok:
                 fails.append((alpha, beta, order))
             details.append(f"({alpha},{beta}) m{order} {est.mean:.4f}~{target:.4f}")
@@ -218,17 +257,11 @@ def crit_07_chain_sampler_agreement(seed: int, jobs: int) -> CriterionResult:
         dp = chains.exact_zero_decrement_pmf(spec, n)
         sim = chains.sample_zero_decrements(spec, n, reps, RngStream(seed, 70 + 2 * k).generator())
         rep = chains.sample_geometric_rep(spec, n, reps, RngStream(seed, 71 + 2 * k).generator())
-        width = max(dp.masses.size, int(sim.max()) + 1, int(rep.max()) + 1)
-        sim_pmf = chains.empirical_pmf(sim, width=width)
-        rep_pmf = chains.empirical_pmf(rep, width=width)
-        tvs = (
-            stats.tv_distance(sim_pmf, dp),
-            stats.tv_distance(rep_pmf, dp),
-            stats.tv_distance(sim_pmf, rep_pmf),
-        )
+        sim_pmf, rep_pmf, tv_sim, tv_rep, _ = chain_sampler_check(dp, sim, rep)
+        tvs = (tv_sim, tv_rep, stats.tv_distance(sim_pmf, rep_pmf))
         worst = max(worst, *tvs)
         lines.append(f"{label}: {max(tvs):.4f}")
-    passed = worst <= 0.01
+    passed = worst <= TV_TOL
     return CriterionResult(
         7, "chain sampler three-way agreement", passed,
         f"worst pairwise TV at n=30, 1e5 reps: {worst:.4f} (tol 0.01; {'; '.join(lines)})",
@@ -244,10 +277,9 @@ def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
             rng = RngStream(seed, stream).generator()
             stream += 1
             batch = sieve.sample_occupancy(wlaw, n, 100_000, rng)
-            emp = chains.empirical_pmf(batch.empty_in_range)
-            tv = stats.tv_distance(emp, chains.geometric_pmf(0.5, emp.masses.size))
+            tv, _ = geometric_half_check(chains.empirical_pmf(batch.empty_in_range))
             worst = max(worst, tv)
-    passed = worst <= 0.01
+    passed = worst <= TV_TOL
     return CriterionResult(
         8, "symmetric-W geometric empty-box law", passed,
         f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} (tol 0.01)",

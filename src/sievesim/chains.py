@@ -11,28 +11,26 @@ reproduces that count's law exactly.
 Three routes to the law are implemented and cross-checked: an exact DP over
 (state, count), direct chain simulation, and the embedded-chain
 representation (strictly decreasing positions plus independent geometric
-stay counts, success probability 1 - s_{j,j}).  When every row has
-s_{j,floor} = s_{j,j}, the law is geometric with success 1/2 for every n,
-an exactness anchor the DP is tested against at 1e-10.
+stay counts, success probability 1 - s_{j,j}).  Both samplers run their
+replicates in lockstep; a single draw is a ``size=1`` call.  When every row
+has s_{j,floor} = s_{j,j}, the law is geometric with success 1/2 for every
+n, an exactness anchor the DP is tested against at 1e-10.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import as_generator, log_gamma_fn
+from .randkit import as_generator
 
 __all__ = [
     "Pmf",
     "ChainSpec",
     "exact_zero_decrement_pmf",
-    "simulate_zero_decrements",
     "sample_zero_decrements",
-    "geometric_rep_sampler",
     "sample_geometric_rep",
     "sieve_chain_spec",
     "barrier_chain_spec",
@@ -190,22 +188,6 @@ def exact_zero_decrement_pmf(spec: ChainSpec, n: int, deficit_cap: float = 1e-12
     )
 
 
-def simulate_zero_decrements(spec: ChainSpec, n: int, rng) -> int:
-    """One direct chain run: count the stays above the floor until absorption."""
-    spec._require_range(n)
-    rng = as_generator(rng)
-    state = n
-    count = 0
-    while state > spec.floor:
-        cum = spec._cum_row(state)
-        pos = min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
-        nxt = spec.floor + pos
-        if nxt == state:
-            count += 1
-        state = nxt
-    return count
-
-
 def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
     """Replicated direct simulation, run in lockstep grouped by current state."""
     spec._require_range(n)
@@ -226,24 +208,6 @@ def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarra
             states[sel] = nxt
         active = active[states[active] > spec.floor]
     return counts
-
-
-def geometric_rep_sampler(spec: ChainSpec, n: int, rng) -> int:
-    """Zero decrements via the embedded strictly decreasing chain plus an
-    independent geometric stay count (success 1 - s_{j,j}) at each visited
-    state above the floor; equal in law to direct simulation."""
-    spec._require_range(n)
-    rng = as_generator(rng)
-    state = n
-    total = 0
-    while state > spec.floor:
-        stay = spec.stay_prob(state)
-        if stay > 0.0:
-            total += int(rng.geometric(1.0 - stay)) - 1
-        cum = spec._embedded_cum(state)
-        pos = min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
-        state = spec.floor + pos
-    return total
 
 
 def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
@@ -272,45 +236,32 @@ def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
 def sieve_chain_spec(wlaw, n_max: int) -> ChainSpec:
     """Sieve chain: floor 0, s_{i,j} = C(i,j) E W^j (1-W)^{i-j}.
 
-    Rows are built by exact-ratio recurrence from s_{i,0} = E (1-W)^i, which
-    keeps the relative error at a few ulps per step; this needs a law with a
-    closed-form ``mixed_moment`` (the beta and constant families).
+    Rows are built by exact-ratio recurrence from s_{i,0} = E (1-W)^i, one
+    cumulative product per row, which keeps the relative error at a few ulps
+    per step; this needs a law with a closed-form ``mixed_moment`` (the beta
+    and constant families).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     try:
-        anchor_ok = wlaw.mixed_moment(0, 1)
+        wlaw.mixed_moment(0, 1)
     except NotImplementedError as exc:
         raise ValueError(f"{wlaw!r} provides no exact mixed moments") from exc
-    del anchor_ok
     rows = {}
     for i in range(1, n_max + 1):
-        row = np.empty(i + 1)
-        row[0] = wlaw.mixed_moment(0, i)
-        if row[0] == 0.0:
+        head = wlaw.mixed_moment(0, i)
+        if head == 0.0:
             raise ValueError(f"E(1-W)^{i} underflows; reduce n_max for {wlaw!r}")
-        for j in range(1, i + 1):
-            # C(i,j)/C(i,j-1) = (i-j+1)/j; the moment ratio is law-specific
-            row[j] = row[j - 1] * ((i - j + 1) / j) * _moment_ratio(wlaw, j, i - j)
+        j = np.arange(1, i + 1)
+        # s_{i,j} / s_{i,j-1} = C(i,j)/C(i,j-1) * moment ratio, C ratio (i-j+1)/j
+        steps = (i - j + 1) / j * wlaw.moment_ratios(i)
+        row = np.cumprod(np.concatenate(([head], steps)))
         drift = row.sum() - 1.0
         if abs(drift) > 1e-9:
             raise ValueError(f"row for state {i} sums to 1{drift:+.2e}; moment evaluator is off")
         row /= row.sum()  # remove the few-ulp-per-step recurrence drift
         rows[i] = row
     return ChainSpec(floor=0, rows=rows)
-
-
-def _moment_ratio(wlaw, j: int, m: int) -> float:
-    """E W^j (1-W)^m / E W^(j-1) (1-W)^(m+1)."""
-    from .sieve import BetaW, ConstantW, UniformW
-
-    if isinstance(wlaw, UniformW):
-        return j / (m + 1.0)
-    if isinstance(wlaw, BetaW):
-        return (wlaw.a + j - 1.0) / (wlaw.b + m)
-    if isinstance(wlaw, ConstantW):
-        return wlaw.w / (1.0 - wlaw.w)
-    return wlaw.mixed_moment(j, m) / wlaw.mixed_moment(j - 1, m + 1)
 
 
 def barrier_chain_spec(step_pmf, n_max: int) -> ChainSpec:
@@ -340,7 +291,8 @@ def barrier_chain_spec(step_pmf, n_max: int) -> ChainSpec:
             step = i - j
             if step <= p.size:
                 row[j - 1] = p[step - 1]
-        row[i - 1] = 1.0 - head_sum(i - 1)
+        # a step law summing to 1 can overshoot it by an ulp in the partial sum
+        row[i - 1] = max(0.0, 1.0 - head_sum(i - 1))
         rows[i] = row
     return ChainSpec(floor=1, rows=rows)
 

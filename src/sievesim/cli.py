@@ -5,7 +5,8 @@ per chunk, and chunk results are concatenated in index order, so output
 files are byte-identical for a given config regardless of ``--jobs``.
 Output files carry no timestamps; metric rows carry the config hash and
 seed.  Exit codes: 0 all checks in scope passed, 1 a check failed,
-2 invalid configuration.
+2 invalid configuration, 3 a run could not finish because a step, depth
+or count budget ran out.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def _chunk_sieve(task):
     wlaw_text, balls = payload
     rng = RngStream(seed, cid).generator()
     batch = sieve.sample_occupancy(parse_wlaw(wlaw_text), balls, count, rng)
-    return np.stack([batch.occupied, batch.last_occupied, batch.empty_in_range], axis=1)
+    table = np.stack([batch.occupied, batch.last_occupied, batch.empty_in_range], axis=1)
+    return table, batch.truncated
 
 
 def _chunk_prw(task):
@@ -198,9 +200,7 @@ def cmd_moments(args) -> int:
         zm = limitlaw.z_moment(ab, n)
         ml = limitlaw.mittag_leffler_moment(args.alpha, n)
         prod = math.prod(limitlaw.phi_alpha(args.alpha, float(k)) + 1.0 for k in range(1, n + 1))
-        from .randkit import gamma_fn
-
-        closed = gamma_fn(1.0 + n * args.alpha) * gamma_fn(1.0 - args.alpha) ** n
+        closed = math.gamma(1.0 + n * args.alpha) * math.gamma(1.0 - args.alpha) ** n
         rel = abs(prod - closed) / closed
         worst_identity = max(worst_identity, rel)
         rows.append((cfg, args.seed, n, float(zm), float(ml), float(math.factorial(n)), rel))
@@ -233,6 +233,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_sample_z(args) -> int:
+    # acceptance is imported where used, so a CLI start does not load the suite
+    from . import acceptance
+
     params = {
         "alpha": args.alpha, "beta": args.beta, "n": args.n, "sampler": args.sampler,
         "grid_step": args.grid_step, "eps": args.eps,
@@ -242,12 +245,9 @@ def cmd_sample_z(args) -> int:
     parts = _run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs, payload)
     draws = np.concatenate(parts)
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
-    m1_t, m2_t = limitlaw.z_moment(ab, 1), limitlaw.z_moment(ab, 2)
-    est1 = stats.mc_accumulate(draws)
-    est2 = stats.mc_accumulate(draws**2)
-    tol1 = 3.0 * est1.stderr + 0.02 * m1_t
-    tol2 = 3.0 * est2.stderr + 0.02 * m2_t
-    ok = abs(est1.mean - m1_t) <= tol1 and abs(est2.mean - m2_t) <= tol2
+    est1, m1_t, tol1, ok1 = acceptance.moment_check(draws, ab, 1)
+    est2, m2_t, tol2, ok2 = acceptance.moment_check(draws, ab, 2)
+    ok = ok1 and ok2
     rows = [(cfg, args.seed, i, float(v)) for i, v in enumerate(draws)]
     summary = _summary_base("sample-z", params, args.seed, cfg)
     summary["metrics"] = {
@@ -264,11 +264,14 @@ def cmd_sample_z(args) -> int:
 
 
 def cmd_sieve(args) -> int:
+    from . import acceptance
+
     params = {"wlaw": args.wlaw, "balls": args.balls, "reps": args.reps}
     cfg = _config_hash({"experiment": "sieve", "seed": args.seed, **params})
     wlaw = parse_wlaw(args.wlaw)
     parts = _run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs, (args.wlaw, args.balls))
-    table = np.concatenate(parts, axis=0)
+    table = np.concatenate([p[0] for p in parts], axis=0)
+    truncated = sum(p[1] for p in parts)
     empty = table[:, 2]
     rows = [(cfg, args.seed, i, int(k), int(m), int(l)) for i, (k, m, l) in enumerate(table)]
     summary = _summary_base("sieve", params, args.seed, cfg)
@@ -277,18 +280,21 @@ def cmd_sieve(args) -> int:
         "mean_occupied": float(table[:, 0].mean()),
         "mean_empty": float(empty.mean()),
         "empty_pmf": [float(x) for x in emp.masses],
+        "truncated": truncated,
     }
-    passed = True
+    passed = truncated == 0
     if wlaw.symmetric:
-        tv = stats.tv_distance(emp, chains.geometric_pmf(0.5, emp.masses.size))
-        passed = tv <= 0.01
+        tv, tv_ok = acceptance.geometric_half_check(emp)
+        passed = passed and tv_ok
         summary["metrics"]["tv_vs_geometric_half"] = tv
-        summary["metrics"]["tv_tolerance"] = 0.01
+        summary["metrics"]["tv_tolerance"] = acceptance.TV_TOL
     summary["passed"] = bool(passed)
     _emit(args.out, f"sieve_{cfg}", args.format,
           ["config_hash", "seed", "replicate", "occupied", "last_occupied", "empty_in_range"],
           rows, summary)
     msg = f"sieve: {'PASS' if passed else 'FAIL'} mean empty {empty.mean():.4f}"
+    if truncated:
+        msg += f", {truncated} replicates truncated"
     if wlaw.symmetric:
         msg += f", TV vs geometric(1/2) {summary['metrics']['tv_vs_geometric_half']:.5f}"
     print(msg)
@@ -337,6 +343,8 @@ def _build_chain(args) -> tuple[chains.ChainSpec, str]:
 
 
 def cmd_markov(args) -> int:
+    from . import acceptance
+
     params = {"chain": args.chain, "n": args.n, "reps": args.reps}
     cfg = _config_hash({"experiment": "markov", "seed": args.seed, **params})
     spec, _label = _build_chain(args)
@@ -348,12 +356,8 @@ def cmd_markov(args) -> int:
                                      (spec_json, args.n, "direct")))
     rep = np.concatenate(_run_chunks(_chunk_markov, args.seed + 1, args.reps, args.jobs,
                                      (spec_json, args.n, "georep")))
-    width = max(dp.masses.size, int(sim.max()) + 1, int(rep.max()) + 1)
-    sim_pmf = chains.empirical_pmf(sim, width=width)
-    rep_pmf = chains.empirical_pmf(rep, width=width)
-    tv_sim = stats.tv_distance(sim_pmf, dp)
-    tv_rep = stats.tv_distance(rep_pmf, dp)
-    passed = tv_sim <= 0.01 and tv_rep <= 0.01
+    sim_pmf, rep_pmf, tv_sim, tv_rep, passed = acceptance.chain_sampler_check(dp, sim, rep)
+    width = sim_pmf.masses.size
     rows = [
         (cfg, args.seed, m,
          float(dp.masses[m]) if m < dp.masses.size else 0.0,
@@ -362,7 +366,7 @@ def cmd_markov(args) -> int:
     ]
     summary = _summary_base("markov", params, args.seed, cfg)
     summary["metrics"] = {"tv_sim_vs_dp": tv_sim, "tv_georep_vs_dp": tv_rep,
-                          "tv_tolerance": 0.01, "dp_tail_deficit": dp.tail_deficit}
+                          "tv_tolerance": acceptance.TV_TOL, "dp_tail_deficit": dp.tail_deficit}
     summary["passed"] = bool(passed)
     _emit(args.out, f"markov_{cfg}", args.format,
           ["config_hash", "seed", "m", "dp_mass", "sim_freq", "georep_freq"], rows, summary)
@@ -397,6 +401,13 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(sub, reps_default=None):
     sub.add_argument("--seed", type=int, required=True, help="master seed (mandatory)")
     sub.add_argument("--out", type=Path, default=Path("results"), help="output directory")
@@ -405,7 +416,7 @@ def _add_common(sub, reps_default=None):
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="parallel workers; results do not depend on this")
     if reps_default is not None:
-        sub.add_argument("--reps", type=int, default=reps_default)
+        sub.add_argument("--reps", type=_positive_int, default=reps_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sample-z", help="draw from the limit law and check moments")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, default=100_000, help="number of draws")
+    p.add_argument("--n", type=_positive_int, default=100_000, help="number of draws")
     p.add_argument("--sampler", choices=("pathint", "expfunc", "mittag-leffler"),
                    default="pathint")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=1e-4)
@@ -457,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sieve:<wlaw> | barrier:dyadic | barrier:geom:q")
     p.add_argument("--spec-json", dest="spec_json", default=None,
                    help="load a ChainSpec from a JSON file instead")
-    p.add_argument("--n", type=int, default=30, help="start state")
+    p.add_argument("--n", type=_positive_int, default=30, help="start state")
     p.add_argument("--export-spec", dest="export_spec", default=None,
                    help="write the chain spec JSON to this path")
     _add_common(p, reps_default=100_000)
@@ -484,6 +495,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,10 +5,16 @@ Three routes to the same distribution are implemented and cross-checked:
 
 * analytic moments (``z_moment``, with ``mittag_leffler_moment`` as the
   beta = 0 special case and the standard exponential at beta = alpha);
-* a path-integral sampler driven by a grid-discretized stable subordinator;
+* a path-integral sampler driven by a grid-discretized stable subordinator
+  (Kanter increments from ``randkit``); at beta = 0 its draw is the grid
+  first-passage time of level 1, so no separate path object is kept;
 * an exponential-functional sampler ``integral_0^T exp(-c*Y(t)) dt`` with
   c = (alpha-beta)/alpha, T standard exponential, and Y the subordinator
   whose Laplace exponent is ``phi_alpha``.
+
+A direct Mittag-Leffler sampler covers beta = 0 as a fourth route.  Gamma
+values come from ``math.gamma``/``math.lgamma``; every caller validates its
+arguments first, so they are always positive here.
 
 Y's Levy density is exp(-t/alpha) * (1 - exp(-t/alpha))^(-(alpha+1)); its
 tail integral inverts in closed form, which keeps the jump sampler exact
@@ -22,19 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import (
-    StableSpec,
-    as_generator,
-    gamma_fn,
-    log_gamma_fn,
-    sample_stable,
-    sample_uniform01,
-)
+from .randkit import StableSpec, _standard_stable, as_generator, sample_stable, sample_uniform01
 
 __all__ = [
     "AlphaBeta",
-    "SubordinatorPath",
-    "JumpProcessPath",
     "phi_alpha",
     "levy_density",
     "small_jump_mean",
@@ -42,8 +39,6 @@ __all__ = [
     "z_moment",
     "levy_tail_mass",
     "sample_levy_jump",
-    "sample_jump_path",
-    "sample_subordinator_path",
     "sample_z_pathint",
     "sample_z_expfunctional",
     "sample_mittag_leffler",
@@ -68,34 +63,6 @@ class AlphaBeta:
             )
 
 
-@dataclass
-class SubordinatorPath:
-    """Grid-discretized nondecreasing path: values[i] = X(i * grid_step)."""
-
-    grid_step: float
-    values: np.ndarray
-
-    def crossing_time(self, level: float) -> float:
-        """Grid time of the first value exceeding ``level``."""
-        idx = int(np.argmax(self.values > level))
-        if not self.values[idx] > level:
-            raise ValueError(f"path never exceeds {level}")
-        return idx * self.grid_step
-
-
-@dataclass
-class JumpProcessPath:
-    """Jumps of size >= truncation_eps of a pure-jump subordinator on [0, horizon]."""
-
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    truncation_eps: float
-    horizon: float
-
-    def value_at(self, t: float) -> float:
-        return float(self.jump_sizes[self.jump_times <= t].sum())
-
-
 def _check_alpha(alpha: float):
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly in (0,1), got {alpha}")
@@ -107,11 +74,8 @@ def phi_alpha(alpha: float, x: float) -> float:
     if not x >= 0.0:
         raise ValueError(f"phi_alpha requires x >= 0, got {x}")
     # a*(x-1)+1 = a*x + (1-a) > 0, so log-gamma is always defined here
-    return math.exp(
-        log_gamma_fn(1.0 - alpha)
-        + log_gamma_fn(alpha * x + 1.0)
-        - log_gamma_fn(alpha * (x - 1.0) + 1.0)
-    ) - 1.0
+    lg = math.lgamma
+    return math.exp(lg(1.0 - alpha) + lg(alpha * x + 1.0) - lg(alpha * (x - 1.0) + 1.0)) - 1.0
 
 
 def _check_order(n: int):
@@ -125,9 +89,8 @@ def mittag_leffler_moment(alpha: float, n: int) -> float:
     """n-th moment of the Mittag-Leffler law: n! / (Gamma(1+n*a) * Gamma(1-a)^n)."""
     _check_alpha(alpha)
     _check_order(n)
-    return math.exp(
-        log_gamma_fn(n + 1.0) - log_gamma_fn(1.0 + n * alpha) - n * log_gamma_fn(1.0 - alpha)
-    )
+    lg = math.lgamma
+    return math.exp(lg(n + 1.0) - lg(1.0 + n * alpha) - n * lg(1.0 - alpha))
 
 
 def z_moment(params: AlphaBeta, n: int) -> float:
@@ -137,12 +100,13 @@ def z_moment(params: AlphaBeta, n: int) -> float:
     """
     _check_order(n)
     a, b = params.alpha, params.beta
+    lg = math.lgamma
     log_den = 0.0
     for k in range(1, n + 1):
         d = k * (a - b)
-        log_beta = log_gamma_fn(1.0 - a) + log_gamma_fn(1.0 + d) - log_gamma_fn(2.0 - a + d)
+        log_beta = lg(1.0 - a) + lg(1.0 + d) - lg(2.0 - a + d)
         log_den += math.log(1.0 - a + d) + log_beta
-    return math.exp(log_gamma_fn(n + 1.0) - log_den)
+    return math.exp(lg(n + 1.0) - log_den)
 
 
 def levy_tail_mass(alpha: float, eps: float) -> float:
@@ -175,18 +139,6 @@ def sample_levy_jump(alpha: float, eps: float, rng, size=None):
     # log1p/expm1 route: 1 + v*lam can be enormous near eps ~ 0
     inner = -np.expm1(-np.log1p(v * lam) / alpha)
     return np.maximum(-alpha * np.log(inner), eps)
-
-
-def sample_jump_path(alpha: float, horizon: float, eps: float, rng) -> JumpProcessPath:
-    """Compound-Poisson skeleton of Y on [0, horizon]: jumps of size >= eps only."""
-    if not horizon >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    rng = as_generator(rng)
-    lam = levy_tail_mass(alpha, eps)
-    count = rng.poisson(lam * horizon)
-    times = np.sort(rng.random(count) * horizon)
-    sizes = sample_levy_jump(alpha, eps, rng, size=count)
-    return JumpProcessPath(jump_times=times, jump_sizes=sizes, truncation_eps=eps, horizon=horizon)
 
 
 def small_jump_mean(alpha: float, eps: float) -> float:
@@ -235,40 +187,9 @@ def sample_subordinator_marginal(
 _MAX_PATH_STEPS = 200_000_000
 
 
-def sample_subordinator_path(
-    spec: StableSpec, grid_step: float, crossing_level: float, rng
-) -> SubordinatorPath:
-    """Accumulate i.i.d. stable increments until the path first exceeds the level."""
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if not crossing_level > 0.0:
-        raise ValueError(f"crossing_level must be positive, got {crossing_level}")
-    rng = as_generator(rng)
-    block = 4096
-    chunks = [np.zeros(1)]
-    total = 0.0
-    steps = 0
-    while total <= crossing_level:
-        inc = sample_stable(spec, grid_step, rng, size=block)
-        cum = total + np.cumsum(inc)
-        crossed = cum > crossing_level
-        if crossed.any():
-            stop = int(np.argmax(crossed)) + 1
-            chunks.append(cum[:stop])
-            break
-        chunks.append(cum)
-        total = cum[-1]
-        steps += block
-        if steps > _MAX_PATH_STEPS:
-            raise RuntimeError("subordinator path failed to cross within the step budget")
-    return SubordinatorPath(grid_step=grid_step, values=np.concatenate(chunks))
-
-
 def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_MAX_PATH_STEPS):
     """Lockstep path-integral draws: all paths advance through shared
     increment blocks; finished paths drop out of the active set."""
-    frac = alpha / (1.0 - alpha)
-    inv_frac = 1.0 / frac
     z = np.zeros(n)
     x = np.zeros(n)
     active = np.arange(n)
@@ -277,15 +198,7 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_M
     steps = 0
     while active.size:
         m = active.size
-        u = (rng.integers(0, 1 << 53, size=(m, block)) + 0.5) * 2.0**-53
-        e = rng.standard_exponential((m, block))
-        pu = np.pi * u
-        log_a = (
-            frac * np.log(np.sin(alpha * pu))
-            + np.log(np.sin((1.0 - alpha) * pu))
-            - (1.0 + frac) * np.log(np.sin(pu))
-        )
-        inc = scale * np.exp((log_a - np.log(e)) * inv_frac)
+        inc = scale * _standard_stable(alpha, rng, size=(m, block))
         cum = x[active, None] + np.cumsum(inc, axis=1)
         below = cum < 1.0
         if beta != 0.0:
@@ -315,7 +228,7 @@ def sample_z_pathint(params: AlphaBeta, grid_step: float, rng, size=None):
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     rng = as_generator(rng)
     alpha, beta = params.alpha, params.beta
-    scale = (gamma_fn(1.0 - alpha) * grid_step) ** (1.0 / alpha)
+    scale = (math.gamma(1.0 - alpha) * grid_step) ** (1.0 / alpha)
     n = 1 if size is None else int(size)
     z = _pathint_block(alpha, beta, grid_step, scale, rng, n)
     return float(z[0]) if size is None else z
@@ -366,4 +279,4 @@ def sample_mittag_leffler(alpha: float, rng, size=None):
     rng = as_generator(rng)
     spec = StableSpec(alpha=alpha, laplace_scale=1.0)
     s = sample_stable(spec, 1.0, rng, size=size)
-    return s**-alpha / gamma_fn(1.0 - alpha)
+    return s**-alpha / math.gamma(1.0 - alpha)

@@ -1,5 +1,6 @@
-"""Seeded random streams plus the small stock of special functions and
-primitive variate generators everything else is built on.
+"""Seeded random streams plus the primitive variate generators everything
+else is built on: open-interval uniforms and Kanter's exact one-sided
+stable sampler.
 
 Streams are counter-based (Philox keyed by ``(seed, stream_id)``), so
 replicate streams are indexable: stream ``i`` of a Monte Carlo run can be
@@ -17,12 +18,7 @@ __all__ = [
     "RngStream",
     "StableSpec",
     "as_generator",
-    "gamma_fn",
-    "log_gamma_fn",
-    "beta_fn",
     "sample_uniform01",
-    "sample_exponential",
-    "sample_poisson",
     "sample_stable",
 ]
 
@@ -71,78 +67,11 @@ class StableSpec:
             raise ValueError(f"laplace_scale must be finite positive, got {self.laplace_scale}")
 
 
-# Lanczos approximation, g = 7, 9 coefficients (the standard double-precision
-# set, as tabulated in GSL / Numerical Recipes).  Relative error ~1e-14 on the
-# positive axis, comfortably inside the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_series(x: float) -> float:
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x - 1.0 + i)
-    return acc
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive axis (Lanczos, reflection below 1/2)."""
-    if not x > 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * _lanczos_series(x)
-
-
-def log_gamma_fn(x: float) -> float:
-    """log Gamma(x) for x > 0; stays finite where gamma_fn would overflow."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma_fn(1.0 - x)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) for a, b > 0, evaluated in log space."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(log_gamma_fn(a) + log_gamma_fn(b) - log_gamma_fn(a + b))
-
-
 def sample_uniform01(rng, size=None):
     """Uniform draws strictly inside (0,1) (endpoints are never returned)."""
     rng = as_generator(rng)
     u = (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
     return u
-
-
-def sample_exponential(rng, mean: float = 1.0, size=None):
-    """Exponential draws parameterized by their mean."""
-    if not (0.0 < mean < math.inf):
-        raise ValueError(f"exponential mean must be finite positive, got {mean}")
-    rng = as_generator(rng)
-    return rng.standard_exponential(size=size) * mean
-
-
-def sample_poisson(rng, mean: float, size=None):
-    if not (0.0 <= mean < math.inf):
-        raise ValueError(f"poisson mean must be finite nonnegative, got {mean}")
-    rng = as_generator(rng)
-    return rng.poisson(mean, size=size)
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size=None):
@@ -162,7 +91,7 @@ def _standard_stable(alpha: float, rng: np.random.Generator, size=None):
         + np.log(np.sin((1.0 - alpha) * pu))
         - (1.0 + frac) * np.log(np.sin(pu))
     )
-    return np.exp((log_a - np.log(e)) / frac)
+    return np.exp((log_a - np.log(e)) * (1.0 / frac))
 
 
 def sample_stable(spec: StableSpec, time_scale: float, rng, size=None):

@@ -3,17 +3,19 @@ and the occupancy statistics (occupied boxes, occupancy range, empty boxes).
 
 Frequencies are P_k = W_1*...*W_{k-1}*(1-W_k) for i.i.d. W in (0,1), held as
 the residual sequence Q_0 = 1 > Q_1 > Q_2 > ... with Q_k = W_1*...*W_k and
-P_k = Q_{k-1} - Q_k.  Two exact allocation representations are provided:
+P_k = Q_{k-1} - Q_k.  Two exact allocation representations sample the same
+occupancy law, both behind ``sample_occupancy``:
 
-* ``allocate_uniform``: balls are uniforms on [0,1], boxes the intervals
-  (Q_k, Q_{k-1}); two balls share a box iff they land in the same interval;
-* ``allocate_multinomial``: sequential binomial thinning with conditional
-  probability P_k / (1 - P_1 - ... - P_{k-1}) = 1 - W_k per box.
+* ``method="multinomial"``: sequential binomial thinning with conditional
+  probability P_k / (1 - P_1 - ... - P_{k-1}) = 1 - W_k per box, all
+  replicates in lockstep; it costs O(depth) per replicate regardless of the
+  ball count, which is what makes 10^6-ball experiments cheap;
+* ``method="uniform"``: ``allocate_uniform`` per replicate, with balls as
+  uniforms on [0,1] and boxes the intervals (Q_k, Q_{k-1}); it is the
+  independent oracle for the first.
 
-Both sample the same occupancy law; the second costs O(depth) per replicate
-regardless of the ball count, which is what makes 10^6-ball experiments
-cheap.  Poissonization (Poisson ball counts) decouples boxes conditionally
-on the frequencies, giving closed conditional mean/variance formulas for the
+Poissonization (Poisson ball counts) decouples boxes conditionally on the
+frequencies, giving closed conditional mean/variance formulas for the
 empty-box count that are implemented here and checked against replay
 simulations.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limitlaw import AlphaBeta, sample_z_pathint
-from .randkit import as_generator, log_gamma_fn
+from .randkit import as_generator, sample_uniform01
 from .stats import ks_two_sample, mc_accumulate
 from .walks import LogDecayLaw, ParetoLaw
 
@@ -40,8 +42,6 @@ __all__ = [
     "OccupancyResult",
     "OccupancyBatch",
     "allocate_uniform",
-    "allocate_multinomial",
-    "poissonized_occupancy",
     "sample_occupancy",
     "mean_empty_given_freqs",
     "var_empty_given_freqs",
@@ -72,13 +72,22 @@ class WLaw:
         """E W^j (1-W)^m; only families with closed forms implement it."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form mixed moments")
 
+    def moment_ratios(self, i: int) -> np.ndarray:
+        """E W^j (1-W)^(i-j) / E W^(j-1) (1-W)^(i-j+1) for j = 1..i.
+
+        Families whose ratio has a closed form override this; the generic
+        route divides mixed moments.
+        """
+        return np.array(
+            [self.mixed_moment(j, i - j) / self.mixed_moment(j - 1, i - j + 1)
+             for j in range(1, i + 1)]
+        )
+
 
 class UniformW(WLaw):
     symmetric = True
 
     def sample(self, rng, size=None):
-        from .randkit import sample_uniform01
-
         return sample_uniform01(rng, size=size)
 
     def cdf(self, x):
@@ -88,7 +97,12 @@ class UniformW(WLaw):
         return np.clip(x, 0.0, 1.0)
 
     def mixed_moment(self, j, m):
-        return math.exp(log_gamma_fn(j + 1.0) + log_gamma_fn(m + 1.0) - log_gamma_fn(j + m + 2.0))
+        lg = math.lgamma
+        return math.exp(lg(j + 1.0) + lg(m + 1.0) - lg(j + m + 2.0))
+
+    def moment_ratios(self, i):
+        j = np.arange(1, i + 1)
+        return j / (i - j + 1.0)
 
     def __repr__(self):
         return "UniformW()"
@@ -129,11 +143,15 @@ class BetaW(WLaw):
         return betainc(self.b, self.a, np.clip(x, 0.0, 1.0))
 
     def mixed_moment(self, j, m):
-        lg = log_gamma_fn
+        lg = math.lgamma
         return math.exp(
             lg(self.a + j) + lg(self.b + m) - lg(self.a + self.b + j + m)
             - (lg(self.a) + lg(self.b) - lg(self.a + self.b))
         )
+
+    def moment_ratios(self, i):
+        j = np.arange(1, i + 1)
+        return (self.a + j - 1.0) / (self.b + (i - j))
 
     def __repr__(self):
         return f"BetaW({self.a}, {self.b})"
@@ -163,6 +181,9 @@ class ConstantW(WLaw):
 
     def mixed_moment(self, j, m):
         return self.w**j * (1.0 - self.w) ** m
+
+    def moment_ratios(self, i):
+        return np.full(i, self.w / (1.0 - self.w))
 
     def __repr__(self):
         return f"ConstantW({self.w})"
@@ -294,7 +315,6 @@ class OccupancyResult:
     occupied: int
     last_occupied: int
     empty_in_range: int
-    truncated: bool = False
 
     def __post_init__(self):
         assert self.empty_in_range == self.last_occupied - self.occupied
@@ -343,57 +363,6 @@ def allocate_uniform(wlaw: WLaw, n, rng, freqs: FrequencySeq | None = None) -> O
 _MAX_ALLOC_DEPTH = 100_000
 
 
-def allocate_multinomial(wlaw: WLaw, n, rng, freqs: FrequencySeq | None = None) -> OccupancyResult:
-    """Sequential binomial thinning: box k takes Binomial(remaining, 1 - W_k).
-
-    Distributionally identical to ``allocate_uniform``.  If the residual
-    degenerates in floats before the balls run out, the remainder is dumped
-    one box past the degeneracy and the result is flagged ``truncated``.
-    """
-    n = _check_balls(n)
-    rng = as_generator(rng)
-    if n == 0:
-        return OccupancyResult(balls=0, occupied=0, last_occupied=0, empty_in_range=0)
-    remaining = n
-    k = 0
-    occupied = 0
-    last = 0
-    truncated = False
-    q_fixed = freqs.q if freqs is not None else None
-    while remaining > 0:
-        k += 1
-        if q_fixed is not None:
-            if k >= q_fixed.size:
-                freqs.extend_below(q_fixed[-1] * 0.5**32)
-                q_fixed = freqs.q
-            w = q_fixed[k] / q_fixed[k - 1]
-        else:
-            w = float(wlaw.sample(rng))
-        hit_prob = 1.0 - w
-        if hit_prob <= 0.0 or k > _MAX_ALLOC_DEPTH:
-            c = remaining  # residual underflow: dump the rest here
-            truncated = True
-        else:
-            c = int(rng.binomial(remaining, hit_prob))
-        if c > 0:
-            occupied += 1
-            last = k
-            remaining -= c
-    return OccupancyResult(
-        balls=n, occupied=occupied, last_occupied=last,
-        empty_in_range=last - occupied, truncated=truncated,
-    )
-
-
-def poissonized_occupancy(wlaw: WLaw, t: float, rng, freqs: FrequencySeq | None = None) -> OccupancyResult:
-    """Occupancy with a Poisson(t) ball count (decouples boxes given freqs)."""
-    if not t >= 0.0:
-        raise ValueError(f"poissonization rate must be nonnegative, got {t}")
-    rng = as_generator(rng)
-    n = int(rng.poisson(t))
-    return allocate_uniform(wlaw, n, rng, freqs=freqs)
-
-
 def sample_occupancy(
     wlaw: WLaw, n, reps: int, rng, method: str = "multinomial",
     freqs: FrequencySeq | None = None, poissonized: bool = False,
@@ -403,6 +372,8 @@ def sample_occupancy(
     ``multinomial`` runs all replicates in lockstep (one binomial row per box
     index), so the cost scales with the frequency depth, not the ball count.
     ``uniform`` loops the interval representation per replicate.
+    ``truncated`` counts the lockstep replicates that dumped their remaining
+    balls into one box because their residual degenerated in floats.
     """
     n = _check_balls(n)
     rng = as_generator(rng)
@@ -434,11 +405,17 @@ def sample_occupancy(
             hit_prob = 1.0 - q_fixed[k] / q_fixed[k - 1]
         else:
             hit_prob = 1.0 - np.asarray(wlaw.sample(rng, size=active.size))
-        if k > _MAX_ALLOC_DEPTH or np.any(np.asarray(hit_prob) <= 0.0):
-            c = remaining[active]  # dump the remainder: residual degenerated
-            truncated += active.size
+        c = remaining[active]
+        # a replicate whose residual degenerated in floats, or that ran past
+        # the depth budget, dumps its remainder in this box; the rest thin on
+        dump = np.broadcast_to(np.asarray(hit_prob) <= 0.0, c.shape) | (k > _MAX_ALLOC_DEPTH)
+        if dump.any():
+            truncated += int(dump.sum())
+            keep = ~dump
+            if keep.any():
+                c[keep] = rng.binomial(c[keep], np.broadcast_to(hit_prob, c.shape)[keep])
         else:
-            c = rng.binomial(remaining[active], hit_prob)
+            c = rng.binomial(c, hit_prob)
         hit = c > 0
         occupied[active] += hit
         last[active] = np.where(hit, k, last[active])

@@ -1,4 +1,4 @@
-"""Distance and accumulation utilities for the Monte Carlo checks.
+"""Distance and mean/standard-error utilities for the Monte Carlo checks.
 
 Thresholds throughout the package are stated directly as distances
 (KS, total variation); there is deliberately no p-value machinery.
@@ -12,13 +12,10 @@ import numpy as np
 
 __all__ = [
     "McEstimate",
-    "Accumulator",
     "mc_accumulate",
     "ks_two_sample",
     "ks_one_sample",
     "tv_distance",
-    "ecdf",
-    "chi_square",
 ]
 
 
@@ -27,54 +24,6 @@ class McEstimate:
     mean: float
     stderr: float
     count: int
-
-
-class Accumulator:
-    """Single-pass mean/variance (Welford) with an associative merge.
-
-    Merging partial accumulators reproduces sequential accumulation to
-    floating precision, which is what makes replicate-parallel runs
-    independent of the parallelism degree.
-    """
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, values) -> "Accumulator":
-        for x in np.atleast_1d(np.asarray(values, dtype=float)):
-            self.count += 1
-            delta = x - self.mean
-            self.mean += delta / self.count
-            self._m2 += delta * (x - self.mean)
-        return self
-
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return self
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / n
-        self._m2 += other._m2 + delta * delta * self.count * other.count / n
-        self.count = n
-        return self
-
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    def estimate(self) -> McEstimate:
-        if self.count == 0:
-            raise ValueError("empty accumulator")
-        se = np.sqrt(self.variance() / self.count) if self.count >= 2 else 0.0
-        return McEstimate(mean=self.mean, stderr=float(se), count=self.count)
 
 
 def mc_accumulate(values) -> McEstimate:
@@ -130,32 +79,3 @@ def tv_distance(p, q) -> float:
     pm = np.pad(pm, (0, width - pm.size))
     qm = np.pad(qm, (0, width - qm.size))
     return float(0.5 * np.abs(pm - qm).sum() + 0.5 * abs(pd - qd))
-
-
-class Ecdf:
-    """Right-continuous empirical CDF."""
-
-    def __init__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            raise ValueError("ecdf requires a nonempty sample")
-        self.points = np.sort(xs)
-
-    def __call__(self, x):
-        return np.searchsorted(self.points, x, side="right") / self.points.size
-
-
-def ecdf(xs) -> Ecdf:
-    return Ecdf(xs)
-
-
-def chi_square(observed, expected):
-    """Pearson statistic with its degrees of freedom (#cells - 1)."""
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    if observed.size == 0 or observed.shape != expected.shape:
-        raise ValueError("observed/expected must be nonempty and aligned")
-    if np.any(expected <= 0):
-        raise ValueError("expected counts must be positive")
-    stat = float(((observed - expected) ** 2 / expected).sum())
-    return stat, observed.size - 1

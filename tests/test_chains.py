@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sievesim.chains import (
     ChainSpec,
@@ -13,12 +14,10 @@ from sievesim.chains import (
     empirical_pmf,
     exact_zero_decrement_pmf,
     geometric_pmf,
-    geometric_rep_sampler,
     mixed_poisson_diagnostic,
     sample_geometric_rep,
     sample_zero_decrements,
     sieve_chain_spec,
-    simulate_zero_decrements,
 )
 from sievesim.randkit import RngStream
 from sievesim.sieve import BetaW, ConstantW, LogParetoMixtureW, UniformW
@@ -124,6 +123,29 @@ class TestSieveChainSpec:
             for row in spec.rows.values():
                 assert abs(row.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("wlaw", [UniformW(), BetaW(2, 3), BetaW(0.5, 1.5), ConstantW(0.3)])
+    def test_moment_ratios_match_mixed_moments(self, wlaw):
+        for i in (1, 5, 30):
+            quotients = [wlaw.mixed_moment(j, i - j) / wlaw.mixed_moment(j - 1, i - j + 1)
+                         for j in range(1, i + 1)]
+            assert np.allclose(wlaw.moment_ratios(i), quotients, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["uniform", "beta", "const"]),
+           st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.2, max_value=5.0),
+           st.integers(min_value=1, max_value=60))
+    def test_rows_match_sequential_recurrence(self, family, a, b, n_max):
+        wlaw = {"uniform": UniformW(), "beta": BetaW(a, b), "const": ConstantW(a / (a + b))}[family]
+        spec = sieve_chain_spec(wlaw, n_max)
+        for i in range(1, n_max + 1):
+            ratios = wlaw.moment_ratios(i)
+            row = np.empty(i + 1)
+            row[0] = wlaw.mixed_moment(0, i)
+            for j in range(1, i + 1):
+                row[j] = row[j - 1] * ((i - j + 1) / j) * ratios[j - 1]
+            row /= row.sum()
+            assert np.allclose(spec.row(i), row, rtol=1e-13, atol=0.0)
+
     def test_rejects_laws_without_moments(self):
         with pytest.raises(ValueError):
             sieve_chain_spec(LogParetoMixtureW(0.6, 0.3), 10)
@@ -135,8 +157,8 @@ class TestBarrierChainSpec:
         spec = barrier_chain_spec([1.0], 30)
         pmf = exact_zero_decrement_pmf(spec, 30)
         assert pmf.masses[0] == pytest.approx(1.0, abs=1e-12)
-        assert simulate_zero_decrements(spec, 30, RngStream(1, 0)) == 0
-        assert geometric_rep_sampler(spec, 30, RngStream(1, 1)) == 0
+        assert sample_zero_decrements(spec, 30, 1, RngStream(1, 0)).tolist() == [0]
+        assert sample_geometric_rep(spec, 30, 1, RngStream(1, 1)).tolist() == [0]
 
     def test_rejects_zero_first_step(self):
         with pytest.raises(ValueError):
@@ -170,13 +192,13 @@ class TestSamplers:
     def test_scalar_samplers_run(self):
         spec = sieve_chain_spec(UniformW(), 12)
         rng = RngStream(2, 2).generator()
-        vals = {simulate_zero_decrements(spec, 12, rng) for _ in range(50)}
-        vals |= {geometric_rep_sampler(spec, 12, rng) for _ in range(50)}
+        vals = {int(sample_zero_decrements(spec, 12, 1, rng)[0]) for _ in range(50)}
+        vals |= {int(sample_geometric_rep(spec, 12, 1, rng)[0]) for _ in range(50)}
         assert all(v >= 0 for v in vals)
 
     def test_floor_start(self):
         spec = barrier_chain_spec([0.5, 0.5], 10)
-        assert simulate_zero_decrements(spec, 1, RngStream(2, 3)) == 0
+        assert sample_zero_decrements(spec, 1, 1, RngStream(2, 3)).tolist() == [0]
 
 
 class TestMixedPoissonDiagnostic:
@@ -220,14 +242,31 @@ class TestMixedPoissonDiagnostic:
             mixed_poisson_diagnostic(Pmf(masses=np.array([0.5]), tail_deficit=0.5))
 
 
+def assert_round_trip(spec):
+    clone = chain_from_json(chain_to_json(spec))
+    assert clone.floor == spec.floor
+    assert set(clone.rows) == set(spec.rows)
+    for i in spec.rows:
+        assert np.array_equal(clone.rows[i], spec.rows[i])
+
+
 class TestJsonRoundTrip:
     def test_round_trip_is_exact(self):
-        spec = sieve_chain_spec(BetaW(2, 3), 15)
-        clone = chain_from_json(chain_to_json(spec))
-        assert clone.floor == spec.floor
-        assert set(clone.rows) == set(spec.rows)
-        for i in spec.rows:
-            assert np.array_equal(clone.rows[i], spec.rows[i])
+        assert_round_trip(sieve_chain_spec(BetaW(2, 3), 15))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.2, max_value=5.0),
+           st.integers(min_value=1, max_value=40))
+    def test_sieve_round_trip_property(self, a, b, n_max):
+        assert_round_trip(sieve_chain_spec(BetaW(a, b), n_max))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+           st.floats(min_value=0.01, max_value=1.0), st.integers(min_value=2, max_value=40))
+    @example(weights=[0.03], p1=0.29103494691815174, n_max=3)  # partial sum overshoots 1
+    def test_barrier_round_trip_property(self, weights, p1, n_max):
+        p = np.array([p1] + weights)
+        assert_round_trip(barrier_chain_spec(p / p.sum(), n_max))
 
     def test_schema_shape(self):
         spec = barrier_chain_spec([0.5, 0.5], 4)

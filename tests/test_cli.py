@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sievesim.cli import main, parse_marginal, parse_wlaw
+from sievesim import sieve
+from sievesim.cli import CHUNK, _chunk_plan, main, parse_marginal, parse_wlaw
 from sievesim.sieve import BetaW, LogParetoMixtureW, UniformW
 from sievesim.walks import ExponentialLaw, ParetoLaw
 
@@ -40,6 +42,36 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("sieve", "--wlaw", "uniform", "--balls", "10", "--reps", "0"),
+        ("markov", "--n", "5", "--reps", "-3"),
+        ("sample-z", "--alpha", "0.5", "--beta", "0.5", "--n", "0"),
+        ("markov", "--n", "0"),
+    ])
+    def test_nonpositive_counts_rejected_when_parsed(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--seed", "1", "--out", tmp_path) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_exhausted_budget_exits_three(self, tmp_path, capsys):
+        # stay probability 0.9999 needs far more DP columns than the count budget
+        code = run_cli("markov", "--chain", "barrier:geom:0.9999", "--n", "2", "--reps", "10",
+                       "--seed", "1", "--out", tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestChunkPlan:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=20 * CHUNK))
+    def test_covers_total_in_index_order(self, total):
+        plan = _chunk_plan(total)
+        assert [cid for cid, _ in plan] == list(range(len(plan)))
+        assert sum(count for _, count in plan) == total
+        assert all(count == CHUNK for _, count in plan[:-1])
+        assert 1 <= plan[-1][1] <= CHUNK
 
 
 class TestMomentsCommand:
@@ -97,6 +129,17 @@ class TestSieveCommand:
         assert payload["config_hash"] in next(Path(tmp_path).glob("sieve_*.csv")).name
         first_row = next(Path(tmp_path).glob("sieve_*.csv")).read_text().splitlines()[1]
         assert payload["config_hash"] in first_row
+        assert payload["metrics"]["truncated"] == 0
+
+    def test_truncation_is_reported_and_fails(self, tmp_path, monkeypatch):
+        # a depth budget of two boxes forces most replicates to dump their balls
+        monkeypatch.setattr(sieve, "_MAX_ALLOC_DEPTH", 2)
+        code = run_cli("sieve", "--wlaw", "uniform", "--balls", "100", "--reps", "500",
+                       "--seed", "9", "--out", tmp_path, "--jobs", "1")
+        assert code == 1
+        payload = json.loads(next(Path(tmp_path).glob("sieve_*.summary.json")).read_text())
+        assert payload["metrics"]["truncated"] > 0
+        assert payload["passed"] is False
 
 
 class TestMarkovCommand:

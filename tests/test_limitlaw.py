@@ -11,16 +11,14 @@ from sievesim.limitlaw import (
     levy_tail_mass,
     mittag_leffler_moment,
     phi_alpha,
-    sample_jump_path,
     sample_levy_jump,
     sample_mittag_leffler,
     sample_subordinator_marginal,
-    sample_subordinator_path,
     sample_z_expfunctional,
     sample_z_pathint,
     z_moment,
 )
-from sievesim.randkit import RngStream, StableSpec, gamma_fn
+from sievesim.randkit import RngStream
 from sievesim.stats import ks_one_sample, mc_accumulate
 
 
@@ -57,7 +55,7 @@ class TestPhiAlpha:
         for alpha in (0.2, 0.5, 0.8):
             for n in (1, 3, 6):
                 prod = math.prod(phi_alpha(alpha, float(k)) + 1.0 for k in range(1, n + 1))
-                closed = gamma_fn(1.0 + n * alpha) * gamma_fn(1.0 - alpha) ** n
+                closed = math.gamma(1.0 + n * alpha) * math.gamma(1.0 - alpha) ** n
                 assert prod == pytest.approx(closed, rel=1e-10)
 
 
@@ -65,6 +63,15 @@ class TestMoments:
     def test_mittag_leffler_low_orders(self):
         assert mittag_leffler_moment(0.5, 1) == pytest.approx(2.0 / math.pi, rel=1e-12)
         assert mittag_leffler_moment(0.5, 2) == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+    def test_gamma_arguments_are_validated(self):
+        # math.gamma is finite at negative non-integers, so an unchecked alpha
+        # outside (0,1) would return a wrong number instead of raising
+        for alpha in (-0.5, 1.5):
+            with pytest.raises(ValueError):
+                mittag_leffler_moment(alpha, 1)
+            with pytest.raises(ValueError):
+                sample_mittag_leffler(alpha, RngStream(1, 0))
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -135,44 +142,24 @@ class TestLevyMeasure:
         est = mc_accumulate(draws)
         assert abs(est.mean - oracle) <= 3.0 * est.stderr
 
-    def test_jump_path_invariants(self):
-        path = sample_jump_path(0.5, 10.0, 0.05, RngStream(12, 0))
-        assert np.all(np.diff(path.jump_times) >= 0.0)
-        assert np.all(path.jump_sizes >= 0.05)
-        assert path.value_at(10.0) == pytest.approx(path.jump_sizes.sum())
-
-
 class TestSubordinatorPath:
-    def test_invariants(self):
-        spec = StableSpec(0.5, gamma_fn(0.5))
-        path = sample_subordinator_path(spec, 0.01, 1.0, RngStream(13, 0))
-        assert path.values[0] == 0.0
-        assert np.all(np.diff(path.values) > 0.0)
-        assert path.values[-1] > 1.0
+    # at beta = 0 the path-integral draw is h * #{i : X(ih) < 1}, the grid
+    # first-passage time of level 1 by the subordinator X
 
     def test_first_passage_mean(self):
         # crossing time of level 1 has the Mittag-Leffler mean
-        spec = StableSpec(0.5, gamma_fn(0.5))
         h = 0.02
-        rng = RngStream(14, 0).generator()
-        times = np.array(
-            [sample_subordinator_path(spec, h, 1.0, rng).crossing_time(1.0) for _ in range(3000)]
-        )
+        times = sample_z_pathint(AlphaBeta(0.5, 0.0), h, RngStream(14, 0), size=3000)
         est = mc_accumulate(times)
         target = mittag_leffler_moment(0.5, 1)
         assert abs(est.mean - target) <= 3.0 * est.stderr + h
 
     def test_grid_refinement_bias_bound(self):
         # first-passage discretization error is at most one grid step
-        spec = StableSpec(0.5, gamma_fn(0.5))
         h = 0.04
         rng = RngStream(15, 0).generator()
-        coarse = np.array(
-            [sample_subordinator_path(spec, h, 1.0, rng).crossing_time(1.0) for _ in range(4000)]
-        )
-        fine = np.array(
-            [sample_subordinator_path(spec, h / 2, 1.0, rng).crossing_time(1.0) for _ in range(4000)]
-        )
+        coarse = sample_z_pathint(AlphaBeta(0.5, 0.0), h, rng, size=4000)
+        fine = sample_z_pathint(AlphaBeta(0.5, 0.0), h / 2, rng, size=4000)
         e1, e2 = mc_accumulate(coarse), mc_accumulate(fine)
         assert abs(e1.mean - e2.mean) <= h + 3.0 * (e1.stderr + e2.stderr)
 

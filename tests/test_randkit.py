@@ -2,65 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.special import gamma as scipy_gamma
 
-from sievesim.randkit import (
-    RngStream,
-    StableSpec,
-    beta_fn,
-    gamma_fn,
-    log_gamma_fn,
-    sample_exponential,
-    sample_poisson,
-    sample_stable,
-    sample_uniform01,
-)
-
-
-class TestGammaBeta:
-    def test_integer_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_against_reference_on_range(self):
-        # independent oracle: scipy's gamma
-        xs = np.concatenate([np.geomspace(1e-3, 0.5, 100), np.linspace(0.5, 50.0, 300)])
-        for x in xs:
-            ref = float(scipy_gamma(x))
-            assert gamma_fn(float(x)) == pytest.approx(ref, rel=1e-12)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.floats(min_value=0.1, max_value=20.0))
-    def test_recurrence(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-11)
-
-    def test_domain_errors(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                gamma_fn(bad)
-            with pytest.raises(ValueError):
-                beta_fn(bad, 1.0)
-
-    def test_beta_values(self):
-        assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
-        assert beta_fn(0.5, 1.5) == pytest.approx(math.pi / 2.0, rel=1e-13)
-        # frozen from a 30-digit evaluation of Gamma(1/2)Gamma(5/4)/Gamma(7/4)
-        assert beta_fn(0.5, 1.25) == pytest.approx(1.7480383695280799, rel=1e-13)
-
-    def test_beta_matches_gamma_ratio(self):
-        for a, b in [(0.3, 2.7), (1.5, 4.0), (7.0, 11.0)]:
-            ratio = gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
-            assert beta_fn(a, b) == pytest.approx(ratio, rel=1e-12)
-
-    def test_log_gamma_large_arguments(self):
-        from scipy.special import gammaln
-
-        for x in (200.0, 5000.0):
-            assert log_gamma_fn(x) == pytest.approx(float(gammaln(x)), rel=1e-13)
+from sievesim.randkit import RngStream, StableSpec, sample_stable, sample_uniform01
 
 
 class TestStreams:
@@ -81,25 +24,6 @@ class TestStreams:
     def test_rejects_foreign_rng(self):
         with pytest.raises(TypeError):
             sample_uniform01(42)
-
-
-class TestPrimitiveSamplers:
-    def test_poisson_zero_mean(self):
-        draws = sample_poisson(RngStream(3, 0), 0.0, size=1000)
-        assert np.all(draws == 0)
-
-    def test_poisson_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sample_poisson(RngStream(3, 0), -1.0)
-
-    def test_exponential_mean_parameterization(self):
-        draws = sample_exponential(RngStream(4, 0), 1.0, size=1_000_000)
-        se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - 1.0) <= 3.0 * se
-
-    def test_exponential_rejects_bad_mean(self):
-        with pytest.raises(ValueError):
-            sample_exponential(RngStream(4, 0), 0.0)
 
 
 class TestStableSampler:
@@ -123,7 +47,7 @@ class TestStableSampler:
         assert abs(vals.mean() - math.exp(-1.0)) <= 3.0 * se
 
     def test_laplace_transform_gamma_scale(self):
-        scale = gamma_fn(0.5)
+        scale = math.gamma(0.5)
         draws = sample_stable(StableSpec(0.5, scale), 1.0, RngStream(7, 0), size=1_000_000)
         vals = np.exp(-draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import beta as scipy_beta
 
 from sievesim.chains import empirical_pmf, geometric_pmf
@@ -13,12 +14,10 @@ from sievesim.sieve import (
     LogParetoMixtureW,
     OccupancyResult,
     UniformW,
-    allocate_multinomial,
     allocate_uniform,
     mean_empty_given_freqs,
     var_empty_given_freqs,
     normalization_ratio,
-    poissonized_occupancy,
     sample_occupancy,
     limit_trend_experiment,
 )
@@ -116,11 +115,28 @@ class TestFrequencySeq:
             FrequencySeq()
 
 
+def assert_batch_invariants(batch, balls):
+    assert np.array_equal(batch.empty_in_range, batch.last_occupied - batch.occupied)
+    assert np.all(batch.occupied <= batch.last_occupied)
+    assert np.all(batch.occupied <= balls)
+    assert np.all((batch.occupied >= 1) == (balls >= 1))
+
+
+class StuckW(UniformW):
+    """A law whose factor hits 1.0 in floats, which stalls the thinning."""
+
+    def sample(self, rng, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+
 class TestAllocators:
     def test_empty_allocation(self):
-        for fn in (allocate_uniform, allocate_multinomial):
-            res = fn(UniformW(), 0, RngStream(3, 0))
-            assert (res.occupied, res.last_occupied, res.empty_in_range) == (0, 0, 0)
+        res = allocate_uniform(UniformW(), 0, RngStream(3, 0))
+        assert (res.occupied, res.last_occupied, res.empty_in_range) == (0, 0, 0)
+        for method in ("uniform", "multinomial"):
+            batch = sample_occupancy(UniformW(), 0, 5, RngStream(3, 0), method=method)
+            for field in (batch.occupied, batch.last_occupied, batch.empty_in_range):
+                assert np.all(field == 0)
 
     def test_single_ball(self):
         rng = RngStream(3, 1).generator()
@@ -132,33 +148,45 @@ class TestAllocators:
     def test_invariants_on_random_runs(self):
         rng = RngStream(3, 2).generator()
         for n in (1, 7, 300):
-            for fn in (allocate_uniform, allocate_multinomial):
-                res = fn(BetaW(2, 3), n, rng)
-                assert res.empty_in_range == res.last_occupied - res.occupied
-                assert 1 <= res.occupied <= min(n, res.last_occupied)
+            res = allocate_uniform(BetaW(2, 3), n, rng)
+            assert res.empty_in_range == res.last_occupied - res.occupied
+            assert 1 <= res.occupied <= min(n, res.last_occupied)
+            assert_batch_invariants(sample_occupancy(BetaW(2, 3), n, 50, rng), n)
 
     def test_result_invariant_is_asserted(self):
         with pytest.raises(AssertionError):
             OccupancyResult(balls=1, occupied=2, last_occupied=2, empty_in_range=1)
 
     def test_degenerate_residual_is_flagged(self):
-        # a law whose factor hits 1.0 in floats stalls the thinning; the
-        # remainder is dumped one box down and the result flagged
-        class StuckW(UniformW):
-            def sample(self, rng, size=None):
-                return 1.0 if size is None else __import__("numpy").ones(size)
+        # the remainder is dumped one box down and every replicate counted
+        batch = sample_occupancy(StuckW(), 10, 40, RngStream(99, 0))
+        assert batch.truncated == 40
+        assert np.all(batch.occupied == 1)
+        assert_batch_invariants(batch, 10)
 
-        res = allocate_multinomial(StuckW(), 10, RngStream(99, 0))
-        assert res.truncated
-        assert res.occupied == 1
-        assert res.empty_in_range == res.last_occupied - res.occupied
+    def test_one_degenerate_replicate_is_isolated(self):
+        # only the replicate whose factor degenerates is dumped; the rest of
+        # the lockstep batch keeps thinning
+        class OneStuckW(UniformW):
+            calls = 0
+
+            def sample(self, rng, size=None):
+                w = super().sample(rng, size=size)
+                if self.calls == 0:
+                    w[0] = 1.0
+                self.calls += 1
+                return w
+
+        batch = sample_occupancy(OneStuckW(), 100, 1000, RngStream(99, 1))
+        clean = sample_occupancy(UniformW(), 100, 1000, RngStream(99, 2))
+        assert batch.truncated == 1
+        assert (batch.occupied[0], batch.last_occupied[0]) == (1, 1)
+        assert abs(batch.last_occupied[1:].mean() - clean.last_occupied.mean()) <= 0.5
+        assert_batch_invariants(batch, 100)
 
     def test_constant_half_box_is_geometric(self):
         # P_k = 2^-k, so a single ball lands in box k with probability 2^-k
-        rng = RngStream(3, 3).generator()
-        boxes = np.array(
-            [allocate_multinomial(ConstantW(0.5), 1, rng).last_occupied for _ in range(20_000)]
-        )
+        boxes = sample_occupancy(ConstantW(0.5), 1, 20_000, RngStream(3, 3)).last_occupied
         emp = empirical_pmf(boxes - 1)
         assert tv_distance(emp, geometric_pmf(0.5, emp.masses.size)) <= 0.015
 
@@ -178,17 +206,36 @@ class TestAllocators:
             assert d <= 0.01, field
 
     def test_poissonized(self):
-        res = poissonized_occupancy(UniformW(), 0.0, RngStream(3, 7))
-        assert res.balls == 0
-        rng = RngStream(3, 8).generator()
-        balls = np.array([poissonized_occupancy(UniformW(), 30.0, rng).balls for _ in range(4000)])
-        est = mc_accumulate(balls.astype(float))
-        assert abs(est.mean - 30.0) <= 3.0 * est.stderr
+        batch = sample_occupancy(UniformW(), 0, 100, RngStream(3, 7), poissonized=True)
+        assert np.all(batch.last_occupied == 0)
+        # interval allocation with Poisson(30) ball counts is the oracle
+        uni = sample_occupancy(UniformW(), 30, 10_000, RngStream(3, 8), method="uniform",
+                               poissonized=True)
+        mlt = sample_occupancy(UniformW(), 30, 10_000, RngStream(3, 10), poissonized=True)
+        for field in ("occupied", "last_occupied", "empty_in_range"):
+            d = ks_two_sample(getattr(uni, field), getattr(mlt, field))
+            assert d <= 0.03, field
 
     def test_poissonized_empty_count_stays_geometric(self):
         batch = sample_occupancy(UniformW(), 100, 50_000, RngStream(3, 9), poissonized=True)
         emp = empirical_pmf(batch.empty_in_range)
         assert tv_distance(emp, geometric_pmf(0.5, emp.masses.size)) <= 0.015
+
+
+class TestOccupancyProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=60),
+           st.sampled_from([UniformW(), BetaW(2, 3), BetaW(0.5, 0.5), ConstantW(0.3)]),
+           st.booleans(), st.integers(min_value=0, max_value=2**32))
+    def test_lockstep_invariants(self, n, reps, wlaw, poissonized, seed):
+        batch = sample_occupancy(wlaw, n, reps, RngStream(seed, 0), poissonized=poissonized)
+        assert batch.occupied.shape == (reps,)
+        assert batch.truncated == 0
+        assert np.all(batch.occupied <= batch.last_occupied)
+        assert np.array_equal(batch.empty_in_range, batch.last_occupied - batch.occupied)
+        assert np.all((batch.occupied >= 1) == (batch.last_occupied >= 1))
+        if not poissonized:
+            assert_batch_invariants(batch, n)
 
 
 class TestConditionalFormulas:

@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievesim.randkit import RngStream
-from sievesim.stats import (
-    Accumulator,
-    chi_square,
-    ecdf,
-    ks_one_sample,
-    ks_two_sample,
-    mc_accumulate,
-    tv_distance,
-)
+from sievesim.stats import ks_one_sample, ks_two_sample, mc_accumulate, tv_distance
 
 
 class TestKs:
@@ -90,54 +82,6 @@ class TestAccumulator:
         assert est.mean == pytest.approx(0.5)
         assert est.stderr == pytest.approx(0.005, rel=1e-3)
 
-    def test_merge_equals_concatenation(self):
-        rng = RngStream(3, 0).generator()
-        xs = rng.random(1000)
-        whole = Accumulator().add(xs)
-        left = Accumulator().add(xs[:300])
-        right = Accumulator().add(xs[300:])
-        merged = left.merge(right)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance() == pytest.approx(whole.variance(), rel=1e-12)
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))
-    def test_merge_associativity(self, n1, n2):
-        rng = RngStream(4, n1 * 1000 + n2).generator()
-        xs, ys, zs = rng.random(n1), rng.random(n2), rng.random(37)
-
-        def acc(*arrays):
-            a = Accumulator()
-            for arr in arrays:
-                a.add(arr)
-            return a
-
-        ab_c = acc(xs, ys).merge(acc(zs))
-        a_bc = acc(xs).merge(acc(ys, zs))
-        assert ab_c.mean == pytest.approx(a_bc.mean, rel=1e-12, abs=1e-12)
-        assert ab_c.variance() == pytest.approx(a_bc.variance(), rel=1e-12, abs=1e-12)
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mc_accumulate([])
-
-
-class TestEcdfChiSquare:
-    def test_ecdf_right_continuous(self):
-        f = ecdf([1.0, 2.0, 2.0, 3.0])
-        assert f(0.5) == 0.0
-        assert f(1.0) == 0.25
-        assert f(2.0) == 0.75
-        assert f(10.0) == 1.0
-
-    def test_chi_square_perfect_fit(self):
-        stat, dof = chi_square([10.0, 20.0, 30.0], [10.0, 20.0, 30.0])
-        assert stat == 0.0
-        assert dof == 2
-
-    def test_chi_square_validation(self):
-        with pytest.raises(ValueError):
-            chi_square([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            chi_square([1.0], [0.0])

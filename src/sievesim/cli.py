@@ -112,17 +112,34 @@ def _chunk_sieve(task):
     return table, batch.truncated
 
 
+def _prw_law(xi_text: str, eta_text: str, multiplier) -> walks.PrwLaw:
+    xi_law = parse_marginal(xi_text)
+    if multiplier is not None:
+        return walks.PrwLaw.coupled(xi_law, multiplier)
+    return walks.PrwLaw.independent(xi_law, parse_marginal(eta_text))
+
+
+def _prw_norm(law: walks.PrwLaw, t: float, stat: str) -> float:
+    """P{xi > t} / P{eta > t}, the normalisation of the empty-box and
+    busy-server statistics (1.0 for the others)."""
+    if stat not in ("empty", "busy"):
+        return 1.0
+    eta_tail = float(np.asarray(law.eta_tail(t)))
+    if not eta_tail > 0.0:
+        raise ValueError(
+            f"--stat {stat} is normalised by P{{eta > t}}, which is 0 at t = {t}; "
+            "choose an eta law with mass above t"
+        )
+    return float(np.asarray(law.xi_tail(t))) / eta_tail
+
+
 def _chunk_prw(task):
     seed, cid, count, payload = task
     xi_text, eta_text, multiplier, t, stat, q_exponent = payload
     rng = RngStream(seed, cid).generator()
-    xi_law = parse_marginal(xi_text)
-    if multiplier is not None:
-        law = walks.PrwLaw.coupled(xi_law, multiplier)
-    else:
-        law = walks.PrwLaw.independent(xi_law, parse_marginal(eta_text))
+    law = _prw_law(xi_text, eta_text, multiplier)
     horizon = t + 40.0 if stat in ("empty", "busy") else t
-    norm = float(np.asarray(law.xi_tail(t)) / np.asarray(law.eta_tail(t))) if stat in ("empty", "busy") else 1.0
+    norm = _prw_norm(law, t, stat)
     out = np.empty(count)
     for r in range(count):
         path = walks.generate_path(law, horizon, rng)
@@ -308,6 +325,7 @@ def cmd_prw(args) -> int:
     }
     cfg = _config_hash({"experiment": "prw", "seed": args.seed, **params})
     payload = (args.xi, args.eta, args.coupled_multiplier, args.t, args.stat, args.q_exponent)
+    _prw_norm(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat)
     parts = _run_chunks(_chunk_prw, args.seed, args.reps, args.jobs, payload)
     values = np.concatenate(parts)
     est = stats.mc_accumulate(values)

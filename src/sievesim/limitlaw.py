@@ -6,8 +6,9 @@ Three routes to the same distribution are implemented and cross-checked:
 * analytic moments (``z_moment``, with ``mittag_leffler_moment`` as the
   beta = 0 special case and the standard exponential at beta = alpha);
 * a path-integral sampler driven by a grid-discretized stable subordinator
-  (Kanter increments from ``randkit``); at beta = 0 its draw is the grid
-  first-passage time of level 1, so no separate path object is kept;
+  (exact increments from ``randkit._standard_stable``: Levy draws 1/(2*N^2)
+  at alpha = 1/2, Kanter's construction otherwise); at beta = 0 its draw is
+  the grid first-passage time of level 1, so no separate path object is kept;
 * an exponential-functional sampler ``integral_0^T exp(-c*Y(t)) dt`` with
   c = (alpha-beta)/alpha, T standard exponential, and Y the subordinator
   whose Laplace exponent is ``phi_alpha``.
@@ -202,8 +203,9 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_M
         cum = x[active, None] + np.cumsum(inc, axis=1)
         below = cum < 1.0
         if beta != 0.0:
-            contrib = np.where(below, 1.0 - np.where(below, cum, 0.0), 1.0) ** -beta
-            z[active] += grid_step * np.where(below, contrib, 0.0).sum(axis=1)
+            # the weight is evaluated only below the level: 1 - cum > 0 there
+            weight = np.power(1.0 - cum, -beta, out=np.zeros_like(cum), where=below)
+            z[active] += grid_step * weight.sum(axis=1)
         else:
             z[active] += grid_step * below.sum(axis=1)
         alive = below[:, -1]

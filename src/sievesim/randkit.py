@@ -1,6 +1,8 @@
 """Seeded random streams plus the primitive variate generators everything
-else is built on: open-interval uniforms and Kanter's exact one-sided
-stable sampler.
+else is built on: open-interval uniforms and an exact one-sided stable
+sampler.  At alpha = 1/2 the standard stable law is the Levy distribution,
+S = 1/(2*N^2) for standard normal N; every other alpha uses Kanter's (1975)
+construction.
 
 Streams are counter-based (Philox keyed by ``(seed, stream_id)``), so
 replicate streams are indexable: stream ``i`` of a Monte Carlo run can be
@@ -75,9 +77,23 @@ def sample_uniform01(rng, size=None):
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size=None):
-    """Kanter's exact construction of the standard one-sided stable law.
+    """Exact draws of the standard one-sided stable law: S > 0 with
+    E exp(-s*S) = exp(-s**alpha).
 
-    Returns S > 0 with E exp(-s*S) = exp(-s**alpha):
+    At alpha = 1/2 this is the Levy law, S = 1/(2*N^2) with N standard
+    normal (its Laplace transform is exp(-sqrt(s))); an exact N = 0 gives
+    S = +inf, like E = 0 in Kanter's route.  Every other alpha goes through
+    ``_kanter_stable``.
+    """
+    if alpha == 0.5:
+        n = rng.standard_normal(size=size)
+        with np.errstate(divide="ignore"):
+            return 0.5 / np.square(n)
+    return _kanter_stable(alpha, rng, size)
+
+
+def _kanter_stable(alpha: float, rng: np.random.Generator, size=None):
+    """Kanter's exact construction of the standard one-sided stable law:
         S = (A(U) / E)^((1-alpha)/alpha),
         A(u) = sin(a*pi*u)^(a/(1-a)) * sin((1-a)*pi*u) / sin(pi*u)^(1/(1-a)).
     Evaluated in log space: the sines underflow near the endpoints of (0,1).

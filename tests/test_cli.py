@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,29 @@ class TestPrwCommand:
         payload = json.loads(next(Path(tmp_path).glob("prw_*.summary.json")).read_text())
         # normalized renewal count has the Mittag-Leffler mean 2/pi in the limit
         assert payload["metrics"]["mean"] == pytest.approx(0.6366, abs=0.08)
+
+    @pytest.mark.parametrize("stat", ["empty", "busy"])
+    def test_zero_eta_tail_is_config_error(self, stat, tmp_path, capsys):
+        # the default eta is const:0, so P{eta > t} = 0 and the statistic's
+        # normalisation P{xi > t} / P{eta > t} is undefined
+        code = run_cli("prw", "--xi", "pareto:0.5", "--t", "1e4", "--reps", "20",
+                       "--stat", stat, "--seed", "1", "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_walk_that_cannot_cross_exits_three_in_bounded_memory(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = run_cli("prw", "--xi", "pareto:0.5", "--t", "1e300", "--reps", "1",
+                           "--stat", "renewals", "--jobs", "1", "--seed", "1", "--out", tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: walk failed to cross")
+        assert peak < 100 * 2**20
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from sievesim.limitlaw import (
     AlphaBeta,
+    _pathint_block,
     levy_density,
     levy_tail_mass,
     mittag_leffler_moment,
@@ -18,7 +19,7 @@ from sievesim.limitlaw import (
     sample_z_pathint,
     z_moment,
 )
-from sievesim.randkit import RngStream
+from sievesim.randkit import RngStream, _standard_stable
 from sievesim.stats import ks_one_sample, mc_accumulate
 
 
@@ -198,6 +199,50 @@ class TestZSamplers:
     def test_positive_outputs(self):
         draws = sample_z_pathint(AlphaBeta(0.5, 0.25), 1e-2, RngStream(21, 0), size=100)
         assert np.all(draws > 0.0)
+
+
+class _UnitNormal:
+    """Generator stand-in whose normal draws are all exactly 1.0."""
+
+    def standard_normal(self, size=None):
+        return np.ones(size)
+
+
+def _replayed_pathint(alpha, beta, h, scale, rng):
+    """Plain reference for one path-integral draw: replay the engine's
+    (1, 64) increment blocks and add h * (1 - X)^(-beta) over the grid
+    values X < 1 before the first X >= 1, starting with X(0) = 0."""
+    total, x = h, 0.0
+    while True:
+        grid = x + np.cumsum(scale * _standard_stable(alpha, rng, size=(1, 64))[0])
+        for value in map(float, grid):
+            if not value < 1.0:
+                return total
+            total += h * (1.0 - value) ** -beta
+        x = grid[-1]
+
+
+class TestPathintReplay:
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.0), (0.5, 0.25), (0.6, 0.0), (0.6, 0.3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_size_one_draw_equals_replayed_sum(self, alpha, beta, seed):
+        h = 1e-3
+        draw = sample_z_pathint(AlphaBeta(alpha, beta), h, RngStream(40, seed), size=1)
+        scale = (math.gamma(1.0 - alpha) * h) ** (1.0 / alpha)
+        ref = _replayed_pathint(alpha, beta, h, scale, RngStream(40, seed).generator())
+        assert draw.shape == (1,)
+        assert draw[0] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_grid_value_at_one_counts_as_crossed(self, beta):
+        # unit normals at alpha = 1/2 and scale 1 give increments of exactly
+        # 0.5: the grid runs 0, 0.5, 1.0, and 1.0 is the crossing, so the
+        # infinite weight (1 - 1.0)^(-beta) never enters the sum
+        h = 0.1
+        expected = h + h * 0.5**-beta
+        assert _replayed_pathint(0.5, beta, h, 1.0, _UnitNormal()) == expected
+        z = _pathint_block(0.5, beta, h, 1.0, _UnitNormal(), 3)
+        np.testing.assert_allclose(z, expected, rtol=1e-15, atol=0.0)
 
 
 class TestTruncatedMarginal:

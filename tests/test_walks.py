@@ -109,6 +109,22 @@ class TestPathAndRho:
         counts = [renewal_count(path, t) for t in np.linspace(0.0, 100.0, 23)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
+    def test_step_budget_is_checked_before_each_block(self):
+        drawn = []
+
+        class CountingLaw(PrwLaw):
+            def sample_pairs(self, rng, size):
+                drawn.append(size)
+                return super().sample_pairs(rng, size)
+
+        law = CountingLaw(xi_law=ConstantLaw(1.0), eta_law=ConstantLaw(0.0))
+        with pytest.raises(RuntimeError, match="within 1000 steps"):
+            generate_path(law, 1e6, RngStream(6, 2), max_steps=1000)
+        assert sum(drawn) == 1000
+        # a walk that crosses on the last allowed step is not an error
+        path = generate_path(law, 999.5, RngStream(6, 2), max_steps=1000)
+        assert path.s_values[-1] == 1000.0
+
     def test_rho_beyond_horizon(self):
         path = generate_path(UNIT_STEP, 5.0, RngStream(6, 1))
         with pytest.raises(ValueError):

@@ -12,13 +12,13 @@ or count budget ran out.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +80,11 @@ def _chunk_plan(total: int):
 def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple):
     tasks = [(seed, cid, count, payload) for cid, count in _chunk_plan(total)]
     if jobs <= 1 or len(tasks) == 1:
-        parts = [worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(worker, tasks))
-    return parts
+        return [worker(t) for t in tasks]
+    # a fork pool starts every worker at the first submit, so ask for no
+    # more workers than there are chunks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def _chunk_sample_z(task):
@@ -119,41 +119,43 @@ def _prw_law(xi_text: str, eta_text: str, multiplier) -> walks.PrwLaw:
     return walks.PrwLaw.independent(xi_law, parse_marginal(eta_text))
 
 
-def _prw_norm(law: walks.PrwLaw, t: float, stat: str) -> float:
-    """P{xi > t} / P{eta > t}, the normalisation of the empty-box and
-    busy-server statistics (1.0 for the others)."""
-    if stat not in ("empty", "busy"):
-        return 1.0
-    eta_tail = float(np.asarray(law.eta_tail(t)))
-    if not eta_tail > 0.0:
-        raise ValueError(
-            f"--stat {stat} is normalised by P{{eta > t}}, which is 0 at t = {t}; "
-            "choose an eta law with mass above t"
-        )
-    return float(np.asarray(law.xi_tail(t))) / eta_tail
+def _prw_statistic(law: walks.PrwLaw, t: float, stat: str, q_exponent: float):
+    """The per-path function of ``prw --stat``, resolved once per chunk.
+
+    The empty-box and busy-server statistics are normalised by
+    P{xi > t} / P{eta > t}, which must be defined; an unknown statistic or
+    an undefined normalisation raises ValueError before any path is drawn.
+    """
+    if stat in ("empty", "busy"):
+        eta_tail = float(np.asarray(law.eta_tail(t)))
+        if not eta_tail > 0.0:
+            raise ValueError(
+                f"--stat {stat} is normalised by P{{eta > t}}, which is 0 at t = {t}; "
+                "choose an eta law with mass above t"
+            )
+        norm = float(np.asarray(law.xi_tail(t))) / eta_tail
+        if stat == "empty":
+            return lambda path: norm * walks.empty_box_functional(path, log_t=t)
+        return lambda path: norm * walks.busy_server_count(path, t)
+    if stat == "renewals":
+        scale = float(np.asarray(law.xi_tail(t)))
+        return lambda path: scale * walks.renewal_count(path, t)
+    if stat == "window":
+        q = lambda x: (1.0 + x) ** -q_exponent
+        return lambda path: walks.weighted_window_statistic(path, t, q, law.xi_tail)
+    raise ValueError(f"unknown statistic {stat!r}")
 
 
 def _chunk_prw(task):
     seed, cid, count, payload = task
     xi_text, eta_text, multiplier, t, stat, q_exponent = payload
-    rng = RngStream(seed, cid).generator()
     law = _prw_law(xi_text, eta_text, multiplier)
+    statistic = _prw_statistic(law, t, stat, q_exponent)
     horizon = t + 40.0 if stat in ("empty", "busy") else t
-    norm = _prw_norm(law, t, stat)
+    rng = RngStream(seed, cid).generator()
     out = np.empty(count)
     for r in range(count):
-        path = walks.generate_path(law, horizon, rng)
-        if stat == "empty":
-            out[r] = norm * walks.empty_box_functional(path, log_t=t)
-        elif stat == "busy":
-            out[r] = norm * walks.busy_server_count(path, t)
-        elif stat == "renewals":
-            out[r] = float(np.asarray(law.xi_tail(t))) * walks.renewal_count(path, t)
-        elif stat == "window":
-            q = lambda x: (1.0 + x) ** -q_exponent
-            out[r] = walks.weighted_window_statistic(path, t, q, law.xi_tail)
-        else:
-            raise ValueError(f"unknown statistic {stat!r}")
+        out[r] = statistic(walks.generate_path(law, horizon, rng))
     return out
 
 
@@ -170,25 +172,109 @@ def _chunk_markov(task):
 # ----------------------------------------------------------------------
 # output plumbing
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+_SCALAR = (str, int, float)
 
 
-def _write_detail_json(path: Path, header, rows):
-    records = [dict(zip(header, row)) for row in rows]
-    path.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n")
+class Table:
+    """A detail table held by column.
+
+    A column is a scalar (the same value in every row: the config hash, the
+    seed), a ``range``, a numpy array or a list; ``len()`` is the row count.
+    """
+
+    def __init__(self, *columns):
+        sizes = {len(c) for c in columns if not isinstance(c, _SCALAR)}
+        if len(sizes) != 1:
+            raise ValueError(f"columns must share one length, got {sorted(sizes)}")
+        self.columns = columns
+        (self.rows,) = sizes
+
+    def __len__(self) -> int:
+        return self.rows
 
 
-def _emit(outdir: Path, name: str, fmt: str, header, rows, summary: dict) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
+# Rows formatted and written at a time; peak memory is set by this, not by
+# the row count.
+BLOCK = 4096
+
+
+def _csv_cell(value) -> str:
+    """One field as csv.writer's default dialect writes it, floats as repr."""
+    text = repr(value) if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_CELL = {"csv": _csv_cell, "json": json.dumps}
+
+
+def _cells(column, fmt: str):
+    """The text of each cell of one column slice.
+
+    Integer and float arrays and ranges convert with one C-level ``map``;
+    strings, bools, lists and non-finite JSON floats go cell by cell.
+    """
+    if isinstance(column, range):
+        return map(str, column)
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind in "iu":
+            return map(str, column.tolist())
+        if kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+            return map(float.__repr__, column.tolist())
+        column = column.tolist()
+    return map(_CELL[fmt], column)
+
+
+def _write_detail(path: Path, fmt: str, header, table: Table) -> None:
+    """Stream ``table`` to ``path``, BLOCK rows at a time.
+
+    CSV is byte for byte what ``csv.writer`` writes for the rows with floats
+    as ``repr``: CRLF line ends, minimal quoting (a row that is one empty
+    field, which csv.writer writes as ``""``, cannot occur: every table here
+    has at least two columns).  JSON is byte for byte
+    ``json.dumps(records, sort_keys=True, indent=2) + "\n"``.
+    """
+    cell = _CELL[fmt]
     if fmt == "json":
-        _write_detail_json(outdir / f"{name}.json", header, rows)
+        order = sorted(range(len(header)), key=header.__getitem__)
+        opens = [("," if k else "  {") + f"\n    {json.dumps(header[i])}: "
+                 for k, i in enumerate(order)]
+        close, sep = "\n  }", ",\n"
+        head, tail = ("[\n", "\n]\n") if len(table) else ("[]\n", "")
     else:
-        _write_csv(outdir / f"{name}.csv", header, rows)
+        order = range(len(header))
+        opens = [""] + [","] * (len(header) - 1)
+        close, sep = "\r\n", ""
+        head, tail = ",".join(map(_csv_cell, header)) + "\r\n", ""
+    # A row is literal text between the varying columns; the scalar
+    # columns are formatted once, into that text.
+    texts, varying = [""], []
+    for text, i in zip(opens, order):
+        column = table.columns[i]
+        if isinstance(column, _SCALAR):
+            texts[-1] += text + cell(column)
+        else:
+            texts[-1] += text
+            texts.append("")
+            varying.append(column)
+    texts[-1] += close
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        for start in range(0, len(table), BLOCK):
+            parts = [repeat(texts[0])]
+            for column, text in zip(varying, texts[1:]):
+                parts += (_cells(column[start:start + BLOCK], fmt), repeat(text))
+            if start:
+                fh.write(sep)
+            fh.write(sep.join(map("".join, zip(*parts))))
+        fh.write(tail)
+
+
+def _emit(outdir: Path, name: str, fmt: str, header, table: Table, summary: dict) -> Path:
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_detail(outdir / f"{name}.{fmt}", fmt, header, table)
     summary_path = outdir / f"{name}.summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary_path
@@ -211,16 +297,17 @@ def cmd_moments(args) -> int:
     params = {"alpha": args.alpha, "beta": args.beta, "nmax": args.nmax}
     cfg = _config_hash({"experiment": "moments", "seed": args.seed, **params})
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
-    rows = []
-    worst_identity = 0.0
-    for n in range(1, args.nmax + 1):
-        zm = limitlaw.z_moment(ab, n)
-        ml = limitlaw.mittag_leffler_moment(args.alpha, n)
+    orders = range(1, args.nmax + 1)
+    identity_err = []
+    for n in orders:
         prod = math.prod(limitlaw.phi_alpha(args.alpha, float(k)) + 1.0 for k in range(1, n + 1))
         closed = math.gamma(1.0 + n * args.alpha) * math.gamma(1.0 - args.alpha) ** n
-        rel = abs(prod - closed) / closed
-        worst_identity = max(worst_identity, rel)
-        rows.append((cfg, args.seed, n, float(zm), float(ml), float(math.factorial(n)), rel))
+        identity_err.append(abs(prod - closed) / closed)
+    worst_identity = max(identity_err, default=0.0)
+    table = Table(cfg, args.seed, orders,
+                  [float(limitlaw.z_moment(ab, n)) for n in orders],
+                  [float(limitlaw.mittag_leffler_moment(args.alpha, n)) for n in orders],
+                  [float(math.factorial(n)) for n in orders], identity_err)
     checks = {
         "phi_product_identity": {"value": worst_identity, "tolerance": 1e-10,
                                  "passed": worst_identity <= 1e-10},
@@ -243,7 +330,7 @@ def cmd_moments(args) -> int:
     summary["passed"] = all(c["passed"] for c in checks.values())
     _emit(args.out, f"moments_{cfg}", args.format,
           ["config_hash", "seed", "order", "z_moment", "ml_moment", "factorial",
-           "phi_product_rel_err"], rows, summary)
+           "phi_product_rel_err"], table, summary)
     print(f"moments: {'PASS' if summary['passed'] else 'FAIL'} "
           f"(max identity error {worst_identity:.2e})")
     return 0 if summary["passed"] else 1
@@ -265,7 +352,6 @@ def cmd_sample_z(args) -> int:
     est1, m1_t, tol1, ok1 = acceptance.moment_check(draws, ab, 1)
     est2, m2_t, tol2, ok2 = acceptance.moment_check(draws, ab, 2)
     ok = ok1 and ok2
-    rows = [(cfg, args.seed, i, float(v)) for i, v in enumerate(draws)]
     summary = _summary_base("sample-z", params, args.seed, cfg)
     summary["metrics"] = {
         "mean": est1.mean, "mean_stderr": est1.stderr, "target_mean": m1_t,
@@ -274,7 +360,8 @@ def cmd_sample_z(args) -> int:
     }
     summary["passed"] = bool(ok)
     _emit(args.out, f"sample-z_{cfg}", args.format,
-          ["config_hash", "seed", "replicate", "value"], rows, summary)
+          ["config_hash", "seed", "replicate", "value"],
+          Table(cfg, args.seed, range(draws.size), draws), summary)
     print(f"sample-z: {'PASS' if ok else 'FAIL'} mean {est1.mean:.5f} vs {m1_t:.5f}, "
           f"m2 {est2.mean:.5f} vs {m2_t:.5f}")
     return 0 if ok else 1
@@ -290,7 +377,6 @@ def cmd_sieve(args) -> int:
     table = np.concatenate([p[0] for p in parts], axis=0)
     truncated = sum(p[1] for p in parts)
     empty = table[:, 2]
-    rows = [(cfg, args.seed, i, int(k), int(m), int(l)) for i, (k, m, l) in enumerate(table)]
     summary = _summary_base("sieve", params, args.seed, cfg)
     emp = chains.empirical_pmf(empty)
     summary["metrics"] = {
@@ -308,7 +394,7 @@ def cmd_sieve(args) -> int:
     summary["passed"] = bool(passed)
     _emit(args.out, f"sieve_{cfg}", args.format,
           ["config_hash", "seed", "replicate", "occupied", "last_occupied", "empty_in_range"],
-          rows, summary)
+          Table(cfg, args.seed, range(len(table)), *table.T), summary)
     msg = f"sieve: {'PASS' if passed else 'FAIL'} mean empty {empty.mean():.4f}"
     if truncated:
         msg += f", {truncated} replicates truncated"
@@ -325,16 +411,17 @@ def cmd_prw(args) -> int:
     }
     cfg = _config_hash({"experiment": "prw", "seed": args.seed, **params})
     payload = (args.xi, args.eta, args.coupled_multiplier, args.t, args.stat, args.q_exponent)
-    _prw_norm(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat)
+    _prw_statistic(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat,
+                   args.q_exponent)
     parts = _run_chunks(_chunk_prw, args.seed, args.reps, args.jobs, payload)
     values = np.concatenate(parts)
     est = stats.mc_accumulate(values)
-    rows = [(cfg, args.seed, i, float(v)) for i, v in enumerate(values)]
     summary = _summary_base("prw", params, args.seed, cfg)
     summary["metrics"] = {"mean": est.mean, "stderr": est.stderr}
     summary["passed"] = True
     _emit(args.out, f"prw_{cfg}", args.format,
-          ["config_hash", "seed", "replicate", "value"], rows, summary)
+          ["config_hash", "seed", "replicate", "value"],
+          Table(cfg, args.seed, range(values.size), values), summary)
     print(f"prw[{args.stat}]: mean {est.mean:.5f} +- {est.stderr:.5f}")
     return 0
 
@@ -376,18 +463,14 @@ def cmd_markov(args) -> int:
                                      (spec_json, args.n, "georep")))
     sim_pmf, rep_pmf, tv_sim, tv_rep, passed = acceptance.chain_sampler_check(dp, sim, rep)
     width = sim_pmf.masses.size
-    rows = [
-        (cfg, args.seed, m,
-         float(dp.masses[m]) if m < dp.masses.size else 0.0,
-         float(sim_pmf.masses[m]), float(rep_pmf.masses[m]))
-        for m in range(width)
-    ]
+    table = Table(cfg, args.seed, range(width), np.pad(dp.masses, (0, width - dp.masses.size)),
+                  sim_pmf.masses, rep_pmf.masses)
     summary = _summary_base("markov", params, args.seed, cfg)
     summary["metrics"] = {"tv_sim_vs_dp": tv_sim, "tv_georep_vs_dp": tv_rep,
                           "tv_tolerance": acceptance.TV_TOL, "dp_tail_deficit": dp.tail_deficit}
     summary["passed"] = bool(passed)
     _emit(args.out, f"markov_{cfg}", args.format,
-          ["config_hash", "seed", "m", "dp_mass", "sim_freq", "georep_freq"], rows, summary)
+          ["config_hash", "seed", "m", "dp_mass", "sim_freq", "georep_freq"], table, summary)
     print(f"markov: {'PASS' if passed else 'FAIL'} TV sim {tv_sim:.5f}, TV georep {tv_rep:.5f}")
     return 0 if passed else 1
 
@@ -398,13 +481,13 @@ def cmd_verify(args) -> int:
     numbers = acceptance.suite_criteria(args.suite)
     params = {"suite": args.suite}
     cfg = _config_hash({"experiment": "verify", "seed": args.seed, **params})
-    rows = []
+    runs = []
     results = {}
     all_passed = True
     for num in numbers:
         res = acceptance.run_criterion(num, seed=args.seed, jobs=args.jobs)
         print(res.report_line())
-        rows.append((cfg, args.seed, res.number, res.name, res.passed, res.details))
+        runs.append(res)
         results[str(res.number)] = {"name": res.name, "passed": res.passed,
                                     "details": res.details, "metrics": res.metrics}
         all_passed &= res.passed
@@ -412,7 +495,9 @@ def cmd_verify(args) -> int:
     summary["criteria"] = results
     summary["passed"] = bool(all_passed)
     _emit(args.out, f"verify_{cfg}", args.format,
-          ["config_hash", "seed", "criterion", "name", "passed", "details"], rows, summary)
+          ["config_hash", "seed", "criterion", "name", "passed", "details"],
+          Table(cfg, args.seed, [r.number for r in runs], [r.name for r in runs],
+                [r.passed for r in runs], [r.details for r in runs]), summary)
     print(f"verify[{args.suite}]: {'ALL PASS' if all_passed else 'FAILURES PRESENT'}")
     return 0 if all_passed else 1
 
@@ -431,7 +516,7 @@ def _add_common(sub, reps_default=None):
     sub.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="per-replicate detail format (a JSON summary is always written)")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    sub.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                      help="parallel workers; results do not depend on this")
     if reps_default is not None:
         sub.add_argument("--reps", type=_positive_int, default=reps_default)

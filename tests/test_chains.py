@@ -48,6 +48,35 @@ class TestPmf:
         assert pmf.tail_deficit == pytest.approx(2.0**-10)
 
 
+class TestPmfBookkeeping:
+    """Every constructor of a Pmf accounts for all of the mass, and the
+    total-variation distance between them is a metric bounded by 1."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=8),
+           st.floats(min_value=0.1, max_value=1.0), st.integers(min_value=2, max_value=20),
+           st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_masses_and_deficit_sum_to_one(self, weights, p1, n, success, width, seed):
+        p = np.array([p1] + weights)
+        spec = barrier_chain_spec(p / p.sum(), n)
+        pmfs = [
+            exact_zero_decrement_pmf(spec, n),
+            geometric_pmf(success, width),
+            empirical_pmf(sample_zero_decrements(spec, n, 200, RngStream(seed, 0).generator())),
+        ]
+        for pmf in pmfs:
+            assert np.all(pmf.masses >= 0.0) and pmf.tail_deficit >= 0.0
+            assert abs(pmf.masses.sum() + pmf.tail_deficit - 1.0) <= 1e-9
+        for a in pmfs:
+            assert tv_distance(a, a) == 0.0
+            for b in pmfs:
+                assert 0.0 <= tv_distance(a, b) <= 1.0
+                assert tv_distance(a, b) == tv_distance(b, a)
+                for c in pmfs:
+                    assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-12
+
+
 class TestChainSpec:
     def test_row_length_and_sum_checks(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
+import csv
 import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sievesim import sieve
-from sievesim.cli import CHUNK, _chunk_plan, main, parse_marginal, parse_wlaw
+from sievesim import cli, sieve, walks
+from sievesim.cli import (BLOCK, CHUNK, Table, _chunk_plan, _chunk_prw, _emit, _write_detail,
+                          main, parse_marginal, parse_wlaw)
 from sievesim.sieve import BetaW, LogParetoMixtureW, UniformW
 from sievesim.walks import ExponentialLaw, ParetoLaw
 
@@ -49,6 +52,8 @@ class TestExitCodes:
         ("markov", "--n", "5", "--reps", "-3"),
         ("sample-z", "--alpha", "0.5", "--beta", "0.5", "--n", "0"),
         ("markov", "--n", "0"),
+        ("sieve", "--wlaw", "uniform", "--balls", "10", "--reps", "10", "--jobs", "0"),
+        ("moments", "--alpha", "0.5", "--beta", "0.5", "--jobs", "-2"),
     ])
     def test_nonpositive_counts_rejected_when_parsed(self, argv, tmp_path, capsys):
         assert run_cli(*argv, "--seed", "1", "--out", tmp_path) == 2
@@ -73,6 +78,137 @@ class TestChunkPlan:
         assert sum(count for _, count in plan) == total
         assert all(count == CHUNK for _, count in plan[:-1])
         assert 1 <= plan[-1][1] <= CHUNK
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process, so no worker is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+class TestJobs:
+    def test_pool_is_capped_at_the_chunk_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        code = run_cli("sieve", "--wlaw", "uniform", "--balls", "20", "--reps", 2 * CHUNK,
+                       "--jobs", "64", "--seed", "3", "--out", tmp_path)
+        assert code == 0
+        assert _RecordingPool.sizes == [2]
+
+    def test_one_job_or_one_chunk_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        chunk_size = lambda task: task[2]
+        assert cli._run_chunks(chunk_size, 1, 2 * CHUNK, 1, ()) == [CHUNK, CHUNK]
+        assert cli._run_chunks(chunk_size, 1, CHUNK, 8, ()) == [CHUNK]
+        assert _RecordingPool.sizes == []
+
+
+def _reference_detail(path: Path, fmt: str, header, rows):
+    """The reference for the detail writer: one row tuple per replicate
+    through csv.writer, or a list of records through json.dumps."""
+    if fmt == "json":
+        records = [dict(zip(header, row)) for row in rows]
+        path.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n")
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                   2.2250738585072014e-308, 1e300, -1.5, 0.1]
+_TEXT = st.text(st.sampled_from(',"\r\n ;aZ%{}:\\\x00é☃'), max_size=6) | st.text(max_size=6)
+_SCALARS = st.one_of(st.integers(-10**12, 10**12), st.sampled_from(_SPECIAL_FLOATS),
+                     st.floats(), st.booleans(), _TEXT)
+_COLUMNS = st.one_of(
+    _SCALARS.map(lambda v: ("scalar", v)),
+    st.just(("range", None)),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=1).map(lambda v: ("int64", v)),
+    st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(), min_size=1)
+    .map(lambda v: ("float64", v)),
+    st.lists(st.booleans(), min_size=1).map(lambda v: ("bool", v)),
+    st.lists(_SCALARS, min_size=1).map(lambda v: ("list", v)),
+)
+
+
+def _column(kind, values, rows):
+    """A column of ``rows`` cells, cycling through ``values``."""
+    if kind == "scalar":
+        return values
+    if kind == "range":
+        return range(rows)
+    cycled = [values[i % len(values)] for i in range(rows)]
+    return cycled if kind == "list" else np.array(cycled, dtype=kind)
+
+
+def _cell_values(column, rows):
+    if isinstance(column, (str, int, float)):
+        return [column] * rows
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+class TestDetailWriter:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fmt=st.sampled_from(["csv", "json"]),
+           header=st.lists(_TEXT, min_size=2, max_size=6, unique=True),
+           rows=st.sampled_from([0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1]),
+           specs=st.lists(_COLUMNS, min_size=6, max_size=6))
+    @example(fmt="json", header=["b", "a"], rows=0,
+             specs=[("scalar", "x"), ("range", None)] + [("scalar", 1)] * 4)
+    @example(fmt="csv", header=["seed", "value"], rows=BLOCK + 1,
+             specs=[("scalar", 7), ("float64", _SPECIAL_FLOATS)] + [("scalar", 1)] * 4)
+    @example(fmt="json", header=["seed", "value"], rows=BLOCK + 1,
+             specs=[("scalar", 7), ("float64", _SPECIAL_FLOATS)] + [("scalar", 1)] * 4)
+    def test_bytes_match_the_row_writer(self, tmp_path_factory, fmt, header, rows, specs):
+        specs = specs[:len(header)]
+        if all(kind == "scalar" for kind, _ in specs):
+            specs[-1] = ("range", None)  # a table takes its row count from a column
+        columns = [_column(kind, values, rows) for kind, values in specs]
+        out = tmp_path_factory.mktemp("detail")
+        _write_detail(out / "new", fmt, header, Table(*columns))
+        _reference_detail(out / "old", fmt, header,
+                          list(zip(*(_cell_values(c, rows) for c in columns))))
+        assert (out / "new").read_bytes() == (out / "old").read_bytes()
+
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ValueError):
+            Table("cfg", 1, range(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            Table("cfg", 1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_rows(self, fmt, tmp_path):
+        # the rows of `sieve --wlaw uniform --balls 100`
+        header = ["config_hash", "seed", "replicate", "occupied", "last_occupied",
+                  "empty_in_range"]
+        batch = sieve.sample_occupancy(UniformW(), 100, 200_000, np.random.default_rng(5))
+        counts = (batch.occupied, batch.last_occupied, batch.empty_in_range)
+        peaks = []
+        for rows in (50_000, 200_000):
+            table = Table("0123456789ab", 20260811, range(rows), *(c[:rows] for c in counts))
+            tracemalloc.start()
+            try:
+                _emit(tmp_path, f"t{rows}", fmt, header, table, {"passed": True})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert max(peaks) < 16 * 2**20
 
 
 class TestMomentsCommand:
@@ -179,6 +315,13 @@ class TestPrwCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    def test_unknown_statistic_is_rejected_before_any_path(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(walks, "generate_path", lambda *a, **k: drawn.append(a))
+        with pytest.raises(ValueError, match="unknown statistic"):
+            _chunk_prw((1, 0, 3, ("pareto:0.5", "pareto:0.25", None, 100.0, "bogus", 0.25)))
+        assert drawn == []
 
     def test_walk_that_cannot_cross_exits_three_in_bounded_memory(self, tmp_path, capsys):
         tracemalloc.start()

@@ -5,6 +5,15 @@ Each criterion is deterministic given the master seed: replicate streams
 are indexed per criterion, so any criterion rerun with the same seed
 reproduces its metrics exactly, regardless of what else ran.
 
+The two large Monte Carlo samples, the limit-law draws shared by criteria
+3, 4, 5, 12 and 13 and criterion 9's interval-allocation sample, run
+through the CLI's chunk runner and so spread over ``jobs`` processes.
+Chunk ``c`` (of ``CHUNK`` replicates) of the sample with stream id ``s``
+draws from ``RngStream(seed, (s << 32) | c)``: the address is (seed,
+sample, chunk), so the draws do not depend on ``jobs``.  The limit-law
+pair ``(alpha, beta)`` has ``s = 1000 + its index in sorted(_Z_SIZES)``;
+criterion 9 has ``s = 90``.
+
 Two distributional checks (numbers 12 and 13) probe limits with a
 logarithmic convergence rate at fixed desk scale; both run exactly at
 their pinned scales and print their measured values.  Number 12's KS
@@ -24,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chains, limitlaw, sieve, stats, walks
+from . import chains, cli, limitlaw, sieve, stats, walks
 from .randkit import RngStream
 
 DEFAULT_SEED = 20260811
@@ -117,17 +126,45 @@ _Z_SIZES = {
 _Z_GRID = 1e-4
 _Z_CACHE: dict = {}
 
+# criterion 9's interval-allocation sample: replicates, balls, stream id
+_INTERVAL_REPS = 100_000
+_INTERVAL_BALLS = 100
+_INTERVAL_STREAM = 90
 
-def _z_draws(alpha: float, beta: float, seed: int) -> np.ndarray:
+
+def _chunk_stream(stream: int, cid: int) -> int:
+    """Stream id of chunk ``cid`` of the sample with stream id ``stream``."""
+    return (stream << 32) | cid
+
+
+def _chunk_z(task):
+    seed, cid, count, (stream, alpha, beta, grid_step) = task
+    rng = RngStream(seed, _chunk_stream(stream, cid)).generator()
+    return limitlaw.sample_z_pathint(limitlaw.AlphaBeta(alpha, beta), grid_step, rng, size=count)
+
+
+def _chunk_interval_empty(task):
+    seed, cid, count, (stream, balls) = task
+    rng = RngStream(seed, _chunk_stream(stream, cid)).generator()
+    batch = sieve.sample_occupancy(sieve.UniformW(), balls, count, rng, method="uniform")
+    return batch.empty_in_range
+
+
+def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
     key = (alpha, beta, seed)
     if key not in _Z_CACHE:
         stream = 1000 + sorted(_Z_SIZES).index((alpha, beta))
-        rng = RngStream(seed, stream).generator()
-        params = limitlaw.AlphaBeta(alpha, beta)
-        _Z_CACHE[key] = limitlaw.sample_z_pathint(
-            params, _Z_GRID, rng, size=_Z_SIZES[(alpha, beta)]
-        )
+        parts = cli._run_chunks(_chunk_z, seed, _Z_SIZES[(alpha, beta)], jobs,
+                                (stream, alpha, beta, _Z_GRID))
+        _Z_CACHE[key] = np.concatenate(parts)
     return _Z_CACHE[key]
+
+
+def _interval_empty(seed: int, jobs: int = 1) -> np.ndarray:
+    """Criterion 9's empty-box counts from the interval representation."""
+    parts = cli._run_chunks(_chunk_interval_empty, seed, _INTERVAL_REPS, jobs,
+                            (_INTERVAL_STREAM, _INTERVAL_BALLS))
+    return np.concatenate(parts)
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +216,7 @@ def crit_03_pathint_moments(seed: int, jobs: int) -> CriterionResult:
     combos = [(0.5, 0.0), (0.5, 0.25), (0.75, 0.5), (0.5, 0.5)]
     fails, details = [], []
     for alpha, beta in combos:
-        z = _z_draws(alpha, beta, seed)
+        z = _z_draws(alpha, beta, seed, jobs)
         params = limitlaw.AlphaBeta(alpha, beta)
         for order in (1, 2):
             est, target, _, ok = moment_check(z, params, order)
@@ -195,9 +232,9 @@ def crit_03_pathint_moments(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_04_special_case_laws(seed: int, jobs: int) -> CriterionResult:
-    z_aa = _z_draws(0.5, 0.5, seed)[:10_000]
+    z_aa = _z_draws(0.5, 0.5, seed, jobs)[:10_000]
     d_exp = stats.ks_one_sample(z_aa, lambda x: -np.expm1(-np.maximum(x, 0.0)))
-    z_a0 = _z_draws(0.5, 0.0, seed)[:10_000]
+    z_a0 = _z_draws(0.5, 0.0, seed, jobs)[:10_000]
     rng = RngStream(seed, 40).generator()
     ml = limitlaw.sample_mittag_leffler(0.5, rng, size=10_000)
     d_ml = stats.ks_two_sample(z_a0, ml)
@@ -212,7 +249,7 @@ def crit_04_special_case_laws(seed: int, jobs: int) -> CriterionResult:
 def crit_05_expfunctional_agreement(seed: int, jobs: int) -> CriterionResult:
     rng = RngStream(seed, 50).generator()
     z_ef = limitlaw.sample_z_expfunctional(limitlaw.AlphaBeta(0.5, 0.25), 1e-4, rng, size=10_000)
-    z_pi = _z_draws(0.5, 0.25, seed)[:10_000]
+    z_pi = _z_draws(0.5, 0.25, seed, jobs)[:10_000]
     d = stats.ks_two_sample(z_ef, z_pi)
     passed = d <= 0.03
     return CriterionResult(
@@ -288,11 +325,9 @@ def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_09_chain_vs_sieve(seed: int, jobs: int) -> CriterionResult:
-    rng = RngStream(seed, 90).generator()
-    spec = chains.sieve_chain_spec(sieve.UniformW(), 100)
-    dp = chains.exact_zero_decrement_pmf(spec, 100)
-    batch = sieve.sample_occupancy(sieve.UniformW(), 100, 100_000, rng, method="uniform")
-    emp = chains.empirical_pmf(batch.empty_in_range, width=dp.masses.size)
+    spec = chains.sieve_chain_spec(sieve.UniformW(), _INTERVAL_BALLS)
+    dp = chains.exact_zero_decrement_pmf(spec, _INTERVAL_BALLS)
+    emp = chains.empirical_pmf(_interval_empty(seed, jobs), width=dp.masses.size)
     tv = stats.tv_distance(emp, dp)
     passed = tv <= 0.01
     return CriterionResult(
@@ -359,7 +394,7 @@ def crit_12_walk_functionals_vs_limit(seed: int, jobs: int) -> CriterionResult:
         path = walks.generate_path(law, x + 40.0, rng)
         t_vals[r] = ratio * walks.empty_box_functional(path, log_t=x)
         r_vals[r] = ratio * walks.busy_server_count(path, x)
-    z = _z_draws(0.5, 0.25, seed)[:reps]
+    z = _z_draws(0.5, 0.25, seed, jobs)[:reps]
     d_t = stats.ks_two_sample(t_vals, z)
     d_r = stats.ks_two_sample(r_vals, z)
     atoms = np.bincount(np.round(r_vals / ratio).astype(int))
@@ -377,7 +412,7 @@ def crit_12_walk_functionals_vs_limit(seed: int, jobs: int) -> CriterionResult:
 def crit_13_mixture_growth_trend(seed: int, jobs: int) -> CriterionResult:
     wlaw = sieve.LogParetoMixtureW(0.6, 0.3, 0.5)
     rng = RngStream(seed, 130).generator()
-    z = _z_draws(0.6, 0.3, seed)
+    z = _z_draws(0.6, 0.3, seed, jobs)
     rows = sieve.limit_trend_experiment(
         wlaw, [10**3, 10**4, 10**5, 10**6], 20_000, rng, z_draws=z
     )
@@ -440,8 +475,6 @@ def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_15_determinism(seed: int, jobs: int) -> CriterionResult:
-    from . import cli
-
     argv_base = [
         "sieve", "--wlaw", "uniform", "--balls", "50",
         "--reps", "12000", "--seed", str(seed), "--format", "csv",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
@@ -303,7 +304,7 @@ def cmd_moments(args) -> int:
         prod = math.prod(limitlaw.phi_alpha(args.alpha, float(k)) + 1.0 for k in range(1, n + 1))
         closed = math.gamma(1.0 + n * args.alpha) * math.gamma(1.0 - args.alpha) ** n
         identity_err.append(abs(prod - closed) / closed)
-    worst_identity = max(identity_err, default=0.0)
+    worst_identity = max(identity_err)
     table = Table(cfg, args.seed, orders,
                   [float(limitlaw.z_moment(ab, n)) for n in orders],
                   [float(limitlaw.mittag_leffler_moment(args.alpha, n)) for n in orders],
@@ -475,6 +476,12 @@ def cmd_markov(args) -> int:
     return 0 if passed else 1
 
 
+def _verify_line(res, seconds: float) -> str:
+    """A criterion's report line with its wall time; stdout only, never
+    in ``--out``, so output files do not depend on timing."""
+    return f"{res.report_line()} [{seconds:.2f} s]"
+
+
 def cmd_verify(args) -> int:
     from . import acceptance
 
@@ -485,8 +492,9 @@ def cmd_verify(args) -> int:
     results = {}
     all_passed = True
     for num in numbers:
+        start = time.perf_counter()
         res = acceptance.run_criterion(num, seed=args.seed, jobs=args.jobs)
-        print(res.report_line())
+        print(_verify_line(res, time.perf_counter() - start))
         runs.append(res)
         results[str(res.number)] = {"name": res.name, "passed": res.passed,
                                     "details": res.details, "metrics": res.metrics}
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("moments", help="analytic moment tables and identities")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=_positive_int, default=6)
     _add_common(p)
     p.set_defaults(func=cmd_moments)
 

@@ -3,20 +3,106 @@ pass/fail line with the measured values and pinned tolerance.
 
 The report lines bypass pytest's capture so that a plain `pytest -v` log
 carries one line per criterion; the same checks run via the CLI:
-`sievesim verify --suite all --seed 20260811`.
+`sievesim verify --suite all --seed 20260811`.  The criteria run on every
+core; their results do not depend on the number of jobs, which the tests
+after them check at a small scale.
 """
 
+import os
 import sys
 
+import numpy as np
 import pytest
 
-from sievesim import acceptance
+from sievesim import acceptance, cli
+from sievesim.randkit import RngStream
 
 SEED = acceptance.DEFAULT_SEED
 
 
 @pytest.mark.parametrize("number", sorted(acceptance.SUITES["all"]))
 def test_criterion(number):
-    result = acceptance.run_criterion(number, seed=SEED)
+    result = acceptance.run_criterion(number, seed=SEED, jobs=os.cpu_count() or 1)
     print(result.report_line(), file=sys.__stdout__)
     assert result.passed, result.report_line()
+
+
+# ----------------------------------------------------------------------
+# chunk-addressed samples
+
+SMALL = 2 * cli.CHUNK + 5  # three chunks, the last one partial
+PAIRS = sorted(acceptance._Z_SIZES)
+_CHUNK_Z = acceptance._chunk_z
+
+
+def _process_keyed_chunk_z(task):
+    """A faulty worker: its stream depends on the process that runs it, and
+    so on how many jobs the chunks are spread over."""
+    seed, cid, count, payload = task
+    return _CHUNK_Z((seed + os.getpid(), cid, count, payload))
+
+
+@pytest.fixture
+def small_samples(monkeypatch):
+    monkeypatch.setattr(acceptance, "_Z_SIZES", {pair: SMALL for pair in PAIRS})
+    monkeypatch.setattr(acceptance, "_Z_GRID", 1e-2)
+    monkeypatch.setattr(acceptance, "_Z_CACHE", {})
+    monkeypatch.setattr(acceptance, "_INTERVAL_REPS", SMALL)
+    monkeypatch.setattr(acceptance, "_INTERVAL_BALLS", 10)
+    assert len(cli._chunk_plan(SMALL)) >= 3
+
+
+def _by_jobs(sample):
+    """The bytes of ``sample(jobs)`` at jobs 1, 2 and 3, each drawn afresh."""
+    out = []
+    for jobs in (1, 2, 3):
+        acceptance._Z_CACHE.clear()
+        draws = sample(jobs)
+        assert draws.size == SMALL
+        out.append((draws.dtype, draws.tobytes()))
+    return out
+
+
+class TestChunkedSamples:
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_z_draws_do_not_depend_on_jobs(self, pair, small_samples):
+        first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(*pair, SEED, jobs))
+        assert all(other == first for other in rest)
+
+    def test_interval_sample_does_not_depend_on_jobs(self, small_samples):
+        first, *rest = _by_jobs(lambda jobs: acceptance._interval_empty(SEED, jobs))
+        assert all(other == first for other in rest)
+
+    def test_worker_keyed_on_jobs_is_caught(self, small_samples, monkeypatch):
+        monkeypatch.setattr(acceptance, "_chunk_z", _process_keyed_chunk_z)
+        first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(0.5, 0.0, SEED, jobs))
+        assert all(other != first for other in rest)
+
+    def test_pairs_and_chunks_draw_from_distinct_streams(self, small_samples, monkeypatch):
+        used = []
+
+        def recording_stream(seed, stream_id):
+            used.append(stream_id)
+            return RngStream(seed, stream_id)
+
+        monkeypatch.setattr(acceptance, "RngStream", recording_stream)
+        for pair in PAIRS:
+            acceptance._z_draws(*pair, SEED)
+        acceptance._interval_empty(SEED)
+        assert len(set(used)) == len(used) == 3 * (len(PAIRS) + 1)
+        # a chunk address never collides with a plain per-criterion stream id
+        assert min(used) >= 1 << 32
+
+    def test_canonical_chunk_addresses_are_distinct(self):
+        samples = {1000 + k: acceptance._Z_SIZES[pair] for k, pair in enumerate(PAIRS)}
+        samples[acceptance._INTERVAL_STREAM] = acceptance._INTERVAL_REPS
+        ids = [acceptance._chunk_stream(stream, cid)
+               for stream, total in samples.items() for cid, _ in cli._chunk_plan(total)]
+        assert len(set(ids)) == len(ids) == 4 * 25 + 5 + 25
+
+    def test_pairs_and_chunks_draw_different_values(self, small_samples):
+        samples = [acceptance._z_draws(*pair, SEED) for pair in PAIRS]
+        samples.append(acceptance._interval_empty(SEED))
+        heads = [s[start:start + 64].tobytes() for s in samples
+                 for start in range(0, SMALL, cli.CHUNK)]
+        assert len(set(heads)) == len(heads) == 3 * len(samples)

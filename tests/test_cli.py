@@ -54,6 +54,7 @@ class TestExitCodes:
         ("markov", "--n", "0"),
         ("sieve", "--wlaw", "uniform", "--balls", "10", "--reps", "10", "--jobs", "0"),
         ("moments", "--alpha", "0.5", "--beta", "0.5", "--jobs", "-2"),
+        ("moments", "--alpha", "0.5", "--beta", "0.5", "--nmax", "0"),
     ])
     def test_nonpositive_counts_rejected_when_parsed(self, argv, tmp_path, capsys):
         assert run_cli(*argv, "--seed", "1", "--out", tmp_path) == 2
@@ -196,10 +197,12 @@ class TestDetailWriter:
         # the rows of `sieve --wlaw uniform --balls 100`
         header = ["config_hash", "seed", "replicate", "occupied", "last_occupied",
                   "empty_in_range"]
-        batch = sieve.sample_occupancy(UniformW(), 100, 200_000, np.random.default_rng(5))
+        # one BLOCK and a partial one, then four and a partial one: enough
+        # for a writer that holds every row to show its growth
+        batch = sieve.sample_occupancy(UniformW(), 100, 20_000, np.random.default_rng(5))
         counts = (batch.occupied, batch.last_occupied, batch.empty_in_range)
         peaks = []
-        for rows in (50_000, 200_000):
+        for rows in (5_000, 20_000):
             table = Table("0123456789ab", 20260811, range(rows), *(c[:rows] for c in counts))
             tracemalloc.start()
             try:
@@ -347,3 +350,15 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_config_error(self, tmp_path):
         assert run_cli("verify", "--suite", "bogus", "--seed", "1", "--out", tmp_path) == 2
+
+    def test_timing_is_printed_and_never_written(self, tmp_path, capsys, monkeypatch):
+        argv = ("verify", "--suite", "exact", "--seed", "20260811", "--jobs", "1")
+        assert run_cli(*argv, "--out", tmp_path / "timed") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.endswith(" s]") for line in lines[:2])
+        monkeypatch.setattr(cli, "_verify_line", lambda res, seconds: res.report_line())
+        assert run_cli(*argv, "--out", tmp_path / "plain") == 0
+        assert "s]" not in capsys.readouterr().out
+        timed = {f.name: f.read_bytes() for f in (tmp_path / "timed").iterdir()}
+        plain = {f.name: f.read_bytes() for f in (tmp_path / "plain").iterdir()}
+        assert len(timed) == 2 and timed == plain

@@ -1,5 +1,5 @@
 """Tour of perturbed random walks: renewal counting, the busy-server and
-empty-box functionals, shot noise, and the weighted-window statistic.
+empty-box functionals, and the weighted-window statistic.
 
 Run:  python demos/perturbed_walk_tour.py
 """

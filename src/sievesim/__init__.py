@@ -74,8 +74,6 @@ from .walks import (
     weighted_window_statistic,
     renewal_function_estimate,
     renewal_count,
-    renewal_shot_noise,
-    tabulate_phi_log,
 )
 
 __version__ = "0.1.0"

@@ -7,12 +7,10 @@ reproduces its metrics exactly, regardless of what else ran.
 
 The two large Monte Carlo samples, the limit-law draws shared by criteria
 3, 4, 5, 12 and 13 and criterion 9's interval-allocation sample, run
-through the CLI's chunk runner and so spread over ``jobs`` processes.
-Chunk ``c`` (of ``CHUNK`` replicates) of the sample with stream id ``s``
-draws from ``RngStream(seed, (s << 32) | c)``: the address is (seed,
-sample, chunk), so the draws do not depend on ``jobs``.  The limit-law
-pair ``(alpha, beta)`` has ``s = 1000 + its index in sorted(_Z_SIZES)``;
-criterion 9 has ``s = 90``.
+through ``cli._run_chunks`` and so spread over ``jobs`` processes; that
+runner defines the chunk address (seed, sample's stream id, chunk), so the
+draws do not depend on ``jobs``.  The limit-law pair ``(alpha, beta)`` has
+stream id ``1000 + its index in sorted(_Z_SIZES)``; criterion 9 has 90.
 
 Two distributional checks (numbers 12 and 13) probe limits with a
 logarithmic convergence rate at fixed desk scale; both run exactly at
@@ -132,20 +130,7 @@ _INTERVAL_BALLS = 100
 _INTERVAL_STREAM = 90
 
 
-def _chunk_stream(stream: int, cid: int) -> int:
-    """Stream id of chunk ``cid`` of the sample with stream id ``stream``."""
-    return (stream << 32) | cid
-
-
-def _chunk_z(task):
-    seed, cid, count, (stream, alpha, beta, grid_step) = task
-    rng = RngStream(seed, _chunk_stream(stream, cid)).generator()
-    return limitlaw.sample_z_pathint(limitlaw.AlphaBeta(alpha, beta), grid_step, rng, size=count)
-
-
-def _chunk_interval_empty(task):
-    seed, cid, count, (stream, balls) = task
-    rng = RngStream(seed, _chunk_stream(stream, cid)).generator()
+def _chunk_interval_empty(rng, count, balls):
     batch = sieve.sample_occupancy(sieve.UniformW(), balls, count, rng, method="uniform")
     return batch.empty_in_range
 
@@ -154,8 +139,8 @@ def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
     key = (alpha, beta, seed)
     if key not in _Z_CACHE:
         stream = 1000 + sorted(_Z_SIZES).index((alpha, beta))
-        parts = cli._run_chunks(_chunk_z, seed, _Z_SIZES[(alpha, beta)], jobs,
-                                (stream, alpha, beta, _Z_GRID))
+        parts = cli._run_chunks(cli._chunk_sample_z, seed, _Z_SIZES[(alpha, beta)], jobs,
+                                (alpha, beta, "pathint", _Z_GRID, None), stream)
         _Z_CACHE[key] = np.concatenate(parts)
     return _Z_CACHE[key]
 
@@ -163,7 +148,7 @@ def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
 def _interval_empty(seed: int, jobs: int = 1) -> np.ndarray:
     """Criterion 9's empty-box counts from the interval representation."""
     parts = cli._run_chunks(_chunk_interval_empty, seed, _INTERVAL_REPS, jobs,
-                            (_INTERVAL_STREAM, _INTERVAL_BALLS))
+                            (_INTERVAL_BALLS,), _INTERVAL_STREAM)
     return np.concatenate(parts)
 
 
@@ -528,7 +513,3 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED, jobs: int = 1) -> Crite
     except KeyError:
         raise ValueError(f"no criterion {number}") from None
     return fn(seed, jobs)
-
-
-def run_suite(suite: str = "all", seed: int = DEFAULT_SEED, jobs: int = 1):
-    return [run_criterion(k, seed=seed, jobs=jobs) for k in suite_criteria(suite)]

@@ -78,20 +78,31 @@ def _chunk_plan(total: int):
     return [(cid, min(CHUNK, total - cid * CHUNK)) for cid in range((total + CHUNK - 1) // CHUNK)]
 
 
-def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple):
-    tasks = [(seed, cid, count, payload) for cid, count in _chunk_plan(total)]
+def _call_chunk(task):
+    worker, stream, count, payload = task
+    return worker(stream.generator(), count, *payload)
+
+
+def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream: int = 0):
+    """``worker(rng, count, *payload)`` on each chunk of ``total`` replicates,
+    results in chunk order.
+
+    Chunk ``cid`` of the sample with stream id ``stream`` draws from
+    ``RngStream(seed, (stream << 32) | cid)``: the address is (seed, sample,
+    chunk), so results do not depend on ``jobs``.  The experiments use
+    stream 0, so their chunk ``cid`` draws from ``RngStream(seed, cid)``.
+    """
+    tasks = [(worker, RngStream(seed, (stream << 32) | cid), count, payload)
+             for cid, count in _chunk_plan(total)]
     if jobs <= 1 or len(tasks) == 1:
-        return [worker(t) for t in tasks]
+        return [_call_chunk(t) for t in tasks]
     # a fork pool starts every worker at the first submit, so ask for no
     # more workers than there are chunks
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(_call_chunk, tasks))
 
 
-def _chunk_sample_z(task):
-    seed, cid, count, payload = task
-    alpha, beta, sampler, grid_step, eps = payload
-    rng = RngStream(seed, cid).generator()
+def _chunk_sample_z(rng, count, alpha, beta, sampler, grid_step, eps):
     params = limitlaw.AlphaBeta(alpha, beta)
     if sampler == "pathint":
         return limitlaw.sample_z_pathint(params, grid_step, rng, size=count)
@@ -104,10 +115,7 @@ def _chunk_sample_z(task):
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _chunk_sieve(task):
-    seed, cid, count, payload = task
-    wlaw_text, balls = payload
-    rng = RngStream(seed, cid).generator()
+def _chunk_sieve(rng, count, wlaw_text, balls):
     batch = sieve.sample_occupancy(parse_wlaw(wlaw_text), balls, count, rng)
     table = np.stack([batch.occupied, batch.last_occupied, batch.empty_in_range], axis=1)
     return table, batch.truncated
@@ -147,23 +155,17 @@ def _prw_statistic(law: walks.PrwLaw, t: float, stat: str, q_exponent: float):
     raise ValueError(f"unknown statistic {stat!r}")
 
 
-def _chunk_prw(task):
-    seed, cid, count, payload = task
-    xi_text, eta_text, multiplier, t, stat, q_exponent = payload
+def _chunk_prw(rng, count, xi_text, eta_text, multiplier, t, stat, q_exponent):
     law = _prw_law(xi_text, eta_text, multiplier)
     statistic = _prw_statistic(law, t, stat, q_exponent)
     horizon = t + 40.0 if stat in ("empty", "busy") else t
-    rng = RngStream(seed, cid).generator()
     out = np.empty(count)
     for r in range(count):
         out[r] = statistic(walks.generate_path(law, horizon, rng))
     return out
 
 
-def _chunk_markov(task):
-    seed, cid, count, payload = task
-    spec_json, n, method = payload
-    rng = RngStream(seed, cid).generator()
+def _chunk_markov(rng, count, spec_json, n, method):
     spec = chains.chain_from_json(spec_json)
     if method == "direct":
         return chains.sample_zero_decrements(spec, n, count, rng)
@@ -281,14 +283,23 @@ def _emit(outdir: Path, name: str, fmt: str, header, table: Table, summary: dict
     return summary_path
 
 
-def _summary_base(experiment: str, params: dict, seed: int, cfg_hash: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
-        "params": params,
-        "seed": seed,
-        "config_hash": cfg_hash,
-    }
+def _report(args, params: dict, header, columns, fields: dict, passed: bool,
+            message: str) -> int:
+    """Write an experiment's detail table and summary, print its line and
+    return its exit code (0 if ``passed``, else 1).
+
+    The experiment is ``args.command``.  ``header`` and ``columns`` are the
+    detail columns after ``config_hash`` and ``seed``; ``fields`` are the
+    summary entries beside the six common ones.
+    """
+    name = args.command
+    cfg = _config_hash({"experiment": name, "seed": args.seed, **params})
+    summary = {"schema_version": SCHEMA_VERSION, "experiment": name, "params": params,
+               "seed": args.seed, "config_hash": cfg, "passed": bool(passed), **fields}
+    _emit(args.out, f"{name}_{cfg}", args.format, ["config_hash", "seed", *header],
+          Table(cfg, args.seed, *columns), summary)
+    print(message)
+    return 0 if passed else 1
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +307,6 @@ def _summary_base(experiment: str, params: dict, seed: int, cfg_hash: str) -> di
 
 def cmd_moments(args) -> int:
     params = {"alpha": args.alpha, "beta": args.beta, "nmax": args.nmax}
-    cfg = _config_hash({"experiment": "moments", "seed": args.seed, **params})
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     orders = range(1, args.nmax + 1)
     identity_err = []
@@ -305,10 +315,6 @@ def cmd_moments(args) -> int:
         closed = math.gamma(1.0 + n * args.alpha) * math.gamma(1.0 - args.alpha) ** n
         identity_err.append(abs(prod - closed) / closed)
     worst_identity = max(identity_err)
-    table = Table(cfg, args.seed, orders,
-                  [float(limitlaw.z_moment(ab, n)) for n in orders],
-                  [float(limitlaw.mittag_leffler_moment(args.alpha, n)) for n in orders],
-                  [float(math.factorial(n)) for n in orders], identity_err)
     checks = {
         "phi_product_identity": {"value": worst_identity, "tolerance": 1e-10,
                                  "passed": worst_identity <= 1e-10},
@@ -326,15 +332,15 @@ def cmd_moments(args) -> int:
             for n in range(1, args.nmax + 1)
         )
         checks["z_equals_mittag_leffler"] = {"value": rel, "tolerance": 1e-10, "passed": rel <= 1e-10}
-    summary = _summary_base("moments", params, args.seed, cfg)
-    summary["checks"] = checks
-    summary["passed"] = all(c["passed"] for c in checks.values())
-    _emit(args.out, f"moments_{cfg}", args.format,
-          ["config_hash", "seed", "order", "z_moment", "ml_moment", "factorial",
-           "phi_product_rel_err"], table, summary)
-    print(f"moments: {'PASS' if summary['passed'] else 'FAIL'} "
-          f"(max identity error {worst_identity:.2e})")
-    return 0 if summary["passed"] else 1
+    passed = all(c["passed"] for c in checks.values())
+    return _report(
+        args, params,
+        ["order", "z_moment", "ml_moment", "factorial", "phi_product_rel_err"],
+        [orders, [float(limitlaw.z_moment(ab, n)) for n in orders],
+         [float(limitlaw.mittag_leffler_moment(args.alpha, n)) for n in orders],
+         [float(math.factorial(n)) for n in orders], identity_err],
+        {"checks": checks}, passed,
+        f"moments: {'PASS' if passed else 'FAIL'} (max identity error {worst_identity:.2e})")
 
 
 def cmd_sample_z(args) -> int:
@@ -345,42 +351,34 @@ def cmd_sample_z(args) -> int:
         "alpha": args.alpha, "beta": args.beta, "n": args.n, "sampler": args.sampler,
         "grid_step": args.grid_step, "eps": args.eps,
     }
-    cfg = _config_hash({"experiment": "sample-z", "seed": args.seed, **params})
     payload = (args.alpha, args.beta, args.sampler, args.grid_step, args.eps)
-    parts = _run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs, payload)
-    draws = np.concatenate(parts)
+    draws = np.concatenate(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs, payload))
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     est1, m1_t, tol1, ok1 = acceptance.moment_check(draws, ab, 1)
     est2, m2_t, tol2, ok2 = acceptance.moment_check(draws, ab, 2)
     ok = ok1 and ok2
-    summary = _summary_base("sample-z", params, args.seed, cfg)
-    summary["metrics"] = {
+    metrics = {
         "mean": est1.mean, "mean_stderr": est1.stderr, "target_mean": m1_t,
         "second_moment": est2.mean, "second_moment_stderr": est2.stderr,
         "target_second_moment": m2_t, "mean_tolerance": tol1, "second_moment_tolerance": tol2,
     }
-    summary["passed"] = bool(ok)
-    _emit(args.out, f"sample-z_{cfg}", args.format,
-          ["config_hash", "seed", "replicate", "value"],
-          Table(cfg, args.seed, range(draws.size), draws), summary)
-    print(f"sample-z: {'PASS' if ok else 'FAIL'} mean {est1.mean:.5f} vs {m1_t:.5f}, "
-          f"m2 {est2.mean:.5f} vs {m2_t:.5f}")
-    return 0 if ok else 1
+    return _report(args, params, ["replicate", "value"], [range(draws.size), draws],
+                   {"metrics": metrics}, ok,
+                   f"sample-z: {'PASS' if ok else 'FAIL'} mean {est1.mean:.5f} vs {m1_t:.5f}, "
+                   f"m2 {est2.mean:.5f} vs {m2_t:.5f}")
 
 
 def cmd_sieve(args) -> int:
     from . import acceptance
 
     params = {"wlaw": args.wlaw, "balls": args.balls, "reps": args.reps}
-    cfg = _config_hash({"experiment": "sieve", "seed": args.seed, **params})
     wlaw = parse_wlaw(args.wlaw)
     parts = _run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs, (args.wlaw, args.balls))
     table = np.concatenate([p[0] for p in parts], axis=0)
     truncated = sum(p[1] for p in parts)
     empty = table[:, 2]
-    summary = _summary_base("sieve", params, args.seed, cfg)
     emp = chains.empirical_pmf(empty)
-    summary["metrics"] = {
+    metrics = {
         "mean_occupied": float(table[:, 0].mean()),
         "mean_empty": float(empty.mean()),
         "empty_pmf": [float(x) for x in emp.masses],
@@ -390,19 +388,16 @@ def cmd_sieve(args) -> int:
     if wlaw.symmetric:
         tv, tv_ok = acceptance.geometric_half_check(emp)
         passed = passed and tv_ok
-        summary["metrics"]["tv_vs_geometric_half"] = tv
-        summary["metrics"]["tv_tolerance"] = acceptance.TV_TOL
-    summary["passed"] = bool(passed)
-    _emit(args.out, f"sieve_{cfg}", args.format,
-          ["config_hash", "seed", "replicate", "occupied", "last_occupied", "empty_in_range"],
-          Table(cfg, args.seed, range(len(table)), *table.T), summary)
+        metrics["tv_vs_geometric_half"] = tv
+        metrics["tv_tolerance"] = acceptance.TV_TOL
     msg = f"sieve: {'PASS' if passed else 'FAIL'} mean empty {empty.mean():.4f}"
     if truncated:
         msg += f", {truncated} replicates truncated"
     if wlaw.symmetric:
-        msg += f", TV vs geometric(1/2) {summary['metrics']['tv_vs_geometric_half']:.5f}"
-    print(msg)
-    return 0 if passed else 1
+        msg += f", TV vs geometric(1/2) {tv:.5f}"
+    return _report(args, params,
+                   ["replicate", "occupied", "last_occupied", "empty_in_range"],
+                   [range(len(table)), *table.T], {"metrics": metrics}, passed, msg)
 
 
 def cmd_prw(args) -> int:
@@ -410,31 +405,25 @@ def cmd_prw(args) -> int:
         "xi": args.xi, "eta": args.eta, "coupled_multiplier": args.coupled_multiplier,
         "t": args.t, "stat": args.stat, "reps": args.reps, "q_exponent": args.q_exponent,
     }
-    cfg = _config_hash({"experiment": "prw", "seed": args.seed, **params})
     payload = (args.xi, args.eta, args.coupled_multiplier, args.t, args.stat, args.q_exponent)
     _prw_statistic(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat,
                    args.q_exponent)
-    parts = _run_chunks(_chunk_prw, args.seed, args.reps, args.jobs, payload)
-    values = np.concatenate(parts)
+    values = np.concatenate(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs, payload))
     est = stats.mc_accumulate(values)
-    summary = _summary_base("prw", params, args.seed, cfg)
-    summary["metrics"] = {"mean": est.mean, "stderr": est.stderr}
-    summary["passed"] = True
-    _emit(args.out, f"prw_{cfg}", args.format,
-          ["config_hash", "seed", "replicate", "value"],
-          Table(cfg, args.seed, range(values.size), values), summary)
-    print(f"prw[{args.stat}]: mean {est.mean:.5f} +- {est.stderr:.5f}")
-    return 0
+    # prw estimates a functional's mean and checks nothing: "passed" is true
+    # because no check failed, and "checks" is empty to say that none ran
+    return _report(args, params, ["replicate", "value"], [range(values.size), values],
+                   {"metrics": {"mean": est.mean, "stderr": est.stderr}, "checks": {}}, True,
+                   f"prw[{args.stat}]: mean {est.mean:.5f} +- {est.stderr:.5f} "
+                   "(no check in scope)")
 
 
-def _build_chain(args) -> tuple[chains.ChainSpec, str]:
+def _build_chain(args) -> chains.ChainSpec:
     if args.spec_json:
-        text = Path(args.spec_json).read_text()
-        return chains.chain_from_json(text), "custom"
+        return chains.chain_from_json(Path(args.spec_json).read_text())
     name, _, rest = args.chain.partition(":")
     if name == "sieve":
-        wlaw = parse_wlaw(rest)
-        return chains.sieve_chain_spec(wlaw, args.n), args.chain
+        return chains.sieve_chain_spec(parse_wlaw(rest), args.n)
     if name == "barrier":
         kind, _, param = rest.partition(":")
         if kind == "dyadic":
@@ -444,7 +433,7 @@ def _build_chain(args) -> tuple[chains.ChainSpec, str]:
             p = (1.0 - q) * q ** np.arange(args.n, dtype=float)
         else:
             raise ValueError(f"unknown barrier step law {rest!r}")
-        return chains.barrier_chain_spec(p, args.n), args.chain
+        return chains.barrier_chain_spec(p, args.n)
     raise ValueError(f"unknown chain {args.chain!r}")
 
 
@@ -452,8 +441,7 @@ def cmd_markov(args) -> int:
     from . import acceptance
 
     params = {"chain": args.chain, "n": args.n, "reps": args.reps}
-    cfg = _config_hash({"experiment": "markov", "seed": args.seed, **params})
-    spec, _label = _build_chain(args)
+    spec = _build_chain(args)
     if args.export_spec:
         Path(args.export_spec).write_text(chains.chain_to_json(spec))
     dp = chains.exact_zero_decrement_pmf(spec, args.n)
@@ -464,16 +452,14 @@ def cmd_markov(args) -> int:
                                      (spec_json, args.n, "georep")))
     sim_pmf, rep_pmf, tv_sim, tv_rep, passed = acceptance.chain_sampler_check(dp, sim, rep)
     width = sim_pmf.masses.size
-    table = Table(cfg, args.seed, range(width), np.pad(dp.masses, (0, width - dp.masses.size)),
-                  sim_pmf.masses, rep_pmf.masses)
-    summary = _summary_base("markov", params, args.seed, cfg)
-    summary["metrics"] = {"tv_sim_vs_dp": tv_sim, "tv_georep_vs_dp": tv_rep,
-                          "tv_tolerance": acceptance.TV_TOL, "dp_tail_deficit": dp.tail_deficit}
-    summary["passed"] = bool(passed)
-    _emit(args.out, f"markov_{cfg}", args.format,
-          ["config_hash", "seed", "m", "dp_mass", "sim_freq", "georep_freq"], table, summary)
-    print(f"markov: {'PASS' if passed else 'FAIL'} TV sim {tv_sim:.5f}, TV georep {tv_rep:.5f}")
-    return 0 if passed else 1
+    metrics = {"tv_sim_vs_dp": tv_sim, "tv_georep_vs_dp": tv_rep,
+               "tv_tolerance": acceptance.TV_TOL, "dp_tail_deficit": dp.tail_deficit}
+    return _report(args, params, ["m", "dp_mass", "sim_freq", "georep_freq"],
+                   [range(width), np.pad(dp.masses, (0, width - dp.masses.size)),
+                    sim_pmf.masses, rep_pmf.masses],
+                   {"metrics": metrics}, passed,
+                   f"markov: {'PASS' if passed else 'FAIL'} TV sim {tv_sim:.5f}, "
+                   f"TV georep {tv_rep:.5f}")
 
 
 def _verify_line(res, seconds: float) -> str:
@@ -485,29 +471,20 @@ def _verify_line(res, seconds: float) -> str:
 def cmd_verify(args) -> int:
     from . import acceptance
 
-    numbers = acceptance.suite_criteria(args.suite)
-    params = {"suite": args.suite}
-    cfg = _config_hash({"experiment": "verify", "seed": args.seed, **params})
     runs = []
-    results = {}
-    all_passed = True
-    for num in numbers:
+    for num in acceptance.suite_criteria(args.suite):
         start = time.perf_counter()
         res = acceptance.run_criterion(num, seed=args.seed, jobs=args.jobs)
         print(_verify_line(res, time.perf_counter() - start))
         runs.append(res)
-        results[str(res.number)] = {"name": res.name, "passed": res.passed,
-                                    "details": res.details, "metrics": res.metrics}
-        all_passed &= res.passed
-    summary = _summary_base("verify", params, args.seed, cfg)
-    summary["criteria"] = results
-    summary["passed"] = bool(all_passed)
-    _emit(args.out, f"verify_{cfg}", args.format,
-          ["config_hash", "seed", "criterion", "name", "passed", "details"],
-          Table(cfg, args.seed, [r.number for r in runs], [r.name for r in runs],
-                [r.passed for r in runs], [r.details for r in runs]), summary)
-    print(f"verify[{args.suite}]: {'ALL PASS' if all_passed else 'FAILURES PRESENT'}")
-    return 0 if all_passed else 1
+    passed = all(r.passed for r in runs)
+    results = {str(r.number): {"name": r.name, "passed": r.passed, "details": r.details,
+                               "metrics": r.metrics} for r in runs}
+    return _report(args, {"suite": args.suite}, ["criterion", "name", "passed", "details"],
+                   [[r.number for r in runs], [r.name for r in runs],
+                    [r.passed for r in runs], [r.details for r in runs]],
+                   {"criteria": results}, passed,
+                   f"verify[{args.suite}]: {'ALL PASS' if passed else 'FAILURES PRESENT'}")
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .randkit import StableSpec, _standard_stable, as_generator, sample_stable, 
 __all__ = [
     "AlphaBeta",
     "phi_alpha",
-    "levy_density",
     "small_jump_mean",
     "mittag_leffler_moment",
     "z_moment",
@@ -120,13 +119,6 @@ def levy_tail_mass(alpha: float, eps: float) -> float:
     return math.expm1(-alpha * math.log(-math.expm1(-eps / alpha)))
 
 
-def levy_density(alpha: float, t):
-    """Levy density of Y: exp(-t/a) * (1-exp(-t/a))^(-(a+1)) on (0, inf)."""
-    _check_alpha(alpha)
-    t = np.asarray(t, dtype=float)
-    return np.exp(-t / alpha) * (-np.expm1(-t / alpha)) ** -(alpha + 1.0)
-
-
 def sample_levy_jump(alpha: float, eps: float, rng, size=None):
     """Jump of Y conditioned to exceed ``eps``, by inverting the tail integral.
 
@@ -143,7 +135,8 @@ def sample_levy_jump(alpha: float, eps: float, rng, size=None):
 
 
 def small_jump_mean(alpha: float, eps: float) -> float:
-    """Expected small-jump mass per unit time: integral of t * levy_density over (0, eps].
+    """Expected small-jump mass per unit time: the integral of t against Y's
+    Levy density over (0, eps].
 
     Quadrature on the substitution y = 1 - exp(-t/alpha) (integrand becomes
     -alpha*log(1-y) * y^-(alpha+1), integrable at 0).

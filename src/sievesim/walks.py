@@ -7,13 +7,13 @@ P{xi = 0} < 1.  No independence between xi and eta is assumed; a coupled
 pair (eta = multiplier * xi) is available alongside the independent default.
 
 The functionals below (renewal count, empty-box functional, busy-server
-count, renewal shot noise, and the weighted-window statistic) all converge,
-under regularly varying tails with indices 0 <= beta <= alpha < 1, to the
-same limit law Z handled by :mod:`sievesim.limitlaw`.
+count, and the weighted-window statistic) all converge, under regularly
+varying tails with indices 0 <= beta <= alpha < 1, to the same limit law Z
+handled by :mod:`sievesim.limitlaw`.
 
-Large arguments: the empty-box functional and the shot noise take the time
-argument on log scale (``log_t``), since the interesting regime has
-t = e^x with x in the thousands, far beyond float range.
+Large arguments: the empty-box functional takes the time argument on log
+scale (``log_t``), since the interesting regime has t = e^x with x in the
+thousands, far beyond float range.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ __all__ = [
     "renewal_function_estimate",
     "empty_box_functional",
     "busy_server_count",
-    "renewal_shot_noise",
     "weighted_window_statistic",
-    "tabulate_phi_log",
 ]
 
 _INNER_EXP_CAP = 50.0  # exp(-exp(50)) underflows to exactly 0.0 long before this
@@ -52,11 +50,8 @@ def _double_exp(w):
 
 
 class MarginalLaw:
-    """Nonnegative marginal with an exact tail evaluator.
-
-    Subclasses provide ``sample`` and ``tail``; laws with a density also get
-    ``phi_log(w) = E exp(-exp(w - X))``, the shot-noise transform on log scale.
-    """
+    """Nonnegative marginal with an exact tail evaluator: subclasses provide
+    ``sample`` and ``tail``."""
 
     def sample(self, rng, size=None):
         raise NotImplementedError
@@ -64,45 +59,9 @@ class MarginalLaw:
     def tail(self, x):
         raise NotImplementedError
 
-    def phi_log(self, w: float) -> float:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no transform evaluator; "
-            "use tabulate_phi_log with a Monte Carlo table instead"
-        )
-
-    # quadrature support for phi_log, used by density-backed subclasses
-    _support = (0.0, math.inf)
-
-    def _density(self, y):
-        raise NotImplementedError
-
-    def _phi_log_quad(self, w: float) -> float:
-        from scipy.integrate import quad
-
-        lo, hi = self._support
-        a = max(lo, w - 45.0)
-        b = max(lo, w + 45.0)
-        total = 0.0
-        # below w-45 the integrand is exp(-e^{>45}) = 0 in doubles
-        if b > a:
-            val, _ = quad(
-                lambda y: math.exp(-math.exp(min(w - y, _INNER_EXP_CAP))) * self._density(y),
-                a,
-                b,
-                epsabs=1e-12,
-                epsrel=1e-10,
-                limit=400,
-            )
-            total += val
-        # beyond w+45 the integrand equals the density to within e^{-45}
-        total += float(self.tail(b))
-        return total
-
 
 class ParetoLaw(MarginalLaw):
     """P{X > x} = x^(-index) for x >= 1 (support starts at 1)."""
-
-    _support = (1.0, math.inf)
 
     def __init__(self, index: float):
         if not index > 0.0:
@@ -119,12 +78,6 @@ class ParetoLaw(MarginalLaw):
         np.power(x, -self.index, out=out, where=x > 1.0)
         return out if out.ndim else float(out)
 
-    def _density(self, y):
-        return self.index * y ** (-self.index - 1.0) if y >= 1.0 else 0.0
-
-    def phi_log(self, w: float) -> float:
-        return self._phi_log_quad(w)
-
 
 class ExponentialLaw(MarginalLaw):
     def __init__(self, mean: float = 1.0):
@@ -139,12 +92,6 @@ class ExponentialLaw(MarginalLaw):
         x = np.asarray(x, dtype=float)
         out = np.exp(-np.maximum(x, 0.0) / self.mean)
         return out if out.ndim else float(out)
-
-    def _density(self, y):
-        return math.exp(-y / self.mean) / self.mean if y >= 0.0 else 0.0
-
-    def phi_log(self, w: float) -> float:
-        return self._phi_log_quad(w)
 
 
 class ConstantLaw(MarginalLaw):
@@ -161,9 +108,6 @@ class ConstantLaw(MarginalLaw):
         out = np.where(x < self.value, 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def phi_log(self, w: float) -> float:
-        return float(_double_exp(w - self.value))
-
 
 class LogDecayLaw(MarginalLaw):
     """P{X > x} = 1/(1 + log x) for x >= 1: a slowly varying tail (index 0).
@@ -173,8 +117,6 @@ class LogDecayLaw(MarginalLaw):
     Draws can overflow to inf (the law is that heavy); the functionals
     tolerate inf values.
     """
-
-    _support = (1.0, math.inf)
 
     def sample(self, rng, size=None):
         u = sample_uniform01(rng, size=size)
@@ -186,12 +128,6 @@ class LogDecayLaw(MarginalLaw):
         with np.errstate(divide="ignore"):
             out = np.where(x > 1.0, 1.0 / (1.0 + np.log(np.maximum(x, 1.0))), 1.0)
         return out if out.ndim else float(out)
-
-    def _density(self, y):
-        return 1.0 / (y * (1.0 + math.log(y)) ** 2) if y >= 1.0 else 0.0
-
-    def phi_log(self, w: float) -> float:
-        return self._phi_log_quad(w)
 
 
 @dataclass(frozen=True)
@@ -234,12 +170,6 @@ class PrwLaw:
         if self.multiplier is not None:
             return self.xi_law.tail(np.asarray(x, dtype=float) / self.multiplier)
         return self.eta_law.tail(x)
-
-    def phi_log(self, w: float) -> float:
-        """E exp(-exp(w - eta)); available when the eta marginal has one."""
-        if self.multiplier is not None:
-            raise NotImplementedError("coupled law: tabulate phi_log by Monte Carlo instead")
-        return self.eta_law.phi_log(w)
 
 
 @dataclass
@@ -368,31 +298,6 @@ def busy_server_count(path: WalkPath, t: float) -> int:
     return int(np.count_nonzero((s_prev <= t) & (t < s_prev + path.eta_values)))
 
 
-def renewal_shot_noise(path: WalkPath, t: float | None = None, phi=None, *,
-                       log_t: float | None = None, phi_log=None,
-                       margin: float = 40.0) -> float:
-    """Renewal shot noise: sum over k >= 0 of phi(t*e^(-S_k)) - exp(-t*e^(-S_k)),
-    with phi(u) = E exp(-u*e^(-eta)).
-
-    Pass ``phi`` (argument u) for moderate t, or ``phi_log`` (argument log u)
-    for the large-t regime; same horizon/truncation rule as empty_box_functional.
-    """
-    x = _resolve_log_t(t, log_t)
-    if (phi is None) == (phi_log is None):
-        raise ValueError("provide exactly one of phi or phi_log")
-    if path.horizon < x + margin:
-        raise ValueError(
-            f"path horizon {path.horizon} is short of log t + margin = {x + margin}"
-        )
-    s = path.s_values[path.s_values <= x + margin]
-    w = x - s
-    if phi_log is not None:
-        phi_vals = np.asarray([phi_log(float(wi)) for wi in w], dtype=float)
-    else:
-        phi_vals = np.asarray([phi(float(math.exp(min(wi, _INNER_EXP_CAP)))) for wi in w])
-    return float((phi_vals - _double_exp(w)).sum())
-
-
 def weighted_window_statistic(path: WalkPath, t: float, Q, F_bar) -> float:
     """Weighted renewal-window statistic:
     (F_bar(t)/Q(t)) * sum over {k : S_k <= t} of Q(t - S_k),
@@ -403,18 +308,3 @@ def weighted_window_statistic(path: WalkPath, t: float, Q, F_bar) -> float:
     q_vals = np.asarray(Q(t - s), dtype=float)
     return float(F_bar(t) / Q(t) * q_vals.sum())
 
-
-def tabulate_phi_log(law, w_min: float, w_max: float, step: float = 0.02):
-    """Precompute phi_log on a grid and return a clamped linear interpolant.
-
-    ``law`` is anything with a ``phi_log`` method (a marginal or a PrwLaw).
-    Bulk shot-noise evaluation calls the transform once per walk point, and
-    the quadrature behind phi_log is too slow for that loop.
-    """
-    grid = np.arange(w_min, w_max + step, step)
-    vals = np.asarray([law.phi_log(float(w)) for w in grid])
-
-    def interp(w):
-        return float(np.interp(w, grid, vals))
-
-    return interp

@@ -32,14 +32,26 @@ def test_criterion(number):
 
 SMALL = 2 * cli.CHUNK + 5  # three chunks, the last one partial
 PAIRS = sorted(acceptance._Z_SIZES)
-_CHUNK_Z = acceptance._chunk_z
+_CHUNK_Z = cli._chunk_sample_z
 
 
-def _process_keyed_chunk_z(task):
-    """A faulty worker: its stream depends on the process that runs it, and
-    so on how many jobs the chunks are spread over."""
-    seed, cid, count, payload = task
-    return _CHUNK_Z((seed + os.getpid(), cid, count, payload))
+def _process_keyed_chunk_z(rng, count, *payload):
+    """A faulty worker: where it draws on its chunk's stream depends on the
+    process that runs it, and so on how many jobs the chunks are spread over."""
+    rng.bit_generator.advance(os.getpid())
+    return _CHUNK_Z(rng, count, *payload)
+
+
+def _record_streams(monkeypatch):
+    """The stream ids of every chunk the runner builds from now on."""
+    used = []
+
+    def recording_stream(seed, stream_id):
+        used.append(stream_id)
+        return RngStream(seed, stream_id)
+
+    monkeypatch.setattr(cli, "RngStream", recording_stream)
+    return used
 
 
 @pytest.fixture
@@ -74,18 +86,12 @@ class TestChunkedSamples:
         assert all(other == first for other in rest)
 
     def test_worker_keyed_on_jobs_is_caught(self, small_samples, monkeypatch):
-        monkeypatch.setattr(acceptance, "_chunk_z", _process_keyed_chunk_z)
+        monkeypatch.setattr(cli, "_chunk_sample_z", _process_keyed_chunk_z)
         first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(0.5, 0.0, SEED, jobs))
         assert all(other != first for other in rest)
 
     def test_pairs_and_chunks_draw_from_distinct_streams(self, small_samples, monkeypatch):
-        used = []
-
-        def recording_stream(seed, stream_id):
-            used.append(stream_id)
-            return RngStream(seed, stream_id)
-
-        monkeypatch.setattr(acceptance, "RngStream", recording_stream)
+        used = _record_streams(monkeypatch)
         for pair in PAIRS:
             acceptance._z_draws(*pair, SEED)
         acceptance._interval_empty(SEED)
@@ -93,12 +99,14 @@ class TestChunkedSamples:
         # a chunk address never collides with a plain per-criterion stream id
         assert min(used) >= 1 << 32
 
-    def test_canonical_chunk_addresses_are_distinct(self):
+    def test_canonical_chunk_addresses_are_distinct(self, monkeypatch):
+        used = _record_streams(monkeypatch)
         samples = {1000 + k: acceptance._Z_SIZES[pair] for k, pair in enumerate(PAIRS)}
         samples[acceptance._INTERVAL_STREAM] = acceptance._INTERVAL_REPS
-        ids = [acceptance._chunk_stream(stream, cid)
-               for stream, total in samples.items() for cid, _ in cli._chunk_plan(total)]
-        assert len(set(ids)) == len(ids) == 4 * 25 + 5 + 25
+        for stream, total in samples.items():
+            cli._run_chunks(lambda rng, count: count, SEED, total, 1, (), stream)
+        assert len(set(used)) == len(used) == 4 * 25 + 5 + 25
+        assert min(used) >= 1 << 32
 
     def test_pairs_and_chunks_draw_different_values(self, small_samples):
         samples = [acceptance._z_draws(*pair, SEED) for pair in PAIRS]

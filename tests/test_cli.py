@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from sievesim import cli, sieve, walks
 from sievesim.cli import (BLOCK, CHUNK, Table, _chunk_plan, _chunk_prw, _emit, _write_detail,
                           main, parse_marginal, parse_wlaw)
+from sievesim.randkit import RngStream
 from sievesim.sieve import BetaW, LogParetoMixtureW, UniformW
 from sievesim.walks import ExponentialLaw, ParetoLaw
 
@@ -111,10 +112,17 @@ class TestJobs:
     def test_one_job_or_one_chunk_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        chunk_size = lambda task: task[2]
+        chunk_size = lambda rng, count: count
         assert cli._run_chunks(chunk_size, 1, 2 * CHUNK, 1, ()) == [CHUNK, CHUNK]
         assert cli._run_chunks(chunk_size, 1, CHUNK, 8, ()) == [CHUNK]
         assert _RecordingPool.sizes == []
+
+    def test_experiment_chunks_draw_from_the_plain_chunk_streams(self):
+        # stream 0, the experiments' default: chunk cid draws from RngStream(seed, cid)
+        head = lambda rng, count: rng.random(4)
+        got = cli._run_chunks(head, 7, 2 * CHUNK + 1, 1, ())
+        assert all(np.array_equal(g, RngStream(7, cid).generator().random(4))
+                   for cid, g in enumerate(got))
 
 
 def _reference_detail(path: Path, fmt: str, header, rows):
@@ -319,11 +327,20 @@ class TestPrwCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    def test_summary_says_no_check_ran(self, tmp_path, capsys):
+        code = run_cli("prw", "--xi", "pareto:0.5", "--stat", "renewals", "--t", "100",
+                       "--reps", "50", "--seed", "13", "--out", tmp_path)
+        assert code == 0
+        payload = json.loads(next(Path(tmp_path).glob("prw_*.summary.json")).read_text())
+        assert payload["checks"] == {} and payload["passed"] is True
+        assert "no check in scope" in capsys.readouterr().out
+
     def test_unknown_statistic_is_rejected_before_any_path(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(walks, "generate_path", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="unknown statistic"):
-            _chunk_prw((1, 0, 3, ("pareto:0.5", "pareto:0.25", None, 100.0, "bogus", 0.25)))
+            _chunk_prw(np.random.default_rng(1), 3, "pareto:0.5", "pareto:0.25", None, 100.0,
+                       "bogus", 0.25)
         assert drawn == []
 
     def test_walk_that_cannot_cross_exits_three_in_bounded_memory(self, tmp_path, capsys):
@@ -362,3 +379,38 @@ class TestVerifyCommand:
         timed = {f.name: f.read_bytes() for f in (tmp_path / "timed").iterdir()}
         plain = {f.name: f.read_bytes() for f in (tmp_path / "plain").iterdir()}
         assert len(timed) == 2 and timed == plain
+
+
+_SCHEMAS = json.loads((Path(cli.__file__).parent / "output_schemas.json").read_text())
+_COMMON_FIELDS = set(_SCHEMAS["summary"]["common_fields"])
+
+# each subcommand at a size that runs in well under a second
+_TINY_RUNS = {
+    "moments": ("--alpha", "0.5", "--beta", "0.25"),
+    "sample-z": ("--alpha", "0.5", "--beta", "0.5", "--n", "200", "--sampler", "expfunc"),
+    "sieve": ("--wlaw", "beta:2,3", "--balls", "10", "--reps", "200"),
+    "prw": ("--xi", "pareto:0.5", "--stat", "renewals", "--t", "100", "--reps", "50"),
+    "markov": ("--n", "5", "--reps", "200"),
+    "verify": ("--suite", "exact"),
+}
+
+
+class TestReport:
+    def test_every_subcommand_is_covered(self):
+        subs = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+        assert set(_TINY_RUNS) == set(subs) == set(_SCHEMAS["csv"])
+
+    @pytest.mark.parametrize("cmd", sorted(_TINY_RUNS))
+    def test_files_follow_the_schema(self, cmd, tmp_path):
+        code = run_cli(cmd, *_TINY_RUNS[cmd], "--seed", "3", "--jobs", "1", "--out", tmp_path)
+        assert code in (0, 1)
+        summary_path, = tmp_path.glob("*.summary.json")
+        summary = json.loads(summary_path.read_text())
+        assert _COMMON_FIELDS <= set(summary)
+        assert summary["experiment"] == cmd and summary["seed"] == 3
+        assert summary["passed"] is (code == 0)
+        name = f"{cmd}_{summary['config_hash']}"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [f"{name}.csv",
+                                                              f"{name}.summary.json"]
+        header = (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+        assert header.split(",") == [entry.split()[0] for entry in _SCHEMAS["csv"][cmd]]

@@ -19,8 +19,6 @@ from sievesim.walks import (
     weighted_window_statistic,
     renewal_function_estimate,
     renewal_count,
-    renewal_shot_noise,
-    tabulate_phi_log,
 )
 
 UNIT_STEP = PrwLaw.independent(ConstantLaw(1.0), ConstantLaw(0.0))
@@ -53,20 +51,6 @@ class TestMarginals:
         draws = law.sample(RngStream(2, 0), size=50_000)
         emp = (draws > math.e).mean()
         assert emp == pytest.approx(0.5, abs=0.01)
-
-    def test_phi_log_quadrature_vs_monte_carlo(self):
-        law = ParetoLaw(0.25)
-        draws = law.sample(RngStream(3, 0), size=1_000_000)
-        for w in (-2.0, 0.0, 2.0, 5.0):
-            mc_vals = np.exp(-np.exp(np.minimum(w - draws, 50.0)))
-            est = mc_accumulate(mc_vals)
-            assert abs(law.phi_log(w) - est.mean) <= 4.0 * est.stderr
-
-    def test_tabulated_phi_log_accuracy(self):
-        law = ParetoLaw(0.25)
-        interp = tabulate_phi_log(law, -5.0, 5.0, step=0.05)
-        for w in np.linspace(-4.9, 4.9, 23):
-            assert interp(float(w)) == pytest.approx(law.phi_log(float(w)), abs=1e-4)
 
 
 class TestPrwLaw:
@@ -219,38 +203,6 @@ class TestFunctionalR:
             for t in (1.0, 30.0, 180.0):
                 r = busy_server_count(path, t)
                 assert 0 <= r <= renewal_count(path, t)
-
-
-class TestShotNoise:
-    def test_zero_perturbation_vanishes(self):
-        law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        path = generate_path(law, 60.0, RngStream(11, 0))
-        v = renewal_shot_noise(path, log_t=15.0, phi_log=ConstantLaw(0.0).phi_log)
-        assert v == pytest.approx(0.0, abs=1e-15)
-
-    def test_constant_perturbation_hand_check(self):
-        c = 1.5
-        path = WalkPath(
-            s_values=np.array([0.0, 1000.0]), eta_values=np.array([c]), horizon=60.0
-        )
-        t = 4.0
-        expected = math.exp(-t * math.exp(-c)) - math.exp(-t)
-        got = renewal_shot_noise(path, t=t, phi=lambda u: math.exp(-u * math.exp(-c)))
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_variance_absorption(self):
-        # the shot noise carries most of the empty-box functional's variance
-        law = PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25))
-        x = 100.0
-        phi_log = tabulate_phi_log(law, -60.0, x + 5.0, step=0.05)
-        rng = RngStream(11, 1).generator()
-        t_vals, v_vals = np.empty(3000), np.empty(3000)
-        for r in range(3000):
-            path = generate_path(law, x + 40.0, rng)
-            t_vals[r] = empty_box_functional(path, log_t=x)
-            v_vals[r] = renewal_shot_noise(path, log_t=x, phi_log=phi_log)
-        ratio = np.mean((t_vals - v_vals) ** 2) / np.var(t_vals)
-        assert ratio < 0.5
 
 
 class TestWindowStatistic:

@@ -13,12 +13,10 @@ from sievesim import (
     ParetoLaw,
     PrwLaw,
     RngStream,
-    busy_server_count,
-    empty_box_functional,
     generate_path,
-    weighted_window_statistic,
-    renewal_function_estimate,
     renewal_count,
+    renewal_function_estimate,
+    walk_functionals,
     z_moment,
 )
 
@@ -37,10 +35,12 @@ print("2. Heavy-tailed steps: scaled renewal counts go Mittag-Leffler")
 print("=" * 72)
 law = PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25))
 t = 1e4
-scaled = np.array([
-    float(np.asarray(law.xi_tail(t))) * renewal_count(generate_path(law, t, rng), t)
-    for _ in range(20_000)
-])
+path = generate_path(law, t, rng)
+print(f"  one stored path: {path.eta_values.size} steps to pass t = 1e4, "
+      f"renewal_count(t) = {renewal_count(path, t)}")
+# walk_functionals runs many walks in lockstep and stores none of them
+counts = walk_functionals(law, [t], 20_000, rng)["renewals"][:, 0]
+scaled = float(np.asarray(law.xi_tail(t))) * counts
 print(f"  Pareto(1/2) steps at t = 1e4: mean of (1-F(t))*renewal_count(t) = {scaled.mean():.4f} "
       f"(limit 2/pi = {2 / np.pi:.4f})")
 
@@ -50,11 +50,8 @@ print("3. Empty-box functional and busy servers share one limit")
 print("=" * 72)
 x = 1e4
 ratio = float(np.asarray(law.xi_tail(x)) / np.asarray(law.eta_tail(x)))
-t_vals, r_vals = np.empty(4000), np.empty(4000)
-for i in range(4000):
-    path = generate_path(law, x + 40.0, rng)
-    t_vals[i] = ratio * empty_box_functional(path, log_t=x)
-    r_vals[i] = ratio * busy_server_count(path, x)
+values = walk_functionals(law, [x], 4000, rng, ("empty", "busy"))
+t_vals, r_vals = ratio * values["empty"][:, 0], ratio * values["busy"][:, 0]
 target = z_moment(AlphaBeta(0.5, 0.25), 1)
 print(f"  normalized T(e^x) at x = 1e4: mean {t_vals.mean():.4f}")
 print(f"  normalized R(x)   at x = 1e4: mean {r_vals.mean():.4f}")
@@ -67,13 +64,8 @@ print("=" * 72)
 print("4. Weighted-window statistic: the mean error shrinks with t")
 print("=" * 72)
 q_fn = lambda v: (1.0 + v) ** -0.25
-sums = np.zeros(3)
-reps = 20_000
-for _ in range(reps):
-    path = generate_path(law, 1e4, rng)
-    for j, tt in enumerate((1e2, 1e3, 1e4)):
-        sums[j] += weighted_window_statistic(path, tt, q_fn, law.xi_tail)
-for tt, s in zip((1e2, 1e3, 1e4), sums):
-    mean = s / reps
+t_list = (1e2, 1e3, 1e4)
+means = walk_functionals(law, t_list, 20_000, rng, ("window",), q=q_fn)["window"].mean(axis=0)
+for tt, mean in zip(t_list, means):
     print(f"  t = {tt:7.0f}: mean {mean:.4f}, relative error {abs(mean - target) / target:.2%}")
 print("\ndone.")

@@ -74,6 +74,7 @@ from .walks import (
     weighted_window_statistic,
     renewal_function_estimate,
     renewal_count,
+    walk_functionals,
 )
 
 __version__ = "0.1.0"

@@ -5,12 +5,14 @@ Each criterion is deterministic given the master seed: replicate streams
 are indexed per criterion, so any criterion rerun with the same seed
 reproduces its metrics exactly, regardless of what else ran.
 
-The two large Monte Carlo samples, the limit-law draws shared by criteria
-3, 4, 5, 12 and 13 and criterion 9's interval-allocation sample, run
-through ``cli._run_chunks`` and so spread over ``jobs`` processes; that
-runner defines the chunk address (seed, sample's stream id, chunk), so the
-draws do not depend on ``jobs``.  The limit-law pair ``(alpha, beta)`` has
-stream id ``1000 + its index in sorted(_Z_SIZES)``; criterion 9 has 90.
+The large Monte Carlo samples, the limit-law draws shared by criteria 3,
+4, 5, 12 and 13, criterion 9's interval-allocation sample and the walk
+samples of criteria 11 and 12, run through ``cli._run_chunks`` and so
+spread over ``jobs`` processes; that runner defines the chunk address
+(seed, sample's stream id, chunk), so the draws do not depend on ``jobs``.
+The limit-law pair ``(alpha, beta)`` has stream id ``1000 + its index in
+sorted(_Z_SIZES)``; criterion 9 has 90, criteria 11 and 12 have 110 and
+120, and the walk samples use the chunk worker of ``sievesim prw``.
 
 Two distributional checks (numbers 12 and 13) probe limits with a
 logarithmic convergence rate at fixed desk scale; both run exactly at
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chains, cli, limitlaw, sieve, stats, walks
+from . import chains, cli, limitlaw, sieve, stats
 from .randkit import RngStream
 
 DEFAULT_SEED = 20260811
@@ -133,6 +135,25 @@ _INTERVAL_STREAM = 90
 def _chunk_interval_empty(rng, count, balls):
     batch = sieve.sample_occupancy(sieve.UniformW(), balls, count, rng, method="uniform")
     return batch.empty_in_range
+
+
+# criteria 11 and 12's walk samples, drawn by the ``prw`` chunk worker from
+# Pareto(1/2) steps and Pareto(1/4) perturbations: criterion -> (stream id,
+# walks, t values, statistics)
+_WALK_LAW = ("pareto:0.5", "pareto:0.25", None)
+_WALK_SAMPLES = {
+    11: (110, 100_000, (1e2, 1e3, 1e4), ("window",)),
+    12: (120, 10_000, (1e4,), ("empty", "busy")),
+}
+
+
+def _walk_sample(number: int, seed: int, jobs: int = 1) -> np.ndarray:
+    """Criterion ``number``'s normalised walk functionals, one column per
+    (statistic, t)."""
+    stream, total, t_values, names = _WALK_SAMPLES[number]
+    parts = cli._run_chunks(cli._chunk_prw, seed, total, jobs,
+                            (*_WALK_LAW, t_values, names, 0.25), stream)
+    return np.concatenate(parts)
 
 
 def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
@@ -346,18 +367,8 @@ def crit_10_conditional_formulas(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_11_window_statistic_trend(seed: int, jobs: int) -> CriterionResult:
-    law = walks.PrwLaw.independent(walks.ParetoLaw(0.5), walks.ParetoLaw(0.25))
-    q_fn = lambda x: (1.0 + x) ** -0.25
     target = limitlaw.z_moment(limitlaw.AlphaBeta(0.5, 0.25), 1)
-    t_list = (1e2, 1e3, 1e4)
-    reps = 100_000
-    rng = RngStream(seed, 110).generator()
-    sums = np.zeros(3)
-    for _ in range(reps):
-        path = walks.generate_path(law, 1e4, rng)
-        for j, t in enumerate(t_list):
-            sums[j] += walks.weighted_window_statistic(path, t, q_fn, law.xi_tail)
-    rel_errs = np.abs(sums / reps - target) / target
+    rel_errs = np.abs(_walk_sample(11, seed, jobs).mean(axis=0) - target) / target
     monotone = bool(rel_errs[0] > rel_errs[1] > rel_errs[2])
     passed = rel_errs[2] <= 0.15 and monotone
     return CriterionResult(
@@ -369,17 +380,10 @@ def crit_11_window_statistic_trend(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_12_walk_functionals_vs_limit(seed: int, jobs: int) -> CriterionResult:
-    law = walks.PrwLaw.independent(walks.ParetoLaw(0.5), walks.ParetoLaw(0.25))
-    x, reps = 1e4, 10_000
-    rng = RngStream(seed, 120).generator()
-    ratio = float(np.asarray(law.xi_tail(x)) / np.asarray(law.eta_tail(x)))
-    t_vals = np.empty(reps)
-    r_vals = np.empty(reps)
-    for r in range(reps):
-        path = walks.generate_path(law, x + 40.0, rng)
-        t_vals[r] = ratio * walks.empty_box_functional(path, log_t=x)
-        r_vals[r] = ratio * walks.busy_server_count(path, x)
-    z = _z_draws(0.5, 0.25, seed, jobs)[:reps]
+    (x,) = _WALK_SAMPLES[12][2]
+    ratio = cli._prw_scale(cli._prw_law(*_WALK_LAW), x, "busy")  # P{xi > x} / P{eta > x}
+    t_vals, r_vals = _walk_sample(12, seed, jobs).T
+    z = _z_draws(0.5, 0.25, seed, jobs)[:t_vals.size]
     d_t = stats.ks_two_sample(t_vals, z)
     d_r = stats.ks_two_sample(r_vals, z)
     atoms = np.bincount(np.round(r_vals / ratio).astype(int))

@@ -115,10 +115,6 @@ class ChainSpec:
         self._cum_cache: dict[int, np.ndarray] = {}
         self._embedded_cache: dict[int, np.ndarray] = {}
 
-    @property
-    def max_state(self) -> int:
-        return max(self.rows) if self.rows else self.floor
-
     def row(self, i: int) -> np.ndarray:
         try:
             return self.rows[i]

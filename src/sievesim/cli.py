@@ -128,13 +128,18 @@ def _prw_law(xi_text: str, eta_text: str, multiplier) -> walks.PrwLaw:
     return walks.PrwLaw.independent(xi_law, parse_marginal(eta_text))
 
 
-def _prw_statistic(law: walks.PrwLaw, t: float, stat: str, q_exponent: float):
-    """The per-path function of ``prw --stat``, resolved once per chunk.
+def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
+    """The factor that normalises ``prw --stat`` at ``t``.
 
     The empty-box and busy-server statistics are normalised by
-    P{xi > t} / P{eta > t}, which must be defined; an unknown statistic or
-    an undefined normalisation raises ValueError before any path is drawn.
+    P{xi > t} / P{eta > t}, which must be defined; an unknown statistic, a
+    t that is not finite nonnegative or an undefined normalisation raises
+    ValueError before any path is drawn.
     """
+    if stat not in walks.FUNCTIONALS:
+        raise ValueError(f"unknown statistic {stat!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite nonnegative, got {t}")
     if stat in ("empty", "busy"):
         eta_tail = float(np.asarray(law.eta_tail(t)))
         if not eta_tail > 0.0:
@@ -142,27 +147,20 @@ def _prw_statistic(law: walks.PrwLaw, t: float, stat: str, q_exponent: float):
                 f"--stat {stat} is normalised by P{{eta > t}}, which is 0 at t = {t}; "
                 "choose an eta law with mass above t"
             )
-        norm = float(np.asarray(law.xi_tail(t))) / eta_tail
-        if stat == "empty":
-            return lambda path: norm * walks.empty_box_functional(path, log_t=t)
-        return lambda path: norm * walks.busy_server_count(path, t)
+        return float(np.asarray(law.xi_tail(t))) / eta_tail
     if stat == "renewals":
-        scale = float(np.asarray(law.xi_tail(t)))
-        return lambda path: scale * walks.renewal_count(path, t)
-    if stat == "window":
-        q = lambda x: (1.0 + x) ** -q_exponent
-        return lambda path: walks.weighted_window_statistic(path, t, q, law.xi_tail)
-    raise ValueError(f"unknown statistic {stat!r}")
+        return float(np.asarray(law.xi_tail(t)))
+    return 1.0  # the window statistic carries its own normalisation
 
 
-def _chunk_prw(rng, count, xi_text, eta_text, multiplier, t, stat, q_exponent):
+def _chunk_prw(rng, count, xi_text, eta_text, multiplier, t_values, stats, q_exponent):
+    """Normalised walk functionals of ``count`` walks: column ``i * len(t_values) + j``
+    holds ``stats[i]`` at ``t_values[j]``, all from the same walks."""
     law = _prw_law(xi_text, eta_text, multiplier)
-    statistic = _prw_statistic(law, t, stat, q_exponent)
-    horizon = t + 40.0 if stat in ("empty", "busy") else t
-    out = np.empty(count)
-    for r in range(count):
-        out[r] = statistic(walks.generate_path(law, horizon, rng))
-    return out
+    scales = [_prw_scale(law, t, stat) for stat in stats for t in t_values]
+    q = lambda x: (1.0 + x) ** -q_exponent
+    values = walks.walk_functionals(law, t_values, count, rng, stats, q=q)
+    return np.hstack([values[stat] for stat in stats]) * scales
 
 
 def _chunk_markov(rng, count, spec_json, n, method):
@@ -405,10 +403,11 @@ def cmd_prw(args) -> int:
         "xi": args.xi, "eta": args.eta, "coupled_multiplier": args.coupled_multiplier,
         "t": args.t, "stat": args.stat, "reps": args.reps, "q_exponent": args.q_exponent,
     }
-    payload = (args.xi, args.eta, args.coupled_multiplier, args.t, args.stat, args.q_exponent)
-    _prw_statistic(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat,
-                   args.q_exponent)
-    values = np.concatenate(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs, payload))
+    payload = (args.xi, args.eta, args.coupled_multiplier, (args.t,), (args.stat,),
+               args.q_exponent)
+    _prw_scale(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat)
+    values = np.concatenate(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
+                                        payload))[:, 0]
     est = stats.mc_accumulate(values)
     # prw estimates a functional's mean and checks nothing: "passed" is true
     # because no check failed, and "checks" is empty to say that none ran
@@ -440,12 +439,17 @@ def _build_chain(args) -> chains.ChainSpec:
 def cmd_markov(args) -> int:
     from . import acceptance
 
-    params = {"chain": args.chain, "n": args.n, "reps": args.reps}
     spec = _build_chain(args)
-    if args.export_spec:
-        Path(args.export_spec).write_text(chains.chain_to_json(spec))
-    dp = chains.exact_zero_decrement_pmf(spec, args.n)
     spec_json = chains.chain_to_json(spec)
+    if args.export_spec:
+        Path(args.export_spec).write_text(spec_json)
+    # a loaded spec is named by its content, so the config hash and the
+    # file names tell two spec files apart
+    chain = args.chain
+    if args.spec_json:
+        chain = f"spec-json:{hashlib.sha256(spec_json.encode()).hexdigest()}"
+    params = {"chain": chain, "n": args.n, "reps": args.reps}
+    dp = chains.exact_zero_decrement_pmf(spec, args.n)
     sim = np.concatenate(_run_chunks(_chunk_markov, args.seed, args.reps, args.jobs,
                                      (spec_json, args.n, "direct")))
     rep = np.concatenate(_run_chunks(_chunk_markov, args.seed + 1, args.reps, args.jobs,

@@ -10,9 +10,10 @@ occupancy law, both behind ``sample_occupancy``:
   probability P_k / (1 - P_1 - ... - P_{k-1}) = 1 - W_k per box, all
   replicates in lockstep; it costs O(depth) per replicate regardless of the
   ball count, which is what makes 10^6-ball experiments cheap;
-* ``method="uniform"``: ``allocate_uniform`` per replicate, with balls as
-  uniforms on [0,1] and boxes the intervals (Q_k, Q_{k-1}); it is the
-  independent oracle for the first.
+* ``method="uniform"``: balls as uniforms on [0,1] and boxes the intervals
+  (Q_k, Q_{k-1}), all replicates in lockstep over the residual levels; it is
+  the independent oracle for the first, and ``allocate_uniform`` is its
+  scalar form and its own oracle.
 
 Poissonization (Poisson ball counts) decouples boxes conditionally on the
 frequencies, giving closed conditional mean/variance formulas for the
@@ -363,6 +364,39 @@ def allocate_uniform(wlaw: WLaw, n, rng, freqs: FrequencySeq | None = None) -> O
 _MAX_ALLOC_DEPTH = 100_000
 
 
+def _interval_occupancy(wlaw: WLaw, balls: np.ndarray, rng, freqs: FrequencySeq | None):
+    """``allocate_uniform`` for every replicate at once (``balls[r]`` balls in
+    replicate r): box k is occupied when more balls exceed Q_k than Q_{k-1},
+    and the last one is the first k with Q_k below every ball.  Residuals are
+    drawn level by level, only for the replicates not yet below their balls.
+    """
+    width = int(balls.max(initial=0))
+    u = rng.random((balls.size, width))
+    short = np.arange(width) >= balls[:, None]  # slots past a replicate's balls
+    u[short] = 1.0
+    smallest = u.min(axis=1, initial=1.0)
+    u[short] = 0.0  # below every residual, so never counted
+    occupied = np.zeros(balls.size, dtype=np.int64)
+    last = np.zeros(balls.size, dtype=np.int64)
+    active = np.flatnonzero(balls > 0)
+    if freqs is not None and active.size:
+        freqs.extend_below(float(smallest.min()))
+    u, q, above = u[active], np.ones(active.size), np.zeros(active.size, dtype=np.int64)
+    for k in range(1, _MAX_FREQ_DEPTH + 1):
+        if not active.size:
+            return OccupancyBatch(occupied, last, last - occupied)
+        if freqs is None:
+            q = q * wlaw.sample(rng, size=active.size)
+        else:
+            q = np.full(active.size, freqs.q[k])
+        count = (u > q[:, None]).sum(axis=1)  # balls above Q_k
+        occupied[active] += count > above
+        done = q < smallest[active]
+        last[active[done]] = k
+        active, u, q, above = active[~done], u[~done], q[~done], count[~done]
+    raise RuntimeError("frequency sequence failed to shrink within the depth budget")
+
+
 def sample_occupancy(
     wlaw: WLaw, n, reps: int, rng, method: str = "multinomial",
     freqs: FrequencySeq | None = None, poissonized: bool = False,
@@ -371,24 +405,19 @@ def sample_occupancy(
 
     ``multinomial`` runs all replicates in lockstep (one binomial row per box
     index), so the cost scales with the frequency depth, not the ball count.
-    ``uniform`` loops the interval representation per replicate.
+    ``uniform`` runs the interval representation in lockstep: every ball is
+    drawn up front, so its cost grows with the ball count.
     ``truncated`` counts the lockstep replicates that dumped their remaining
     balls into one box because their residual degenerated in floats.
     """
     n = _check_balls(n)
     rng = as_generator(rng)
-    if method == "uniform":
-        k_arr = np.empty(reps, dtype=np.int64)
-        m_arr = np.empty(reps, dtype=np.int64)
-        for r in range(reps):
-            balls = int(rng.poisson(n)) if poissonized else n
-            res = allocate_uniform(wlaw, balls, rng, freqs=freqs)
-            k_arr[r], m_arr[r] = res.occupied, res.last_occupied
-        return OccupancyBatch(k_arr, m_arr, m_arr - k_arr)
-    if method != "multinomial":
+    if method not in ("uniform", "multinomial"):
         raise ValueError(f"unknown allocation method {method!r}")
-
     balls = rng.poisson(n, size=reps).astype(np.int64) if poissonized else np.full(reps, n, dtype=np.int64)
+    if method == "uniform":
+        return _interval_occupancy(wlaw, balls, rng, freqs)
+
     remaining = balls.copy()
     occupied = np.zeros(reps, dtype=np.int64)
     last = np.zeros(reps, dtype=np.int64)

@@ -9,7 +9,9 @@ pair (eta = multiplier * xi) is available alongside the independent default.
 The functionals below (renewal count, empty-box functional, busy-server
 count, and the weighted-window statistic) all converge, under regularly
 varying tails with indices 0 <= beta <= alpha < 1, to the same limit law Z
-handled by :mod:`sievesim.limitlaw`.
+handled by :mod:`sievesim.limitlaw`.  ``walk_functionals`` computes them
+for many walks at once, in lockstep and without storing a path;
+``generate_path`` and the stored-path functionals are its oracle.
 
 Large arguments: the empty-box functional takes the time argument on log
 scale (``log_t``), since the interesting regime has t = e^x with x in the
@@ -36,6 +38,7 @@ __all__ = [
     "generate_path",
     "renewal_count",
     "renewal_function_estimate",
+    "walk_functionals",
     "empty_box_functional",
     "busy_server_count",
     "weighted_window_statistic",
@@ -184,13 +187,9 @@ class WalkPath:
     eta_values: np.ndarray
     horizon: float
 
-    def t_values(self) -> np.ndarray:
-        return self.s_values[:-1] + self.eta_values
 
-
-# The longest path stored by criteria 11 and 12 and by the benchmark's
-# 3e4-path prw runs at t = 1e4 is 397 steps (448 drawn, seed 20260811);
-# this budget is about 5000 times that and bounds a stored path at 32 MiB.
+# About 5000 times the longest walk to t = 1e4 seen in criteria 11 and 12
+# (397 steps); it bounds a stored path at 32 MiB.
 _MAX_WALK_STEPS = 1 << 21
 
 
@@ -234,6 +233,74 @@ def generate_path(law: PrwLaw, horizon: float, rng, max_steps: int = _MAX_WALK_S
     )
 
 
+FUNCTIONALS = ("renewals", "busy", "window", "empty")
+_BLOCK = 16  # pairs per walk and block; fewer live walks take longer blocks
+_BLOCK_PAIRS = 1 << 14
+_EMPTY_CUT = 8.0  # exp(-exp(w)) is exactly 0.0 in float64 for w >= 6.62
+_MARGIN = 40.0  # empty-box terms with S_{k-1} > log t + _MARGIN are below e^-40
+
+
+def _row_sums(mask, terms):
+    """Per-row sums of ``terms``, the values at the True cells of ``mask``."""
+    return np.bincount(np.flatnonzero(mask) // mask.shape[1], terms, mask.shape[0])
+
+
+def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("renewals",),
+                     q=None) -> dict:
+    """``{name: (replicates, len(t_values)) array}`` of the stored-path
+    functionals ``renewals``, ``busy``, ``window`` (weight ``q``) and
+    ``empty`` (``log_t=t``) of independent walks, without storing a path.
+
+    Live walks advance in lockstep through shared (m, block) blocks of
+    pairs, and leave once past the horizon: max(t), plus the empty-box
+    margin when ``empty`` is asked for.  The step budget counts per walk;
+    walks that exhaust it are counted and the run raises RuntimeError.
+    """
+    unknown = [name for name in functionals if name not in FUNCTIONALS]
+    if unknown:
+        raise ValueError(f"unknown statistic {unknown[0]!r}")
+    t_values = np.asarray(t_values, dtype=float).ravel()
+    if not (t_values.size and np.all(np.isfinite(t_values) & (t_values >= 0.0))):
+        raise ValueError(f"t values must be finite nonnegative, got {t_values.tolist()}")
+    if "window" in functionals and q is None:
+        raise ValueError("the window statistic needs a weight function q")
+    horizon = float(t_values.max()) + (_MARGIN if "empty" in functionals else 0.0)
+    rng = as_generator(rng)
+    sums = {name: np.zeros((replicates, t_values.size)) for name in functionals}
+    s = np.zeros(replicates)  # S_{k-1}, the walk before its next step
+    active = np.arange(replicates)
+    drawn = 0
+    while active.size:
+        if drawn >= _MAX_WALK_STEPS:
+            raise RuntimeError(f"walk failed to cross the horizon {horizon:g} within "
+                               f"{_MAX_WALK_STEPS} steps ({active.size} of {replicates} walks)")
+        size = min(max(_BLOCK, _BLOCK_PAIRS // active.size), _MAX_WALK_STEPS - drawn)
+        xi, eta = law.sample_pairs(rng, size=(active.size, size))
+        cum = s[active, None] + np.cumsum(xi, axis=1)
+        # the pairs (S_{k-1}, eta_k); those past the crossing have S_{k-1} > horizon
+        prev = np.concatenate([s[active, None], cum[:, :-1]], axis=1)
+        t_k = prev + eta
+        for j, t in enumerate(t_values):
+            before = prev <= t
+            if "renewals" in sums:
+                sums["renewals"][active, j] += before.sum(axis=1)
+            if "busy" in sums:
+                sums["busy"][active, j] += (before & (t < t_k)).sum(axis=1)
+            if "window" in sums:
+                sums["window"][active, j] += _row_sums(before, q(t - prev[before]))
+            if "empty" in sums:
+                # the terms left out are 0.0 - 0.0 exactly
+                near = (prev <= t + _MARGIN) & (t_k >= t - _EMPTY_CUT)
+                terms = _double_exp(t - t_k[near]) - _double_exp(t - prev[near])
+                sums["empty"][active, j] += _row_sums(near, terms)
+        s[active] = cum[:, -1]
+        active = active[cum[:, -1] <= horizon]
+        drawn += size
+    if "window" in sums:
+        sums["window"] *= np.asarray(law.xi_tail(t_values)) / np.asarray(q(t_values))
+    return sums
+
+
 def renewal_count(path: WalkPath, t: float) -> int:
     """#{k >= 0 : S_k <= t}; equals the first index whose walk value exceeds t."""
     if t > path.horizon:
@@ -246,17 +313,9 @@ def renewal_function_estimate(law: PrwLaw, t_grid, replicates: int, rng):
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    rng = as_generator(rng)
-    horizon = float(t_grid[-1])
-    counts = np.empty((replicates, t_grid.size))
-    for r in range(replicates):
-        path = generate_path(law, horizon, rng)
-        counts[r] = np.searchsorted(path.s_values, t_grid, side="right")
-    rows = []
-    for j, t in enumerate(t_grid):
-        est = mc_accumulate(counts[:, j])
-        rows.append((float(t), est.mean, est.stderr))
-    return rows
+    counts = walk_functionals(law, t_grid, replicates, rng)["renewals"]
+    return [(float(t), est.mean, est.stderr)
+            for t, est in zip(t_grid, map(mc_accumulate, counts.T))]
 
 
 def _resolve_log_t(t, log_t):
@@ -270,7 +329,7 @@ def _resolve_log_t(t, log_t):
 
 
 def empty_box_functional(path: WalkPath, t: float | None = None, *,
-                         log_t: float | None = None, margin: float = 40.0) -> float:
+                         log_t: float | None = None, margin: float = _MARGIN) -> float:
     """Empty-box functional: sum over k >= 1 of
     exp(-t*e^(-T_k)) - exp(-t*e^(-S_{k-1})).
 

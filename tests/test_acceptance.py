@@ -32,6 +32,7 @@ def test_criterion(number):
 
 SMALL = 2 * cli.CHUNK + 5  # three chunks, the last one partial
 PAIRS = sorted(acceptance._Z_SIZES)
+WALKS = sorted(acceptance._WALK_SAMPLES)
 _CHUNK_Z = cli._chunk_sample_z
 
 
@@ -61,6 +62,9 @@ def small_samples(monkeypatch):
     monkeypatch.setattr(acceptance, "_Z_CACHE", {})
     monkeypatch.setattr(acceptance, "_INTERVAL_REPS", SMALL)
     monkeypatch.setattr(acceptance, "_INTERVAL_BALLS", 10)
+    monkeypatch.setattr(acceptance, "_WALK_SAMPLES", {
+        number: (stream, SMALL, t_values, stats)
+        for number, (stream, _, t_values, stats) in acceptance._WALK_SAMPLES.items()})
     assert len(cli._chunk_plan(SMALL)) >= 3
 
 
@@ -70,7 +74,7 @@ def _by_jobs(sample):
     for jobs in (1, 2, 3):
         acceptance._Z_CACHE.clear()
         draws = sample(jobs)
-        assert draws.size == SMALL
+        assert len(draws) == SMALL
         out.append((draws.dtype, draws.tobytes()))
     return out
 
@@ -85,6 +89,11 @@ class TestChunkedSamples:
         first, *rest = _by_jobs(lambda jobs: acceptance._interval_empty(SEED, jobs))
         assert all(other == first for other in rest)
 
+    @pytest.mark.parametrize("number", WALKS)
+    def test_walk_samples_do_not_depend_on_jobs(self, number, small_samples):
+        first, *rest = _by_jobs(lambda jobs: acceptance._walk_sample(number, SEED, jobs))
+        assert all(other == first for other in rest)
+
     def test_worker_keyed_on_jobs_is_caught(self, small_samples, monkeypatch):
         monkeypatch.setattr(cli, "_chunk_sample_z", _process_keyed_chunk_z)
         first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(0.5, 0.0, SEED, jobs))
@@ -95,7 +104,9 @@ class TestChunkedSamples:
         for pair in PAIRS:
             acceptance._z_draws(*pair, SEED)
         acceptance._interval_empty(SEED)
-        assert len(set(used)) == len(used) == 3 * (len(PAIRS) + 1)
+        for number in WALKS:
+            acceptance._walk_sample(number, SEED)
+        assert len(set(used)) == len(used) == 3 * (len(PAIRS) + 1 + len(WALKS))
         # a chunk address never collides with a plain per-criterion stream id
         assert min(used) >= 1 << 32
 
@@ -103,14 +114,18 @@ class TestChunkedSamples:
         used = _record_streams(monkeypatch)
         samples = {1000 + k: acceptance._Z_SIZES[pair] for k, pair in enumerate(PAIRS)}
         samples[acceptance._INTERVAL_STREAM] = acceptance._INTERVAL_REPS
+        for stream, total, _, _ in acceptance._WALK_SAMPLES.values():
+            samples[stream] = total
         for stream, total in samples.items():
             cli._run_chunks(lambda rng, count: count, SEED, total, 1, (), stream)
-        assert len(set(used)) == len(used) == 4 * 25 + 5 + 25
+        # the limit-law pairs, criterion 9, criterion 11 and criterion 12
+        assert len(set(used)) == len(used) == 4 * 25 + 5 + 25 + 25 + 3
         assert min(used) >= 1 << 32
 
     def test_pairs_and_chunks_draw_different_values(self, small_samples):
         samples = [acceptance._z_draws(*pair, SEED) for pair in PAIRS]
         samples.append(acceptance._interval_empty(SEED))
+        samples += [acceptance._walk_sample(number, SEED)[:, 0] for number in WALKS]
         heads = [s[start:start + 64].tobytes() for s in samples
                  for start in range(0, SMALL, cli.CHUNK)]
         assert len(set(heads)) == len(heads) == 3 * len(samples)

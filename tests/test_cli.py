@@ -306,6 +306,26 @@ class TestMarkovCommand:
         # same chain reloaded from JSON gives the identical DP law
         assert pa["metrics"]["dp_tail_deficit"] == pb["metrics"]["dp_tail_deficit"]
 
+    def test_loaded_specs_are_told_apart(self, tmp_path):
+        specs = {}
+        for chain in ("sieve:uniform", "barrier:dyadic"):
+            specs[chain] = tmp_path / f"{chain.replace(':', '_')}.json"
+            assert run_cli("markov", "--chain", chain, "--n", "6", "--reps", "20000", "--seed", "1",
+                           "--jobs", "1", "--out", tmp_path / "export",
+                           "--export-spec", specs[chain]) == 0
+        runs = [("a", "sieve:uniform"), ("b", "barrier:dyadic"), ("c", "sieve:uniform")]
+        names, chains = {}, {}
+        for out, chain in runs:
+            assert run_cli("markov", "--spec-json", specs[chain], "--n", "6", "--reps", "20000",
+                           "--seed", "1", "--jobs", "1", "--out", tmp_path / out) == 0
+            summary, = (tmp_path / out).glob("markov_*.summary.json")
+            names[out] = summary.name
+            chains[out] = json.loads(summary.read_text())["params"]["chain"]
+        # two different specs give two names; the same spec gives the same name
+        assert names["a"] != names["b"] and names["a"] == names["c"]
+        assert chains["a"] != chains["b"] and chains["a"] == chains["c"]
+        assert "sieve:uniform" not in chains.values()
+
 
 class TestPrwCommand:
     def test_renewal_count_statistic(self, tmp_path):
@@ -337,11 +357,23 @@ class TestPrwCommand:
 
     def test_unknown_statistic_is_rejected_before_any_path(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(walks, "generate_path", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(walks, "walk_functionals", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="unknown statistic"):
-            _chunk_prw(np.random.default_rng(1), 3, "pareto:0.5", "pareto:0.25", None, 100.0,
-                       "bogus", 0.25)
+            _chunk_prw(np.random.default_rng(1), 3, "pareto:0.5", "pareto:0.25", None, (100.0,),
+                       ("bogus",), 0.25)
         assert drawn == []
+
+    @pytest.mark.parametrize("t", ["-1", "nan"])
+    @pytest.mark.parametrize("stat", ["empty", "busy", "renewals", "window"])
+    def test_invalid_t_exits_two_before_any_walk(self, stat, t, tmp_path, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(walks.PrwLaw, "sample_pairs", lambda *a, **k: drawn.append(a))
+        code = run_cli("prw", "--xi", "pareto:0.5", "--eta", "pareto:0.25", "--t", t,
+                       "--stat", stat, "--reps", "20", "--jobs", "1", "--seed", "1",
+                       "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: t must be finite nonnegative")
+        assert drawn == [] and not any(tmp_path.iterdir())
 
     def test_walk_that_cannot_cross_exits_three_in_bounded_memory(self, tmp_path, capsys):
         tracemalloc.start()

@@ -238,6 +238,70 @@ class TestOccupancyProperties:
             assert_batch_invariants(batch, n)
 
 
+def _allocate_loop(wlaw, n, reps, rng, freqs=None, poissonized=False):
+    """The oracle: ``allocate_uniform`` once per replicate, each with its
+    own Poisson(n) ball count when poissonized."""
+    rng = rng.generator()
+    rows = []
+    for _ in range(reps):
+        balls = int(rng.poisson(n)) if poissonized else n
+        res = allocate_uniform(wlaw, balls, rng, freqs=freqs)
+        rows.append((res.occupied, res.last_occupied, res.empty_in_range))
+    return np.array(rows).T
+
+
+class TestIntervalLockstep:
+    """``sample_occupancy(method="uniform")`` against a loop of
+    ``allocate_uniform``."""
+
+    @pytest.mark.parametrize("wlaw,n,poissonized,fixed", [
+        (UniformW(), 100, False, False),
+        (BetaW(2, 3), 3, True, False),  # P{no ball} = e^-3
+        (UniformW(), 50, True, True),
+    ], ids=["uniform", "poissonized", "fixed-freqs"])
+    def test_same_law_as_the_scalar_allocator(self, wlaw, n, poissonized, fixed):
+        freqs = FrequencySeq(wlaw, RngStream(6, 0)) if fixed else None
+        batch = sample_occupancy(wlaw, n, 20_000, RngStream(6, 1), method="uniform",
+                                 freqs=freqs, poissonized=poissonized)
+        loop = _allocate_loop(wlaw, n, 20_000, RngStream(6, 2), freqs, poissonized)
+        fields = (batch.occupied, batch.last_occupied, batch.empty_in_range)
+        for name, got, expected in zip(("occupied", "last", "empty"), fields, loop):
+            assert ks_two_sample(got, expected) <= 0.025, name
+        if n == 3:
+            # about 1000 replicates without a ball, each read as 0/0
+            assert 0 < np.count_nonzero(batch.last_occupied == 0) < 2_000
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=0, max_value=2**32))
+    def test_equals_the_scalar_allocator_on_shared_frequencies(self, n, reps, seed):
+        # with the frequencies fixed, both draw only the balls, row by row
+        # from one stream, so they place the very same balls
+        freqs = FrequencySeq(BetaW(2, 3), RngStream(seed, 1))
+        batch = sample_occupancy(BetaW(2, 3), n, reps, RngStream(seed, 0), method="uniform",
+                                 freqs=freqs)
+        loop = _allocate_loop(BetaW(2, 3), n, reps, RngStream(seed, 0), freqs)
+        assert np.array_equal(np.stack([batch.occupied, batch.last_occupied,
+                                        batch.empty_in_range]), loop.reshape(3, reps))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=40),
+           st.sampled_from([UniformW(), BetaW(2, 3), BetaW(0.5, 0.5), ConstantW(0.3)]),
+           st.booleans(), st.integers(min_value=0, max_value=2**32))
+    def test_invariants(self, n, reps, wlaw, poissonized, seed):
+        batch = sample_occupancy(wlaw, n, reps, RngStream(seed, 0), method="uniform",
+                                 poissonized=poissonized)
+        assert batch.occupied.shape == (reps,) and batch.truncated == 0
+        assert np.array_equal(batch.empty_in_range, batch.last_occupied - batch.occupied)
+        assert np.all(batch.occupied <= batch.last_occupied)
+        # a replicate with no ball reads 0/0; any other occupies a box
+        assert np.all((batch.occupied >= 1) == (batch.last_occupied >= 1))
+        if n == 0:
+            assert not batch.last_occupied.any()
+        if not poissonized:
+            assert_batch_invariants(batch, n)
+
+
 class TestConditionalFormulas:
     def test_zero_time(self):
         fs = FrequencySeq(UniformW(), RngStream(4, 0))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sievesim import walks
 from sievesim.limitlaw import mittag_leffler_moment, z_moment, AlphaBeta
 from sievesim.randkit import RngStream
 from sievesim.stats import mc_accumulate
 from sievesim.walks import (
+    FUNCTIONALS,
     ConstantLaw,
     ExponentialLaw,
     LogDecayLaw,
@@ -19,6 +21,7 @@ from sievesim.walks import (
     weighted_window_statistic,
     renewal_function_estimate,
     renewal_count,
+    walk_functionals,
 )
 
 UNIT_STEP = PrwLaw.independent(ConstantLaw(1.0), ConstantLaw(0.0))
@@ -225,3 +228,107 @@ class TestWindowStatistic:
         )
         target = z_moment(AlphaBeta(0.5, 0.25), 1)
         assert abs(vals.mean() - target) / target <= 0.15
+
+
+def _recording(law):
+    """The same law, handing out pairs that are also kept in a list."""
+    blocks = []
+
+    class Recording(PrwLaw):
+        def sample_pairs(self, rng, size):
+            pairs = super().sample_pairs(rng, size)
+            blocks.append(pairs)
+            return pairs
+
+    return Recording(law.xi_law, law.eta_law, law.multiplier), blocks
+
+
+def _replayed_paths(blocks, n_walks, horizon):
+    """The stored paths behind a lockstep run: the rows of each block go to
+    the live walks in order, and a walk leaves once it exceeds the horizon.
+    Returns the paths and the walks still live after the last block."""
+    s = np.zeros(n_walks)
+    live = np.arange(n_walks)
+    s_parts = [[np.zeros(1)] for _ in range(n_walks)]
+    eta_parts = [[] for _ in range(n_walks)]
+    for xi, eta in blocks:
+        assert xi.shape == eta.shape == (live.size, xi.shape[1])
+        for row, r in enumerate(live):
+            cum = s[r] + np.cumsum(xi[row])
+            s_parts[r].append(cum)
+            eta_parts[r].append(eta[row])
+            s[r] = cum[-1]
+        live = live[s[live] <= horizon]
+    paths = []
+    for s_part, eta_part in zip(s_parts, eta_parts):
+        s_values = np.concatenate(s_part)
+        stop = int(np.argmax(s_values > horizon)) if s_values[-1] > horizon else s_values.size
+        paths.append(WalkPath(s_values[:stop + 1], np.concatenate(eta_part)[:stop], horizon))
+    return paths, live
+
+
+_REPLAY_LAWS = {
+    "independent": PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25)),
+    "coupled": PrwLaw.coupled(ParetoLaw(0.5), 2.0),
+    # steps of 0.75 put grid values exactly on t = 0, 1.5 and 30
+    "const": PrwLaw.independent(ConstantLaw(0.75), ConstantLaw(2.0)),
+    # about one draw in 700 overflows to inf
+    "logdecay": PrwLaw.independent(LogDecayLaw(), LogDecayLaw()),
+}
+
+
+class TestWalkReplay:
+    """The lockstep engine against the stored-path functionals on the very
+    pairs the engine drew."""
+
+    @pytest.mark.parametrize("functionals", [FUNCTIONALS, ("window", "busy", "renewals")],
+                             ids=["with-empty", "without-empty"])
+    @pytest.mark.parametrize("name", sorted(_REPLAY_LAWS))
+    def test_functionals_equal_the_stored_path_functionals(self, name, functionals):
+        law, blocks = _recording(_REPLAY_LAWS[name])
+        t_values = (0.0, 1.5, 2.6, 30.0, 200.0)
+        q_fn = lambda x: (1.0 + x) ** -0.25
+        n_walks = 1200  # 16-pair blocks at first, longer ones for the last walks
+        got = walk_functionals(law, t_values, n_walks, RngStream(13, 0), functionals, q=q_fn)
+        # the empty-box sum needs the walk 40 past its largest log t
+        horizon = max(t_values) + (40.0 if "empty" in functionals else 0.0)
+        paths, live = _replayed_paths(blocks, n_walks, horizon)
+        assert live.size == 0 and len(blocks) > 1
+        if name == "logdecay":
+            assert any(np.isinf(xi).any() for xi, _ in blocks)
+        assert sorted(got) == sorted(functionals)
+        stored = {
+            "renewals": lambda p, t: renewal_count(p, t),
+            "busy": lambda p, t: busy_server_count(p, t),
+            "window": lambda p, t: weighted_window_statistic(p, t, q_fn, law.xi_tail),
+            "empty": lambda p, t: empty_box_functional(p, log_t=t),
+        }
+        for stat in functionals:
+            assert got[stat].shape == (n_walks, len(t_values))
+            for j, t in enumerate(t_values):
+                np.testing.assert_allclose(got[stat][:, j], [stored[stat](p, t) for p in paths],
+                                           rtol=1e-12, atol=0.0, err_msg=f"{stat} at t = {t}")
+
+    def test_step_budget_counts_walks_and_raises(self, monkeypatch):
+        monkeypatch.setattr(walks, "_MAX_WALK_STEPS", 55)
+        law, blocks = _recording(_REPLAY_LAWS["independent"])
+        with pytest.raises(RuntimeError, match="walk failed to cross") as err:
+            walk_functionals(law, (1e4,), 200, RngStream(13, 2))
+        _, live = _replayed_paths(blocks, 200, 1e4)
+        assert 0 < live.size < 200
+        assert f"within 55 steps ({live.size} of 200 walks)" in str(err.value)
+        assert sum(xi.shape[1] for xi, _ in blocks) == 55
+
+    @pytest.mark.parametrize("kwargs", [
+        {"functionals": ("bogus",)},
+        {"t_values": (-1.0,)},
+        {"t_values": (float("nan"),)},
+        {"t_values": ()},
+        {"functionals": ("window",)},
+    ])
+    def test_invalid_requests_draw_nothing(self, kwargs):
+        law, blocks = _recording(_REPLAY_LAWS["independent"])
+        args = {"t_values": (10.0,), "functionals": ("renewals",), **kwargs}
+        with pytest.raises(ValueError):
+            walk_functionals(law, args["t_values"], 10, RngStream(13, 3), args["functionals"])
+        assert blocks == []

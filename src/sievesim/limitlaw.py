@@ -183,7 +183,8 @@ _MAX_PATH_STEPS = 200_000_000
 
 def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_MAX_PATH_STEPS):
     """Lockstep path-integral draws: all paths advance through shared
-    increment blocks; finished paths drop out of the active set."""
+    increment blocks; finished paths drop out of the active set.  Each path
+    draws at most ``max_steps`` increments: the last block is clipped to it."""
     z = np.zeros(n)
     x = np.zeros(n)
     active = np.arange(n)
@@ -191,9 +192,14 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_M
     z += grid_step
     steps = 0
     while active.size:
-        m = active.size
-        inc = scale * _standard_stable(alpha, rng, size=(m, block))
-        cum = x[active, None] + np.cumsum(inc, axis=1)
+        if steps >= max_steps:
+            raise RuntimeError(f"path-integral sampler exceeded the step budget of {max_steps} "
+                               f"({active.size} of {n} paths)")
+        width = min(block, max_steps - steps)
+        inc = _standard_stable(alpha, rng, size=(active.size, width))
+        inc *= scale
+        cum = np.cumsum(inc, axis=1, out=inc)
+        cum += x[active, None]
         below = cum < 1.0
         if beta != 0.0:
             # the weight is evaluated only below the level: 1 - cum > 0 there
@@ -204,9 +210,7 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_M
         alive = below[:, -1]
         x[active] = cum[:, -1]
         active = active[alive]
-        steps += block
-        if steps > max_steps:
-            raise RuntimeError("path-integral sampler exceeded the step budget")
+        steps += width
     return z
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sievesim import cli, sieve, walks
+from sievesim import cli, limitlaw, sieve, walks
 from sievesim.cli import (BLOCK, CHUNK, Table, _chunk_plan, _chunk_prw, _emit, _write_detail,
                           main, parse_marginal, parse_wlaw)
 from sievesim.randkit import RngStream
@@ -253,6 +254,18 @@ class TestSampleZCommand:
         detail = json.loads(next(Path(tmp_path).glob("sample-z_*[!y].json")).read_text())
         assert len(detail) == 500
         assert {"config_hash", "seed", "replicate", "value"} <= set(detail[0])
+
+    def test_exhausted_path_budget_exits_three(self, tmp_path, capsys, monkeypatch):
+        engine = limitlaw._pathint_block
+        monkeypatch.setattr(limitlaw, "_pathint_block",
+                            functools.partial(engine, max_steps=100))
+        code = run_cli("sample-z", "--alpha", "0.6", "--beta", "0.3", "--n", "50",
+                       "--grid-step", "1e-3", "--seed", "11", "--out", tmp_path, "--jobs", "1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: path-integral sampler exceeded the step budget of 100 (")
+        assert err.endswith(" of 50 paths)\n") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
 
 class TestSieveCommand:

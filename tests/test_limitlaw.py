@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from sievesim.limitlaw import (
     sample_z_pathint,
     z_moment,
 )
-from sievesim.randkit import RngStream, _standard_stable
+from sievesim.randkit import RngStream, _standard_stable, sample_uniform01
 from sievesim.stats import ks_one_sample, mc_accumulate
+from test_randkit import kanter_sine_form
 
 
 def levy_density(alpha, t):
@@ -248,6 +250,91 @@ class TestPathintReplay:
         assert _replayed_pathint(0.5, beta, h, 1.0, _UnitNormal()) == expected
         z = _pathint_block(0.5, beta, h, 1.0, _UnitNormal(), 3)
         np.testing.assert_allclose(z, expected, rtol=1e-15, atol=0.0)
+
+
+def _levy_increments(alpha, rng, size):
+    return 0.5 / np.square(rng.standard_normal(size=size))
+
+
+def _sine_kanter_increments(alpha, rng, size):
+    u = sample_uniform01(rng, size=size)
+    return kanter_sine_form(alpha, u, rng.standard_exponential(size=size))
+
+
+def _out_of_place_pathint(alpha, beta, h, scale, rng, n, increments):
+    """Reference lockstep engine with every step out of place, drawing its
+    increments from ``increments(alpha, rng, size)``."""
+    z, x, active = np.zeros(n), np.zeros(n), np.arange(n)
+    z += h
+    while active.size:
+        inc = scale * increments(alpha, rng, (active.size, 64))
+        cum = x[active, None] + np.cumsum(inc, axis=1)
+        below = cum < 1.0
+        if beta != 0.0:
+            weight = np.power(1.0 - cum, -beta, out=np.zeros_like(cum), where=below)
+            z[active] += h * weight.sum(axis=1)
+        else:
+            z[active] += h * below.sum(axis=1)
+        x[active] = cum[:, -1]
+        active = active[below[:, -1]]
+    return z
+
+
+class _RecordingNormals(np.random.Generator):
+    """Philox generator that records the shape of every normal block."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.Philox(seed))
+        self.sizes = []
+
+    def standard_normal(self, size=None, **kwargs):
+        self.sizes.append(size)
+        return super().standard_normal(size=size, **kwargs)
+
+
+class TestPathintEngine:
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
+    def test_levy_draws_equal_the_out_of_place_loop(self, beta):
+        h, n = 1e-3, 256
+        scale = (math.gamma(0.5) * h) ** 2.0
+        z = _pathint_block(0.5, beta, h, scale, RngStream(41, 0).generator(), n)
+        ref = _out_of_place_pathint(0.5, beta, h, scale, RngStream(41, 0).generator(), n,
+                                    _levy_increments)
+        assert np.array_equal(z, ref)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.6, 0.0), (0.6, 0.3), (0.75, 0.5)])
+    def test_kanter_draws_match_the_sine_form_loop(self, alpha, beta):
+        h, n = 1e-3, 256
+        scale = (math.gamma(1.0 - alpha) * h) ** (1.0 / alpha)
+        z = _pathint_block(alpha, beta, h, scale, RngStream(42, 0).generator(), n)
+        ref = _out_of_place_pathint(alpha, beta, h, scale, RngStream(42, 0).generator(), n,
+                                    _sine_kanter_increments)
+        np.testing.assert_allclose(z, ref, rtol=1e-10, atol=0.0)
+
+    @staticmethod
+    def _exhaust(beta, budget, rng, n=64, h=1e-2):
+        scale = (math.gamma(0.5) * h) ** 2.0
+        with pytest.raises(RuntimeError, match=rf"budget of {budget} \(\d+ of {n} paths\)") as info:
+            _pathint_block(0.5, beta, h, scale, rng, n, max_steps=budget)
+        return int(re.search(r"\((\d+) of", str(info.value))[1])
+
+    def test_budget_clips_the_last_block(self):
+        rng = _RecordingNormals(43)
+        k = self._exhaust(0.25, 100, rng)
+        assert 0 < k < 64
+        # every live path drew exactly the budget: a full block, then one clipped to it
+        assert [size[1] for size in rng.sizes] == [64, 36]
+        assert rng.sizes[0][0] == 64 and 64 > rng.sizes[1][0] >= k
+
+    def test_budget_counts_the_paths_below_the_level(self):
+        # a budget of two whole blocks leaves the stream as in an unbudgeted
+        # run, where the paths still below 1 after 128 steps have z >= 129 h
+        k = self._exhaust(0.0, 128, RngStream(44, 0).generator())
+        h = 1e-2
+        z = _pathint_block(0.5, 0.0, h, (math.gamma(0.5) * h) ** 2.0,
+                           RngStream(44, 0).generator(), 64)
+        assert 0 < k < 64
+        assert k == int(np.sum(z > 128.5 * h))
 
 
 class TestTruncatedMarginal:

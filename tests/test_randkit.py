@@ -35,6 +35,14 @@ class TestStreams:
         with pytest.raises(TypeError):
             sample_uniform01(42)
 
+    def test_lattice_ends_stay_inside_and_others_are_unmoved(self):
+        # k = 2**53 - 1 gives k + 0.5 == 2**53 in float64 (ties to even)
+        ks = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1])
+        u = sample_uniform01(_Fixed(ks, ks.astype(float)), size=ks.size)
+        assert np.all(u > 0.0) and np.all(u < 1.0)
+        assert u[0] == 2.0**-54 and u[-1] == 1.0 - 2.0**-53
+        assert np.array_equal(u[:-1], (ks[:-1] + 0.5) * 2.0**-53)
+
 
 class TestStableSampler:
     def test_spec_validation(self):
@@ -81,6 +89,34 @@ class TestStableSampler:
         assert abs(vals.mean() - math.exp(-dt)) <= 4.0 * se
 
 
+class _Fixed(np.random.Generator):
+    """Generator whose ``integers`` and ``standard_exponential`` return the
+    given arrays, reshaped to the size asked for."""
+
+    def __init__(self, ks, es):
+        super().__init__(np.random.Philox(0))
+        self.ks, self.es = np.asarray(ks), np.asarray(es, dtype=float)
+
+    def integers(self, low, high=None, size=None, **kwargs):
+        return self.ks.reshape(size)
+
+    def standard_exponential(self, size=None, **kwargs):
+        return self.es.reshape(size)
+
+
+def kanter_sine_form(alpha, u, e):
+    """Kanter's S = (A(u)/E)^((1-alpha)/alpha) with A(u) from three ``np.sin``
+    calls in log space: the reference for the tan half-angle evaluation."""
+    pu = np.pi * u
+    frac = alpha / (1.0 - alpha)
+    log_a = (
+        frac * np.log(np.sin(alpha * pu))
+        + np.log(np.sin((1.0 - alpha) * pu))
+        - (1.0 + frac) * np.log(np.sin(pu))
+    )
+    return np.exp((log_a - np.log(e)) * (1.0 / frac))
+
+
 class _ZeroNormal:
     """Generator stand-in whose normal draws are all exactly 0.0."""
 
@@ -118,3 +154,49 @@ class TestLevyRoute:
             a = _standard_stable(alpha, RngStream(32, 0).generator(), size=1000)
             b = _kanter_stable(alpha, RngStream(32, 0).generator(), size=1000)
             assert np.array_equal(a, b)
+
+
+_ORACLE_ALPHAS = [0.05, 0.3, 0.6, 0.75, 0.95]
+
+
+class TestKanterHalfAngles:
+    """The tan half-angle form of Kanter's A(u) against the sine form, fed
+    the same (U, E)."""
+
+    @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+    def test_lattice_ends_and_small_u(self, alpha):
+        ks = np.array([0, 2**53 - 1, round(1e-12 * 2.0**53), 1, 2**52, 2**53 - 2])
+        es = np.array([1.0, 1.0, 1.0, 1e-3, 0.5, 30.0])
+        u = sample_uniform01(_Fixed(ks, es), size=ks.size)
+        assert u[0] == 2.0**-54 and u[1] == 1.0 - 2.0**-53
+        assert u[2] == pytest.approx(1e-12, rel=1e-3)
+        s = _kanter_stable(alpha, _Fixed(ks, es), size=ks.size)
+        assert np.all(np.isfinite(s) & (s > 0.0))
+        np.testing.assert_allclose(s, kanter_sine_form(alpha, u, es), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+    def test_replayed_stream(self, alpha):
+        g = RngStream(33, 0).generator()
+        u = sample_uniform01(g, size=(64, 64))
+        e = g.standard_exponential(size=(64, 64))
+        s = _kanter_stable(alpha, RngStream(33, 0).generator(), size=(64, 64))
+        assert s.shape == (64, 64)
+        np.testing.assert_allclose(s, kanter_sine_form(alpha, u, e), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+    def test_scalar_draw_is_a_scalar_from_the_same_stream(self, alpha):
+        g = RngStream(34, 0).generator()
+        u, e = sample_uniform01(g), g.standard_exponential()
+        rng = RngStream(34, 0).generator()
+        s = _standard_stable(alpha, rng)
+        assert isinstance(s, np.float64) and np.ndim(s) == 0
+        assert s == pytest.approx(kanter_sine_form(alpha, u, e), rel=1e-12, abs=0.0)
+        assert rng.random() == g.random()
+        assert _standard_stable(alpha, RngStream(34, 0).generator(), size=()) == s
+
+    @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+    def test_zero_exponential_is_an_infinite_increment(self, alpha):
+        with np.errstate(divide="ignore"):
+            s = _kanter_stable(alpha, _Fixed([2**52, 7], [0.0, 0.0]), size=2)
+            ref = kanter_sine_form(alpha, np.array([0.5, 7.5 * 2.0**-53]), np.zeros(2))
+        assert np.all(np.isposinf(s)) and np.all(np.isposinf(ref))

@@ -16,6 +16,7 @@ from .chains import (
     chain_to_json,
     empirical_pmf,
     exact_zero_decrement_pmf,
+    exact_zero_decrement_pmfs,
     geometric_pmf,
     mixed_poisson_diagnostic,
     sample_geometric_rep,

@@ -6,13 +6,15 @@ are indexed per criterion, so any criterion rerun with the same seed
 reproduces its metrics exactly, regardless of what else ran.
 
 The large Monte Carlo samples, the limit-law draws shared by criteria 3,
-4, 5, 12 and 13, criterion 9's interval-allocation sample and the walk
-samples of criteria 11 and 12, run through ``cli._run_chunks`` and so
-spread over ``jobs`` processes; that runner defines the chunk address
-(seed, sample's stream id, chunk), so the draws do not depend on ``jobs``.
-The limit-law pair ``(alpha, beta)`` has stream id ``1000 + its index in
-sorted(_Z_SIZES)``; criterion 9 has 90, criteria 11 and 12 have 110 and
-120, and the walk samples use the chunk worker of ``sievesim prw``.
+4, 5, 12 and 13, the sieve samples of criteria 8 and 14, criterion 9's
+interval-allocation sample and the walk samples of criteria 11 and 12, run
+through ``cli._run_chunks`` and so spread over ``jobs`` processes; that
+runner defines the chunk address (seed, sample's stream id, chunk), so the
+draws do not depend on ``jobs``.  The limit-law pair ``(alpha, beta)`` has
+stream id ``1000 + its index in sorted(_Z_SIZES)``; criteria 8, 9, 11, 12
+and 14 have 80, 90, 110, 120 and 140.  The sieve samples use the chunk
+worker of ``sievesim sieve`` (criterion 8 runs it once per case on each
+chunk's stream) and the walk samples that of ``sievesim prw``.
 
 Two distributional checks (numbers 12 and 13) probe limits with a
 logarithmic convergence rate at fixed desk scale; both run exactly at
@@ -132,6 +134,15 @@ _INTERVAL_BALLS = 100
 _INTERVAL_STREAM = 90
 
 
+# criteria 8 and 14's sieve samples, drawn by the ``sieve`` chunk worker:
+# criterion -> (stream id, replicates, (W law, balls) cases)
+_SIEVE_SAMPLES = {
+    8: (80, 100_000, tuple((wlaw, balls) for wlaw in ("uniform", "beta:2,2")
+                           for balls in (5, 50, 500))),
+    14: (140, 100_000, (("beta:2,1", 100_000),)),
+}
+
+
 def _chunk_interval_empty(rng, count, balls):
     batch = sieve.sample_occupancy(sieve.UniformW(), balls, count, rng, method="uniform")
     return batch.empty_in_range
@@ -173,6 +184,29 @@ def _interval_empty(seed: int, jobs: int = 1) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _chunk_sieve_empty(rng, count, cases):
+    """Empty-box counts of ``count`` sieve replicates per case, the cases
+    drawn one after another from the chunk's stream, one column each, and
+    the number of replicates truncated.
+
+    The counts are below the ball count, so int32 holds them at half the
+    memory the parent process needs for the joined sample.
+    """
+    empty, truncated = np.empty((count, len(cases)), dtype=np.int32), 0
+    for k, (wlaw, balls) in enumerate(cases):
+        table, dumped = cli._chunk_sieve(rng, count, wlaw, balls)
+        empty[:, k] = table[:, 2]
+        truncated += dumped
+    return empty, truncated
+
+
+def _sieve_empty(number: int, seed: int, jobs: int = 1):
+    """Criterion ``number``'s empty-box counts, one column per case, and the
+    number of replicates truncated."""
+    stream, total, cases = _SIEVE_SAMPLES[number]
+    return cli._run_counted(_chunk_sieve_empty, seed, total, jobs, (cases,), stream)
+
+
 # ----------------------------------------------------------------------
 
 def crit_01_exact_dp_geometric(seed: int, jobs: int) -> CriterionResult:
@@ -184,8 +218,8 @@ def crit_01_exact_dp_geometric(seed: int, jobs: int) -> CriterionResult:
     }
     worst = 0.0
     for spec in specs.values():
-        for n in range(spec.floor + 1, 61):
-            pmf = chains.exact_zero_decrement_pmf(spec, n, deficit_cap=1e-12)
+        starts = range(spec.floor + 1, 61)
+        for pmf in chains.exact_zero_decrement_pmfs(spec, starts, deficit_cap=1e-12):
             m_top = min(40, pmf.masses.size - 1)
             target = 2.0 ** -(np.arange(m_top + 1) + 1.0)
             worst = max(worst, float(np.abs(pmf.masses[: m_top + 1] - target).max()))
@@ -313,20 +347,14 @@ def crit_07_chain_sampler_agreement(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
-    worst = 0.0
-    stream = 80
-    for wlaw in (sieve.UniformW(), sieve.BetaW(2, 2)):
-        for n in (5, 50, 500):
-            rng = RngStream(seed, stream).generator()
-            stream += 1
-            batch = sieve.sample_occupancy(wlaw, n, 100_000, rng)
-            tv, _ = geometric_half_check(chains.empirical_pmf(batch.empty_in_range))
-            worst = max(worst, tv)
-    passed = worst <= TV_TOL
+    empty, truncated = _sieve_empty(8, seed, jobs)
+    worst = max(geometric_half_check(chains.empirical_pmf(column))[0] for column in empty.T)
+    passed = worst <= TV_TOL and truncated == 0
     return CriterionResult(
         8, "symmetric-W geometric empty-box law", passed,
-        f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} (tol 0.01)",
-        {"worst_tv": worst},
+        f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} (tol 0.01)"
+        + (f"; {truncated} replicates truncated" if truncated else ""),
+        {"worst_tv": worst, "truncated": truncated},
     )
 
 
@@ -439,17 +467,20 @@ def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
     if any(abs(geo_report.factorial_moments[r - 1] - math.factorial(r)) > 1e-6 for r in range(1, 5)):
         problems.append("geometric factorial moments differ from r!")
     # advisory run on heavy-tail-free sieve samples
-    b21 = sieve.BetaW(2, 1)
-    batch = sieve.sample_occupancy(b21, 100_000, 100_000, rng)
-    sieve_report = chains.mixed_poisson_diagnostic(batch.empty_in_range)
+    empty, truncated = _sieve_empty(14, seed, jobs)
+    empty = empty[:, 0]
+    if truncated:
+        problems.append(f"{truncated} sieve replicates truncated")
+    sieve_report = chains.mixed_poisson_diagnostic(empty)
     if not sieve_report.passed:
         problems.append("beta(2,1) sieve sample flagged")
     # limit comparison: mixed Poisson with parameter 2|log(1-W)|
-    w_draws = b21.sample(rng, size=100_000)
+    (wlaw, _), = _SIEVE_SAMPLES[14][2]
+    w_draws = cli.parse_wlaw(wlaw).sample(rng, size=100_000)
     mixed = rng.poisson(2.0 * -np.log1p(-w_draws))
-    width = max(int(batch.empty_in_range.max()), int(mixed.max())) + 1
+    width = max(int(empty.max()), int(mixed.max())) + 1
     tv = stats.tv_distance(
-        chains.empirical_pmf(batch.empty_in_range, width=width),
+        chains.empirical_pmf(empty, width=width),
         chains.empirical_pmf(mixed, width=width),
     )
     if tv > 0.02:
@@ -459,7 +490,7 @@ def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
         14, "mixed-Poisson diagnostics", passed,
         f"constructed inputs pass; sieve sample passes; TV vs mixed-Poisson limit {tv:.4f} (tol 0.02)"
         if passed else "; ".join(problems),
-        {"tv_vs_limit": tv},
+        {"tv_vs_limit": tv, "truncated": truncated},
     )
 
 

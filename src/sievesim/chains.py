@@ -30,6 +30,7 @@ __all__ = [
     "Pmf",
     "ChainSpec",
     "exact_zero_decrement_pmf",
+    "exact_zero_decrement_pmfs",
     "sample_zero_decrements",
     "sample_geometric_rep",
     "sieve_chain_spec",
@@ -151,80 +152,117 @@ _DP_COUNT_LIMIT = 10_000
 
 
 def exact_zero_decrement_pmf(spec: ChainSpec, n: int, deficit_cap: float = 1e-12) -> Pmf:
-    """Exact law of the zero-decrement count from start state n.
+    """Exact law of the zero-decrement count from start state n: the
+    one-start call of ``exact_zero_decrement_pmfs``."""
+    return exact_zero_decrement_pmfs(spec, [n], deficit_cap)[0]
+
+
+def exact_zero_decrement_pmfs(spec: ChainSpec, starts, deficit_cap: float = 1e-12) -> list[Pmf]:
+    """Exact laws of the zero-decrement count from each start state, in the
+    order of ``starts``.
 
     Conditioning on the first step gives the recursion
     P{Z_i = j} = s_{i,i} P{Z_i = j-1} + sum_{floor <= k < i} s_{i,k} P{Z_k = j}
-    with Z_floor = 0; columns in j are added until the mass accumulated at
-    state n reaches 1 - deficit_cap.
+    with Z_floor = 0.  Column j holds every state up to the highest start;
+    state i reads only states below it, so one run serves every start, each
+    law cut at the first column where its accumulated mass reaches
+    1 - deficit_cap.  Columns are added until every start is cut.
     """
     if not 0.0 < deficit_cap <= 1e-9:
         raise ValueError(f"deficit_cap must lie in (0, 1e-9], got {deficit_cap}")
-    spec._require_range(n)
-    if n == spec.floor:
-        return Pmf(masses=np.array([1.0]))
-    width = n - spec.floor + 1  # states floor..n
-    strict = [spec.row(i)[:-1] for i in range(spec.floor + 1, n + 1)]
-    diag = np.array([spec.stay_prob(i) for i in range(spec.floor + 1, n + 1)])
+    starts = [int(n) for n in starts]
+    if not starts:
+        raise ValueError("need at least one start state")
+    for n in (min(starts), max(starts)):
+        spec._require_range(n)
+    width = max(starts) - spec.floor + 1  # states floor..max(starts)
+    strict = [spec.row(i)[:-1] for i in range(spec.floor + 1, width + spec.floor)]
+    diag = np.array([spec.stay_prob(i) for i in range(spec.floor + 1, width + spec.floor)])
     columns = []
+    cum = dict.fromkeys(starts, 0.0)
+    cut: dict[int, int] = {}  # start -> number of columns in its law
     prev = np.zeros(width)
-    cum_n = 0.0
     for j in range(_DP_COUNT_LIMIT + 1):
         col = np.empty(width)
         col[0] = 1.0 if j == 0 else 0.0
         for idx in range(1, width):
             col[idx] = diag[idx - 1] * prev[idx] + float(strict[idx - 1] @ col[:idx])
-        columns.append(col[-1])
-        cum_n += col[-1]
-        if 1.0 - cum_n <= deficit_cap:
-            return Pmf(masses=np.array(columns), tail_deficit=max(0.0, 1.0 - cum_n))
+        columns.append(col)
+        for n in cum.keys() - cut.keys():
+            cum[n] += col[n - spec.floor]
+            if 1.0 - cum[n] <= deficit_cap:
+                cut[n] = j + 1
+        if len(cut) == len(cum):
+            table = np.array(columns)
+            return [Pmf(masses=table[:cut[n], n - spec.floor].copy(),
+                        tail_deficit=max(0.0, 1.0 - cum[n])) for n in starts]
         prev = col
+    n = next(n for n in starts if n not in cut)
     raise RuntimeError(
-        f"deficit {1.0 - cum_n:.3e} not reached within {_DP_COUNT_LIMIT} counts"
+        f"start state {n}: deficit {1.0 - cum[n]:.3e} not reached within "
+        f"{_DP_COUNT_LIMIT} counts"
     )
 
 
+def _state_groups(states: np.ndarray, active: np.ndarray):
+    """The live replicates ``active`` in a stable sort by state, their states
+    in that order, and each state with its slice of that order, states
+    ascending."""
+    cur = states[active]
+    order = np.argsort(cur, kind="stable")
+    ranked = cur[order]
+    edges = (np.flatnonzero(np.diff(ranked)) + 1).tolist()
+    lo, hi = [0, *edges], [*edges, ranked.size]
+    return active[order], ranked, zip(ranked[lo].tolist(), lo, hi)
+
+
 def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
-    """Replicated direct simulation, run in lockstep grouped by current state."""
+    """Replicated direct simulation, run in lockstep grouped by current state.
+
+    Each round draws one uniform per live replicate, state by state in
+    ascending order and each state's replicates in index order.
+    """
     spec._require_range(n)
     rng = as_generator(rng)
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
     while active.size:
-        cur = states[active]
-        for s in np.unique(cur):
-            sel = active[cur == s]
-            cum = spec._cum_row(int(s))
-            pos = np.minimum(
-                np.searchsorted(cum, rng.random(sel.size), side="right"), cum.size - 1
-            )
-            nxt = spec.floor + pos
-            counts[sel] += nxt == s
-            states[sel] = nxt
+        sel, ranked, groups = _state_groups(states, active)
+        u = rng.random(sel.size)
+        nxt = np.empty_like(sel)
+        for s, lo, hi in groups:
+            cum = spec._cum_row(s)
+            nxt[lo:hi] = np.minimum(np.searchsorted(cum, u[lo:hi], side="right"), cum.size - 1)
+        nxt += spec.floor
+        counts[sel] += nxt == ranked
+        states[sel] = nxt
         active = active[states[active] > spec.floor]
     return counts
 
 
 def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
-    """Replicated embedded-representation sampling, lockstep by state."""
+    """Replicated embedded-representation sampling, lockstep by state: each
+    state's replicates, in ascending state order, draw their stay counts and
+    then their next positions."""
     spec._require_range(n)
     rng = as_generator(rng)
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
     while active.size:
-        cur = states[active]
-        for s in np.unique(cur):
-            sel = active[cur == s]
-            stay = spec.stay_prob(int(s))
+        sel, _, groups = _state_groups(states, active)
+        nxt = np.empty_like(sel)
+        for s, lo, hi in groups:
+            stay = spec.stay_prob(s)
             if stay > 0.0:
-                counts[sel] += rng.geometric(1.0 - stay, size=sel.size) - 1
-            cum = spec._embedded_cum(int(s))
-            pos = np.minimum(
-                np.searchsorted(cum, rng.random(sel.size), side="right"), cum.size - 1
+                counts[sel[lo:hi]] += rng.geometric(1.0 - stay, size=hi - lo) - 1
+            cum = spec._embedded_cum(s)
+            nxt[lo:hi] = np.minimum(
+                np.searchsorted(cum, rng.random(hi - lo), side="right"), cum.size - 1
             )
-            states[sel] = spec.floor + pos
+        nxt += spec.floor
+        states[sel] = nxt
         active = active[states[active] > spec.floor]
     return counts
 

@@ -102,6 +102,13 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
         return list(pool.map(_call_chunk, tasks))
 
 
+def _run_counted(worker, seed: int, total: int, jobs: int, payload: tuple, stream: int = 0):
+    """``_run_chunks`` for a worker that returns (array, count): the arrays
+    joined in chunk order and the counts summed."""
+    parts = _run_chunks(worker, seed, total, jobs, payload, stream)
+    return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+
+
 def _chunk_sample_z(rng, count, alpha, beta, sampler, grid_step, eps):
     params = limitlaw.AlphaBeta(alpha, beta)
     if sampler == "pathint":
@@ -371,9 +378,8 @@ def cmd_sieve(args) -> int:
 
     params = {"wlaw": args.wlaw, "balls": args.balls, "reps": args.reps}
     wlaw = parse_wlaw(args.wlaw)
-    parts = _run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs, (args.wlaw, args.balls))
-    table = np.concatenate([p[0] for p in parts], axis=0)
-    truncated = sum(p[1] for p in parts)
+    table, truncated = _run_counted(_chunk_sieve, args.seed, args.reps, args.jobs,
+                                    (args.wlaw, args.balls))
     empty = table[:, 2]
     emp = chains.empirical_pmf(empty)
     metrics = {

@@ -70,10 +70,11 @@ class StableSpec:
 
 
 def sample_uniform01(rng, size=None):
-    """Uniform draws strictly inside (0,1) (endpoints are never returned)."""
+    """Uniform draws strictly inside (0,1) (endpoints are never returned):
+    (k + 1/2) 2^-53 for the 53-bit integer k that ``rng.random`` scales."""
     rng = as_generator(rng)
-    u = (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
-    return np.minimum(u, 1.0 - 2.0**-53)  # k + 0.5 rounds to 2**53 at k = 2**53 - 1
+    u = rng.random(size) + 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53)  # k + 1/2 rounds to 2**53 at k = 2**53 - 1
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size=None):

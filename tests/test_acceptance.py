@@ -33,6 +33,7 @@ def test_criterion(number):
 SMALL = 2 * cli.CHUNK + 5  # three chunks, the last one partial
 PAIRS = sorted(acceptance._Z_SIZES)
 WALKS = sorted(acceptance._WALK_SAMPLES)
+SIEVES = sorted(acceptance._SIEVE_SAMPLES)
 _CHUNK_Z = cli._chunk_sample_z
 
 
@@ -65,6 +66,9 @@ def small_samples(monkeypatch):
     monkeypatch.setattr(acceptance, "_WALK_SAMPLES", {
         number: (stream, SMALL, t_values, stats)
         for number, (stream, _, t_values, stats) in acceptance._WALK_SAMPLES.items()})
+    monkeypatch.setattr(acceptance, "_SIEVE_SAMPLES", {
+        number: (stream, SMALL, tuple((wlaw, min(balls, 1000)) for wlaw, balls in cases))
+        for number, (stream, _, cases) in acceptance._SIEVE_SAMPLES.items()})
     assert len(cli._chunk_plan(SMALL)) >= 3
 
 
@@ -94,6 +98,35 @@ class TestChunkedSamples:
         first, *rest = _by_jobs(lambda jobs: acceptance._walk_sample(number, SEED, jobs))
         assert all(other == first for other in rest)
 
+    @pytest.mark.parametrize("number", SIEVES)
+    def test_sieve_samples_do_not_depend_on_jobs(self, number, small_samples):
+        truncated = []
+
+        def draw(jobs):
+            empty, count = acceptance._sieve_empty(number, SEED, jobs)
+            truncated.append(count)
+            return empty
+
+        first, *rest = _by_jobs(draw)
+        assert all(other == first for other in rest)
+        assert truncated == [0, 0, 0]
+
+    @pytest.mark.parametrize("number,calls", [(8, 25 * 6), (14, 25)])
+    def test_truncated_replicates_fail_the_criterion(self, number, calls, monkeypatch):
+        # every chunk call reports one truncated replicate and draws as before,
+        # so the criterion's other checks still pass at its canonical size
+        chunk_sieve = cli._chunk_sieve
+
+        def one_truncated(*args):
+            table, truncated = chunk_sieve(*args)
+            return table, truncated + 1
+
+        monkeypatch.setattr(cli, "_chunk_sieve", one_truncated)
+        result = acceptance.run_criterion(number, seed=SEED, jobs=1)
+        assert not result.passed
+        assert result.metrics["truncated"] == calls
+        assert f"{calls} " in result.details and "replicates truncated" in result.details
+
     def test_worker_keyed_on_jobs_is_caught(self, small_samples, monkeypatch):
         monkeypatch.setattr(cli, "_chunk_sample_z", _process_keyed_chunk_z)
         first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(0.5, 0.0, SEED, jobs))
@@ -106,7 +139,9 @@ class TestChunkedSamples:
         acceptance._interval_empty(SEED)
         for number in WALKS:
             acceptance._walk_sample(number, SEED)
-        assert len(set(used)) == len(used) == 3 * (len(PAIRS) + 1 + len(WALKS))
+        for number in SIEVES:
+            acceptance._sieve_empty(number, SEED)
+        assert len(set(used)) == len(used) == 3 * (len(PAIRS) + 1 + len(WALKS) + len(SIEVES))
         # a chunk address never collides with a plain per-criterion stream id
         assert min(used) >= 1 << 32
 
@@ -116,16 +151,19 @@ class TestChunkedSamples:
         samples[acceptance._INTERVAL_STREAM] = acceptance._INTERVAL_REPS
         for stream, total, _, _ in acceptance._WALK_SAMPLES.values():
             samples[stream] = total
+        for stream, total, _ in acceptance._SIEVE_SAMPLES.values():
+            samples[stream] = total
         for stream, total in samples.items():
             cli._run_chunks(lambda rng, count: count, SEED, total, 1, (), stream)
-        # the limit-law pairs, criterion 9, criterion 11 and criterion 12
-        assert len(set(used)) == len(used) == 4 * 25 + 5 + 25 + 25 + 3
+        # the limit-law pairs, criteria 9, 11 and 12, criteria 8 and 14
+        assert len(set(used)) == len(used) == 4 * 25 + 5 + 25 + 25 + 3 + 25 + 25
         assert min(used) >= 1 << 32
 
     def test_pairs_and_chunks_draw_different_values(self, small_samples):
         samples = [acceptance._z_draws(*pair, SEED) for pair in PAIRS]
         samples.append(acceptance._interval_empty(SEED))
         samples += [acceptance._walk_sample(number, SEED)[:, 0] for number in WALKS]
+        samples += [acceptance._sieve_empty(number, SEED)[0] for number in SIEVES]
         heads = [s[start:start + 64].tobytes() for s in samples
                  for start in range(0, SMALL, cli.CHUNK)]
         assert len(set(heads)) == len(heads) == 3 * len(samples)

@@ -13,6 +13,7 @@ from sievesim.chains import (
     chain_to_json,
     empirical_pmf,
     exact_zero_decrement_pmf,
+    exact_zero_decrement_pmfs,
     geometric_pmf,
     mixed_poisson_diagnostic,
     sample_geometric_rep,
@@ -26,6 +27,83 @@ from sievesim.stats import tv_distance
 
 def geometric_target(width):
     return 2.0 ** -(np.arange(width) + 1.0)
+
+
+def per_start_dp(spec, n, deficit_cap=1e-12):
+    """The zero-decrement DP for one start state, run only up to that
+    state: the reference for the multi-start DP."""
+    if n == spec.floor:
+        return Pmf(masses=np.array([1.0]))
+    width = n - spec.floor + 1
+    strict = [spec.row(i)[:-1] for i in range(spec.floor + 1, n + 1)]
+    diag = np.array([spec.stay_prob(i) for i in range(spec.floor + 1, n + 1)])
+    columns = []
+    prev = np.zeros(width)
+    cum_n = 0.0
+    while True:
+        col = np.empty(width)
+        col[0] = 0.0 if columns else 1.0
+        for idx in range(1, width):
+            col[idx] = diag[idx - 1] * prev[idx] + float(strict[idx - 1] @ col[:idx])
+        columns.append(col[-1])
+        cum_n += col[-1]
+        if 1.0 - cum_n <= deficit_cap:
+            return Pmf(masses=np.array(columns), tail_deficit=max(0.0, 1.0 - cum_n))
+        prev = col
+
+
+def mask_grouped_direct(spec, n, size, rng):
+    """Direct simulation grouped by ``np.unique`` and one mask per state:
+    the reference for the argsort-grouped sampler."""
+    states = np.full(size, n, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    active = np.flatnonzero(states > spec.floor)
+    while active.size:
+        cur = states[active]
+        for s in np.unique(cur):
+            sel = active[cur == s]
+            cum = np.cumsum(spec.row(int(s)))
+            pos = np.minimum(np.searchsorted(cum, rng.random(sel.size), side="right"),
+                             cum.size - 1)
+            nxt = spec.floor + pos
+            counts[sel] += nxt == s
+            states[sel] = nxt
+        active = active[states[active] > spec.floor]
+    return counts
+
+
+def mask_grouped_georep(spec, n, size, rng):
+    """The embedded representation grouped by ``np.unique`` and one mask
+    per state: the reference for the argsort-grouped sampler."""
+    states = np.full(size, n, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    active = np.flatnonzero(states > spec.floor)
+    while active.size:
+        cur = states[active]
+        for s in np.unique(cur):
+            sel = active[cur == s]
+            row = spec.row(int(s))
+            stay = row[-1]
+            if stay > 0.0:
+                counts[sel] += rng.geometric(1.0 - stay, size=sel.size) - 1
+            cum = np.cumsum(row[:-1] / (1.0 - stay))
+            pos = np.minimum(np.searchsorted(cum, rng.random(sel.size), side="right"),
+                             cum.size - 1)
+            states[sel] = spec.floor + pos
+        active = active[states[active] > spec.floor]
+    return counts
+
+
+CRITERION_1_CHAINS = {
+    "uniform sieve": lambda: sieve_chain_spec(UniformW(), 60),
+    "half-constant sieve": lambda: sieve_chain_spec(ConstantW(0.5), 60),
+    "dyadic barrier": lambda: barrier_chain_spec(2.0 ** -np.arange(1, 61, dtype=float), 60),
+}
+
+
+def assert_same_pmf(got, want):
+    assert got.masses.tobytes() == want.masses.tobytes()
+    assert got.tail_deficit == want.tail_deficit
 
 
 class TestPmf:
@@ -140,6 +218,50 @@ class TestExactDp:
             exact_zero_decrement_pmf(spec, 1)
 
 
+class TestMultiStartDp:
+    """One DP run for many start states gives, bit for bit, the law the
+    per-start DP gives for each."""
+
+    @pytest.mark.parametrize("name", sorted(CRITERION_1_CHAINS))
+    def test_every_start_of_the_criterion_1_chains(self, name):
+        spec = CRITERION_1_CHAINS[name]()
+        starts = range(spec.floor, 61)
+        for n, pmf in zip(starts, exact_zero_decrement_pmfs(spec, starts)):
+            assert_same_pmf(pmf, per_start_dp(spec, n))
+            assert_same_pmf(exact_zero_decrement_pmf(spec, n), pmf)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=10),
+           st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=2, max_value=30),
+           st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
+           st.sampled_from([1e-9, 1e-12]))
+    def test_random_barrier_chains(self, weights, p1, n_max, starts, cap):
+        p = np.array([p1] + weights)
+        spec = barrier_chain_spec(p / p.sum(), n_max)
+        starts = [min(n, n_max) for n in starts]
+        for n, pmf in zip(starts, exact_zero_decrement_pmfs(spec, starts, cap)):
+            assert_same_pmf(pmf, per_start_dp(spec, n, cap))
+
+    def test_error_names_the_first_unfinished_start(self):
+        slow = 1.0 - 1e-7  # about 10^8 counts to exhaust the mass
+        spec = ChainSpec(floor=0, rows={
+            1: np.array([0.5, 0.5]),
+            2: np.array([0.0, 1.0 - slow, slow]),
+            3: np.array([0.0, 0.0, 1.0 - slow, slow]),
+        })
+        with pytest.raises(RuntimeError, match="^start state 3: "):
+            exact_zero_decrement_pmfs(spec, [1, 3, 2])
+        with pytest.raises(RuntimeError, match="^start state 2: "):
+            exact_zero_decrement_pmfs(spec, [2, 1, 3])
+        assert_same_pmf(exact_zero_decrement_pmfs(spec, [1])[0], per_start_dp(spec, 1))
+
+    def test_rejects_bad_starts(self):
+        spec = barrier_chain_spec([0.5, 0.5], 5)
+        for starts in ([], [0, 3], [2, 6]):
+            with pytest.raises(ValueError):
+                exact_zero_decrement_pmfs(spec, starts)
+
+
 class TestSieveChainSpec:
     def test_uniform_rows_are_flat(self):
         spec = sieve_chain_spec(UniformW(), 30)
@@ -228,6 +350,42 @@ class TestSamplers:
     def test_floor_start(self):
         spec = barrier_chain_spec([0.5, 0.5], 10)
         assert sample_zero_decrements(spec, 1, 1, RngStream(2, 3)).tolist() == [0]
+
+
+class TestSamplerGrouping:
+    """The argsort-grouped samplers draw exactly what the mask-grouped ones
+    draw: states in ascending order, each state's replicates in index order."""
+
+    @staticmethod
+    def assert_both_match(spec, n, size, seed):
+        for fast, slow in ((sample_zero_decrements, mask_grouped_direct),
+                           (sample_geometric_rep, mask_grouped_georep)):
+            got_rng, want_rng = RngStream(seed, 0).generator(), RngStream(seed, 0).generator()
+            got = fast(spec, n, size, got_rng)
+            assert got.tobytes() == slow(spec, n, size, want_rng).tobytes()
+            assert got_rng.random() == want_rng.random()  # the streams stay aligned
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.2, max_value=5.0),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=40),
+           st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32 - 1))
+    @example(a=1.0, b=1.0, n_max=10, start=0, size=5, seed=1)  # start at the floor
+    @example(a=2.0, b=3.0, n_max=25, start=25, size=1, seed=2)
+    def test_sieve_chains(self, a, b, n_max, start, size, seed):
+        self.assert_both_match(sieve_chain_spec(BetaW(a, b), n_max), min(start, n_max),
+                               size, seed)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=12),
+           st.floats(min_value=0.01, max_value=1.0), st.integers(min_value=2, max_value=40),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(weights=[0.5], p1=0.5, n_max=8, start=1, size=7, seed=3)  # start at the floor
+    @example(weights=[], p1=1.0, n_max=12, start=12, size=1, seed=4)
+    def test_barrier_chains(self, weights, p1, n_max, start, size, seed):
+        p = np.array([p1] + weights)
+        self.assert_both_match(barrier_chain_spec(p / p.sum(), n_max), min(start, n_max),
+                               size, seed)
 
 
 class TestMixedPoissonDiagnostic:

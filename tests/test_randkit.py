@@ -35,6 +35,15 @@ class TestStreams:
         with pytest.raises(TypeError):
             sample_uniform01(42)
 
+    def test_uniforms_are_the_lattice_of_53_bit_integers(self):
+        # integers(0, 2**53) and random() read the same 53 bits of a draw
+        g, h = RngStream(8, 0).generator(), RngStream(8, 0).generator()
+        u = sample_uniform01(g, size=100_000)
+        k = h.integers(0, 1 << 53, size=100_000)
+        assert np.array_equal(u, np.minimum((k + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
+        assert sample_uniform01(g) == (h.integers(0, 1 << 53) + 0.5) * 2.0**-53
+        assert g.random() == h.random()
+
     def test_lattice_ends_stay_inside_and_others_are_unmoved(self):
         # k = 2**53 - 1 gives k + 0.5 == 2**53 in float64 (ties to even)
         ks = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1])
@@ -90,15 +99,16 @@ class TestStableSampler:
 
 
 class _Fixed(np.random.Generator):
-    """Generator whose ``integers`` and ``standard_exponential`` return the
-    given arrays, reshaped to the size asked for."""
+    """Generator whose ``random`` returns the 53-bit lattice points k 2^-53
+    of the given integers and whose ``standard_exponential`` returns the
+    given floats, reshaped to the size asked for."""
 
     def __init__(self, ks, es):
         super().__init__(np.random.Philox(0))
         self.ks, self.es = np.asarray(ks), np.asarray(es, dtype=float)
 
-    def integers(self, low, high=None, size=None, **kwargs):
-        return self.ks.reshape(size)
+    def random(self, size=None, **kwargs):
+        return (self.ks * 2.0**-53).reshape(size)
 
     def standard_exponential(self, size=None, **kwargs):
         return self.es.reshape(size)

@@ -13,8 +13,6 @@ from sievesim import (
     ParetoLaw,
     PrwLaw,
     RngStream,
-    generate_path,
-    renewal_count,
     renewal_function_estimate,
     walk_functionals,
     z_moment,
@@ -35,13 +33,12 @@ print("2. Heavy-tailed steps: scaled renewal counts go Mittag-Leffler")
 print("=" * 72)
 law = PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25))
 t = 1e4
-path = generate_path(law, t, rng)
-print(f"  one stored path: {path.eta_values.size} steps to pass t = 1e4, "
-      f"renewal_count(t) = {renewal_count(path, t)}")
 # walk_functionals runs many walks in lockstep and stores none of them
 counts = walk_functionals(law, [t], 20_000, rng)["renewals"][:, 0]
+print(f"  renewal counts N(t) to t = 1e4: median {np.median(counts):.0f}, "
+      f"largest {counts.max():.0f} of 20000 walks")
 scaled = float(np.asarray(law.xi_tail(t))) * counts
-print(f"  Pareto(1/2) steps at t = 1e4: mean of (1-F(t))*renewal_count(t) = {scaled.mean():.4f} "
+print(f"  Pareto(1/2) steps at t = 1e4: mean of (1-F(t))*N(t) = {scaled.mean():.4f} "
       f"(limit 2/pi = {2 / np.pi:.4f})")
 
 print()

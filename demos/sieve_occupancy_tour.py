@@ -4,10 +4,6 @@ geometric law, conditional formulas, and the normalized empty-box trend.
 Run:  python demos/sieve_occupancy_tour.py
 """
 
-import math
-
-import numpy as np
-
 from sievesim import (
     AlphaBeta,
     BetaW,
@@ -15,7 +11,6 @@ from sievesim import (
     LogParetoMixtureW,
     RngStream,
     UniformW,
-    allocate_uniform,
     mean_empty_given_freqs,
     var_empty_given_freqs,
     empirical_pmf,
@@ -30,11 +25,11 @@ from sievesim import (
 rng = RngStream(seed=711).generator()
 
 print("=" * 72)
-print("1. One realization, two representations")
+print("1. Two representations of the same occupancy law")
 print("=" * 72)
-res = allocate_uniform(UniformW(), 1000, rng)
-print(f"  1000 uniform balls on stick-breaking intervals: occupied {res.occupied}, "
-      f"range ends at box {res.last_occupied}, empty within range {res.empty_in_range}")
+res = sample_occupancy(UniformW(), 1000, 3000, rng, method="uniform")  # interval allocation
+print(f"  3k replicates of 1000 uniform balls on stick-breaking intervals: mean occupied "
+      f"{res.occupied.mean():.2f}, mean empty {res.empty_in_range.mean():.3f}")
 batch = sample_occupancy(UniformW(), 1000, 30_000, rng)  # binomial-thinning lockstep
 print(f"  30k replicates via binomial thinning: mean occupied {batch.occupied.mean():.2f}, "
       f"mean empty {batch.empty_in_range.mean():.3f}")

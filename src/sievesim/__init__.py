@@ -37,8 +37,6 @@ from .limitlaw import (
 )
 from .randkit import (
     RngStream,
-    StableSpec,
-    sample_stable,
     sample_uniform01,
 )
 from .sieve import (
@@ -46,9 +44,7 @@ from .sieve import (
     ConstantW,
     FrequencySeq,
     LogParetoMixtureW,
-    OccupancyResult,
     UniformW,
-    allocate_uniform,
     mean_empty_given_freqs,
     var_empty_given_freqs,
     normalization_ratio,
@@ -68,13 +64,7 @@ from .walks import (
     LogDecayLaw,
     ParetoLaw,
     PrwLaw,
-    WalkPath,
-    busy_server_count,
-    empty_box_functional,
-    generate_path,
-    weighted_window_statistic,
     renewal_function_estimate,
-    renewal_count,
     walk_functionals,
 )
 

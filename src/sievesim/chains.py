@@ -62,9 +62,6 @@ class Pmf:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pmf mass + deficit = {total}, expected 1 within 1e-9")
 
-    def mean(self) -> float:
-        return float(np.arange(self.masses.size) @ self.masses)
-
 
 def empirical_pmf(samples, width: int | None = None) -> Pmf:
     """Empirical pmf of nonnegative integer samples (zero tail deficit)."""
@@ -149,15 +146,16 @@ class ChainSpec:
 
 
 _DP_COUNT_LIMIT = 10_000
+DEFICIT_CAP = 1e-12  # the DP's largest tail deficit
 
 
-def exact_zero_decrement_pmf(spec: ChainSpec, n: int, deficit_cap: float = 1e-12) -> Pmf:
+def exact_zero_decrement_pmf(spec: ChainSpec, n: int) -> Pmf:
     """Exact law of the zero-decrement count from start state n: the
     one-start call of ``exact_zero_decrement_pmfs``."""
-    return exact_zero_decrement_pmfs(spec, [n], deficit_cap)[0]
+    return exact_zero_decrement_pmfs(spec, [n])[0]
 
 
-def exact_zero_decrement_pmfs(spec: ChainSpec, starts, deficit_cap: float = 1e-12) -> list[Pmf]:
+def exact_zero_decrement_pmfs(spec: ChainSpec, starts) -> list[Pmf]:
     """Exact laws of the zero-decrement count from each start state, in the
     order of ``starts``.
 
@@ -166,10 +164,8 @@ def exact_zero_decrement_pmfs(spec: ChainSpec, starts, deficit_cap: float = 1e-1
     with Z_floor = 0.  Column j holds every state up to the highest start;
     state i reads only states below it, so one run serves every start, each
     law cut at the first column where its accumulated mass reaches
-    1 - deficit_cap.  Columns are added until every start is cut.
+    1 - DEFICIT_CAP.  Columns are added until every start is cut.
     """
-    if not 0.0 < deficit_cap <= 1e-9:
-        raise ValueError(f"deficit_cap must lie in (0, 1e-9], got {deficit_cap}")
     starts = [int(n) for n in starts]
     if not starts:
         raise ValueError("need at least one start state")
@@ -190,7 +186,7 @@ def exact_zero_decrement_pmfs(spec: ChainSpec, starts, deficit_cap: float = 1e-1
         columns.append(col)
         for n in cum.keys() - cut.keys():
             cum[n] += col[n - spec.floor]
-            if 1.0 - cum[n] <= deficit_cap:
+            if 1.0 - cum[n] <= DEFICIT_CAP:
                 cut[n] = j + 1
         if len(cut) == len(cum):
             table = np.array(columns)
@@ -343,7 +339,6 @@ class MixedPoissonReport:
     """
 
     factorial_moments: tuple
-    stderrs: tuple | None
     mean: float
     variance: float
     hankel2: float
@@ -394,7 +389,6 @@ def mixed_poisson_diagnostic(pmf_or_samples) -> MixedPoissonReport:
         scale = max(1.0, float(np.abs(phi).max()))
         h2_tol = 1e-9 * scale**2
         h3_tol = 1e-9 * scale**3
-        stderrs = None
     else:
         samples = np.asarray(pmf_or_samples, dtype=np.int64)
         if samples.size < 2 or np.any(samples < 0):
@@ -402,7 +396,6 @@ def mixed_poisson_diagnostic(pmf_or_samples) -> MixedPoissonReport:
         ff = _falling_factorials(samples.astype(float))
         phi = ff.mean(axis=0)
         cov = np.cov(ff, rowvar=False) / samples.size
-        stderrs = tuple(float(s) for s in np.sqrt(np.diag(cov)))
         mean = float(samples.mean())
         variance = float(samples.var(ddof=1))
         g2 = np.array([-2.0 * phi[0], 1.0, 0.0, 0.0])
@@ -420,7 +413,6 @@ def mixed_poisson_diagnostic(pmf_or_samples) -> MixedPoissonReport:
         violations.append(f"variance {variance:.4f} under mean {mean:.4f} beyond tolerance")
     return MixedPoissonReport(
         factorial_moments=tuple(float(x) for x in phi),
-        stderrs=stderrs,
         mean=mean,
         variance=variance,
         hankel2=h2,

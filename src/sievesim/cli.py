@@ -311,32 +311,20 @@ def _report(args, params: dict, header, columns, fields: dict, passed: bool,
 # experiments
 
 def cmd_moments(args) -> int:
+    from . import acceptance
+
     params = {"alpha": args.alpha, "beta": args.beta, "nmax": args.nmax}
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     orders = range(1, args.nmax + 1)
-    identity_err = []
-    for n in orders:
-        prod = math.prod(limitlaw.phi_alpha(args.alpha, float(k)) + 1.0 for k in range(1, n + 1))
-        closed = math.gamma(1.0 + n * args.alpha) * math.gamma(1.0 - args.alpha) ** n
-        identity_err.append(abs(prod - closed) / closed)
-    worst_identity = max(identity_err)
-    checks = {
-        "phi_product_identity": {"value": worst_identity, "tolerance": 1e-10,
-                                 "passed": worst_identity <= 1e-10},
-    }
+    identity_err, factorial_err, ml_err = zip(
+        *acceptance.moment_identity_errors(args.alpha, orders))
+    worst = {"phi_product_identity": max(identity_err)}
     if args.beta == args.alpha:
-        rel = max(
-            abs(limitlaw.z_moment(ab, n) - math.factorial(n)) / math.factorial(n)
-            for n in range(1, args.nmax + 1)
-        )
-        checks["z_equals_factorial"] = {"value": rel, "tolerance": 1e-10, "passed": rel <= 1e-10}
+        worst["z_equals_factorial"] = max(factorial_err)
     if args.beta == 0.0:
-        rel = max(
-            abs(limitlaw.z_moment(ab, n) - limitlaw.mittag_leffler_moment(args.alpha, n))
-            / limitlaw.mittag_leffler_moment(args.alpha, n)
-            for n in range(1, args.nmax + 1)
-        )
-        checks["z_equals_mittag_leffler"] = {"value": rel, "tolerance": 1e-10, "passed": rel <= 1e-10}
+        worst["z_equals_mittag_leffler"] = max(ml_err)
+    checks = {name: {"value": value, "tolerance": 1e-10, "passed": value <= 1e-10}
+              for name, value in worst.items()}
     passed = all(c["passed"] for c in checks.values())
     return _report(
         args, params,
@@ -345,7 +333,7 @@ def cmd_moments(args) -> int:
          [float(limitlaw.mittag_leffler_moment(args.alpha, n)) for n in orders],
          [float(math.factorial(n)) for n in orders], identity_err],
         {"checks": checks}, passed,
-        f"moments: {'PASS' if passed else 'FAIL'} (max identity error {worst_identity:.2e})")
+        f"moments: {'PASS' if passed else 'FAIL'} (max identity error {max(identity_err):.2e})")
 
 
 def cmd_sample_z(args) -> int:
@@ -405,6 +393,9 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_prw(args) -> int:
+    # the window weight Q(x) = (1+x)^(-q) must be finite and nonincreasing
+    if not (math.isfinite(args.q_exponent) and args.q_exponent >= 0.0):
+        raise ValueError(f"q exponent must be finite nonnegative, got {args.q_exponent}")
     params = {
         "xi": args.xi, "eta": args.eta, "coupled_multiplier": args.coupled_multiplier,
         "t": args.t, "stat": args.stat, "reps": args.reps, "q_exponent": args.q_exponent,

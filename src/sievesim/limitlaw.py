@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import StableSpec, _standard_stable, as_generator, sample_stable, sample_uniform01
+from .randkit import _standard_stable, as_generator, sample_uniform01
 
 __all__ = [
     "AlphaBeta",
@@ -223,8 +223,8 @@ def sample_z_pathint(params: AlphaBeta, grid_step: float, rng, size=None):
     has probability zero) is treated as crossed, so the singular integrand is
     never evaluated at 0.
     """
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be finite positive, got {grid_step}")
     rng = as_generator(rng)
     alpha, beta = params.alpha, params.beta
     scale = (math.gamma(1.0 - alpha) * grid_step) ** (1.0 / alpha)
@@ -239,7 +239,8 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size=None):
     Y is run as its eps-truncated jump process (constant between jumps, so
     the integral is an exact finite sum); sub-eps jumps are discarded without
     compensation, a documented one-sided bias.  At beta = alpha the exponent
-    c is zero and the integral is T itself.
+    c is zero and the integral is T itself; otherwise an ``eps`` with no Levy
+    mass above it in float64 raises ValueError.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -252,6 +253,12 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size=None):
 
     c = (alpha - beta) / alpha
     lam = levy_tail_mass(alpha, eps)
+    if not lam > 0.0:
+        # a mass of 0.0 (eps = inf) leaves Y without jumps, so every draw
+        # would be T; -0.0 (eps above about 19 at alpha = 1/2) makes every
+        # wait -inf, so no path would end
+        raise ValueError(f"the Levy mass above eps = {eps} is {lam} in float64; choose a "
+                         "smaller eps")
     t_exp = rng.standard_exponential(n)
     z = np.zeros(n)
     y = np.zeros(n)
@@ -275,7 +282,5 @@ def sample_mittag_leffler(alpha: float, rng, size=None):
     """Direct Mittag-Leffler draws: Gamma(1-a)^(-1) * S^(-a) for standard
     one-sided stable S (self-similarity inversion of the first-passage level)."""
     _check_alpha(alpha)
-    rng = as_generator(rng)
-    spec = StableSpec(alpha=alpha, laplace_scale=1.0)
-    s = sample_stable(spec, 1.0, rng, size=size)
+    s = _standard_stable(alpha, as_generator(rng), size=size)
     return s**-alpha / math.gamma(1.0 - alpha)

@@ -1,8 +1,11 @@
 """Seeded random streams plus the primitive variate generators everything
-else is built on: open-interval uniforms and an exact one-sided stable
-sampler.  At alpha = 1/2 the standard stable law is the Levy distribution,
-S = 1/(2*N^2) for standard normal N; every other alpha uses Kanter's (1975)
-construction.
+else is built on: open-interval uniforms and an exact sampler of the
+standard one-sided stable law, ``_standard_stable``.  At alpha = 1/2 that law
+is the Levy distribution, S = 1/(2*N^2) for standard normal N; every other
+alpha uses Kanter's (1975) construction.  Its two callers, the path-integral
+and Mittag-Leffler samplers of :mod:`sievesim.limitlaw`, scale standard draws
+themselves (an increment over time h with Laplace scale c is
+(c*h)^(1/alpha) * S).
 
 Streams are counter-based (Philox keyed by ``(seed, stream_id)``), so
 replicate streams are indexable: stream ``i`` of a Monte Carlo run can be
@@ -11,17 +14,14 @@ re-created in isolation, and distinct streams never overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RngStream",
-    "StableSpec",
     "as_generator",
     "sample_uniform01",
-    "sample_stable",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -50,23 +50,6 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-@dataclass(frozen=True)
-class StableSpec:
-    """One-sided alpha-stable subordinator marginal.
-
-    ``-log E exp(-s * X(1)) = laplace_scale * s**alpha`` with alpha in (0,1).
-    """
-
-    alpha: float
-    laplace_scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0,1), got {self.alpha}")
-        if not (0.0 < self.laplace_scale < math.inf):
-            raise ValueError(f"laplace_scale must be finite positive, got {self.laplace_scale}")
 
 
 def sample_uniform01(rng, size=None):
@@ -121,15 +104,3 @@ def _kanter_stable(alpha: float, rng: np.random.Generator, size):
     log_a *= 1.0 / frac
     return np.exp(log_a, out=log_a)
 
-
-def sample_stable(spec: StableSpec, time_scale: float, rng, size=None):
-    """Subordinator increment over a duration ``time_scale``.
-
-    The output has Laplace transform exp(-laplace_scale * time_scale * s**alpha);
-    scaling a standard draw by (laplace_scale*time_scale)**(1/alpha) achieves it.
-    """
-    if not (0.0 < time_scale < math.inf):
-        raise ValueError(f"time_scale must be finite positive, got {time_scale}")
-    rng = as_generator(rng)
-    scale = (spec.laplace_scale * time_scale) ** (1.0 / spec.alpha)
-    return scale * _standard_stable(spec.alpha, rng, size=size)

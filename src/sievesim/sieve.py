@@ -12,8 +12,8 @@ occupancy law, both behind ``sample_occupancy``:
   ball count, which is what makes 10^6-ball experiments cheap;
 * ``method="uniform"``: balls as uniforms on [0,1] and boxes the intervals
   (Q_k, Q_{k-1}), all replicates in lockstep over the residual levels; it is
-  the independent oracle for the first, and ``allocate_uniform`` is its
-  scalar form and its own oracle.
+  the independent oracle for the first, and a one-replicate allocator in the
+  tests (``tests/oracles.py``) is its own oracle.
 
 Poissonization (Poisson ball counts) decouples boxes conditionally on the
 frequencies, giving closed conditional mean/variance formulas for the
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limitlaw import AlphaBeta, sample_z_pathint
 from .randkit import as_generator, sample_uniform01
 from .stats import ks_two_sample, mc_accumulate
 from .walks import LogDecayLaw, ParetoLaw
@@ -40,9 +39,7 @@ __all__ = [
     "ConstantW",
     "LogParetoMixtureW",
     "FrequencySeq",
-    "OccupancyResult",
     "OccupancyBatch",
-    "allocate_uniform",
     "sample_occupancy",
     "mean_empty_given_freqs",
     "var_empty_given_freqs",
@@ -70,19 +67,10 @@ class WLaw:
         raise NotImplementedError
 
     def mixed_moment(self, j: int, m: int) -> float:
-        """E W^j (1-W)^m; only families with closed forms implement it."""
+        """E W^j (1-W)^m; only families with closed forms implement it, and
+        with it ``moment_ratios(i)``, the ratios
+        E W^j (1-W)^(i-j) / E W^(j-1) (1-W)^(i-j+1) for j = 1..i."""
         raise NotImplementedError(f"{type(self).__name__} has no closed-form mixed moments")
-
-    def moment_ratios(self, i: int) -> np.ndarray:
-        """E W^j (1-W)^(i-j) / E W^(j-1) (1-W)^(i-j+1) for j = 1..i.
-
-        Families whose ratio has a closed form override this; the generic
-        route divides mixed moments.
-        """
-        return np.array(
-            [self.mixed_moment(j, i - j) / self.mixed_moment(j - 1, i - j + 1)
-             for j in range(1, i + 1)]
-        )
 
 
 class UniformW(WLaw):
@@ -251,6 +239,7 @@ class LogParetoMixtureW(WLaw):
 
 
 _MAX_FREQ_DEPTH = 1_000_000
+_FREQ_CHUNK = 32  # factors drawn per extension step
 
 
 class FrequencySeq:
@@ -279,15 +268,7 @@ class FrequencySeq:
     def q(self) -> np.ndarray:
         return np.asarray(self._q)
 
-    @property
-    def depth(self) -> int:
-        return len(self._q) - 1
-
-    def p_values(self) -> np.ndarray:
-        q = self.q
-        return q[:-1] - q[1:]
-
-    def extend_below(self, threshold: float, chunk: int = 32) -> None:
+    def extend_below(self, threshold: float) -> None:
         """Grow the sequence until the last residual drops below ``threshold``."""
         if self._q[-1] < threshold:
             return
@@ -297,32 +278,11 @@ class FrequencySeq:
                 f">= required {threshold:.3e})"
             )
         while self._q[-1] >= threshold:
-            ws = np.atleast_1d(self._wlaw.sample(self._rng, size=chunk))
+            ws = np.atleast_1d(self._wlaw.sample(self._rng, size=_FREQ_CHUNK))
             tail = self._q[-1] * np.cumprod(ws)
             self._q.extend(tail.tolist())
             if len(self._q) > _MAX_FREQ_DEPTH:
                 raise RuntimeError("frequency sequence failed to shrink within the depth budget")
-
-
-@dataclass(frozen=True)
-class OccupancyResult:
-    """Occupancy statistics of one sieve realization.
-
-    ``empty_in_range`` counts the empty boxes with index below the last
-    occupied one, so it always equals last_occupied - occupied.
-    """
-
-    balls: int
-    occupied: int
-    last_occupied: int
-    empty_in_range: int
-
-    def __post_init__(self):
-        assert self.empty_in_range == self.last_occupied - self.occupied
-        if self.balls >= 1:
-            assert 1 <= self.occupied <= min(self.balls, self.last_occupied)
-        else:
-            assert self.occupied == self.last_occupied == 0
 
 
 @dataclass
@@ -341,34 +301,15 @@ def _check_balls(n) -> int:
     return int(n)
 
 
-def allocate_uniform(wlaw: WLaw, n, rng, freqs: FrequencySeq | None = None) -> OccupancyResult:
-    """Throw n uniform balls at the stick-breaking intervals (Q_k, Q_{k-1})."""
-    n = _check_balls(n)
-    rng = as_generator(rng)
-    if n == 0:
-        return OccupancyResult(balls=0, occupied=0, last_occupied=0, empty_in_range=0)
-    u = rng.random(n)
-    if freqs is None:
-        freqs = FrequencySeq(wlaw, rng)
-    freqs.extend_below(float(u.min()))
-    q_inner = freqs.q[1:]  # Q_1, Q_2, ... descending
-    # ball in box k  iff  Q_k < u <= Q_{k-1}  iff  k-1 residuals exceed u
-    ascending = q_inner[::-1]
-    boxes = 1 + (q_inner.size - np.searchsorted(ascending, u, side="left"))
-    occupied_idx = np.unique(boxes)
-    k = int(occupied_idx.size)
-    m = int(occupied_idx[-1])
-    return OccupancyResult(balls=n, occupied=k, last_occupied=m, empty_in_range=m - k)
-
-
 _MAX_ALLOC_DEPTH = 100_000
 
 
 def _interval_occupancy(wlaw: WLaw, balls: np.ndarray, rng, freqs: FrequencySeq | None):
-    """``allocate_uniform`` for every replicate at once (``balls[r]`` balls in
-    replicate r): box k is occupied when more balls exceed Q_k than Q_{k-1},
-    and the last one is the first k with Q_k below every ball.  Residuals are
-    drawn level by level, only for the replicates not yet below their balls.
+    """Interval allocation for every replicate at once (``balls[r]`` uniform
+    balls in replicate r): box k is occupied when more balls exceed Q_k than
+    Q_{k-1}, and the last one is the first k with Q_k below every ball.
+    Residuals are drawn level by level, only for the replicates not yet below
+    their balls.
     """
     width = int(balls.max(initial=0))
     u = rng.random((balls.size, width))
@@ -515,21 +456,15 @@ class TrendPoint:
     ks_vs_limit: float
 
 
-def limit_trend_experiment(
-    wlaw: WLaw, n_grid, replicates: int, rng, z_draws=None, grid_step: float = 1e-3,
-) -> list[TrendPoint]:
+def limit_trend_experiment(wlaw: WLaw, n_grid, replicates: int, rng,
+                           z_draws) -> list[TrendPoint]:
     """Normalized empty-box trend against the limit law.
 
     For each ball count n: the empirical mean/SE of the ratio-normalized
-    empty-box count and the two-sample KS distance to limit-law draws
-    (path-integral draws generated here when not supplied).
+    empty-box count and the two-sample KS distance to the limit-law draws
+    ``z_draws``.
     """
     rng = as_generator(rng)
-    if z_draws is None:
-        if not hasattr(wlaw, "alpha"):
-            raise ValueError("pass z_draws explicitly for laws without (alpha, beta) attributes")
-        params = AlphaBeta(wlaw.alpha, wlaw.beta)
-        z_draws = sample_z_pathint(params, grid_step, rng, size=replicates)
     rows = []
     for n in n_grid:
         n = _check_balls(n)

@@ -10,17 +10,17 @@ The functionals below (renewal count, empty-box functional, busy-server
 count, and the weighted-window statistic) all converge, under regularly
 varying tails with indices 0 <= beta <= alpha < 1, to the same limit law Z
 handled by :mod:`sievesim.limitlaw`.  ``walk_functionals`` computes them
-for many walks at once, in lockstep and without storing a path;
-``generate_path`` and the stored-path functionals are its oracle.
+for many walks at once, in lockstep and without storing a path; its oracle,
+stored paths and their functionals, lives in the tests (``tests/oracles.py``).
 
 Large arguments: the empty-box functional takes the time argument on log
-scale (``log_t``), since the interesting regime has t = e^x with x in the
-thousands, far beyond float range.
+scale (``walk_functionals`` reads each t as log t for ``empty``), since the
+interesting regime has t = e^x with x in the thousands, far beyond float
+range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +34,8 @@ __all__ = [
     "ConstantLaw",
     "LogDecayLaw",
     "PrwLaw",
-    "WalkPath",
-    "generate_path",
-    "renewal_count",
     "renewal_function_estimate",
     "walk_functionals",
-    "empty_box_functional",
-    "busy_server_count",
-    "weighted_window_statistic",
 ]
 
 _INNER_EXP_CAP = 50.0  # exp(-exp(50)) underflows to exactly 0.0 long before this
@@ -175,62 +169,9 @@ class PrwLaw:
         return self.eta_law.tail(x)
 
 
-@dataclass
-class WalkPath:
-    """Walk realization stored through its first crossing of the horizon.
-
-    ``s_values`` holds S_0 = 0, ..., S_K with S_K > horizon; ``eta_values``
-    holds eta_1, ..., eta_K, so T_k = s_values[k-1] + eta_values[k-1].
-    """
-
-    s_values: np.ndarray
-    eta_values: np.ndarray
-    horizon: float
-
-
-# About 5000 times the longest walk to t = 1e4 seen in criteria 11 and 12
-# (397 steps); it bounds a stored path at 32 MiB.
+# Steps per walk: about 5000 times the longest walk to t = 1e4 seen in
+# criteria 11 and 12 (397 steps).
 _MAX_WALK_STEPS = 1 << 21
-
-
-def generate_path(law: PrwLaw, horizon: float, rng, max_steps: int = _MAX_WALK_STEPS) -> WalkPath:
-    """Draw pairs until the walk first exceeds ``horizon``.
-
-    At most ``max_steps`` pairs are drawn: the budget is checked before each
-    block, so a walk that cannot cross raises before it stores more.
-    """
-    if not (horizon >= 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be finite nonnegative, got {horizon}")
-    rng = as_generator(rng)
-    s_chunks = [np.zeros(1)]
-    eta_chunks = []
-    total = 0.0
-    drawn = 0
-    block = 64
-    while True:
-        if drawn >= max_steps:
-            raise RuntimeError(
-                f"walk failed to cross the horizon {horizon:g} within {max_steps} steps"
-            )
-        block = min(block, max_steps - drawn)
-        xi, eta = law.sample_pairs(rng, size=block)
-        cum = total + np.cumsum(xi)
-        crossed = cum > horizon
-        if crossed.any():
-            stop = int(np.argmax(crossed)) + 1
-            s_chunks.append(cum[:stop])
-            eta_chunks.append(eta[:stop])
-            break
-        s_chunks.append(cum)
-        eta_chunks.append(eta)
-        total = float(cum[-1])
-        drawn += block
-        block = min(2 * block, 65536)
-    return WalkPath(
-        s_values=np.concatenate(s_chunks),
-        eta_values=np.concatenate(eta_chunks),
-        horizon=horizon,
-    )
 
 
 FUNCTIONALS = ("renewals", "busy", "window", "empty")
@@ -247,9 +188,16 @@ def _row_sums(mask, terms):
 
 def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("renewals",),
                      q=None) -> dict:
-    """``{name: (replicates, len(t_values)) array}`` of the stored-path
-    functionals ``renewals``, ``busy``, ``window`` (weight ``q``) and
-    ``empty`` (``log_t=t``) of independent walks, without storing a path.
+    """``{name: (replicates, len(t_values)) array}`` of these functionals of
+    independent walks at each t, without storing a path:
+
+    * ``renewals``: #{k >= 0 : S_k <= t};
+    * ``busy``: #{k >= 0 : S_k <= t < S_k + eta_{k+1}};
+    * ``window``: (P{xi > t}/q(t)) * sum over {k : S_k <= t} of q(t - S_k),
+      for a nonincreasing weight ``q`` with q(0) finite;
+    * ``empty``: the empty-box functional at log time t, the sum over k >= 1
+      of exp(-exp(t - T_k)) - exp(-exp(t - S_{k-1})); the terms with
+      S_{k-1} > t + 40 are dropped, each below exp(-40).
 
     Live walks advance in lockstep through shared (m, block) blocks of
     pairs, and leave once past the horizon: max(t), plus the empty-box
@@ -301,13 +249,6 @@ def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("
     return sums
 
 
-def renewal_count(path: WalkPath, t: float) -> int:
-    """#{k >= 0 : S_k <= t}; equals the first index whose walk value exceeds t."""
-    if t > path.horizon:
-        raise ValueError(f"t = {t} exceeds the stored horizon {path.horizon}")
-    return int(np.searchsorted(path.s_values, t, side="right"))
-
-
 def renewal_function_estimate(law: PrwLaw, t_grid, replicates: int, rng):
     """Monte Carlo renewal function: rows (t, U_hat(t), stderr)."""
     if replicates < 100:
@@ -316,54 +257,4 @@ def renewal_function_estimate(law: PrwLaw, t_grid, replicates: int, rng):
     counts = walk_functionals(law, t_grid, replicates, rng)["renewals"]
     return [(float(t), est.mean, est.stderr)
             for t, est in zip(t_grid, map(mc_accumulate, counts.T))]
-
-
-def _resolve_log_t(t, log_t):
-    if (t is None) == (log_t is None):
-        raise ValueError("provide exactly one of t or log_t")
-    if t is not None:
-        if not t > 0.0:
-            raise ValueError(f"t must be positive, got {t}")
-        return math.log(t)
-    return float(log_t)
-
-
-def empty_box_functional(path: WalkPath, t: float | None = None, *,
-                         log_t: float | None = None, margin: float = _MARGIN) -> float:
-    """Empty-box functional: sum over k >= 1 of
-    exp(-t*e^(-T_k)) - exp(-t*e^(-S_{k-1})).
-
-    Terms with S_{k-1} > log t + margin are dropped; each is below
-    exp(-margin), under float noise at the default margin.  The stored
-    horizon must reach log t + margin.
-    """
-    x = _resolve_log_t(t, log_t)
-    if path.horizon < x + margin:
-        raise ValueError(
-            f"path horizon {path.horizon} is short of log t + margin = {x + margin}"
-        )
-    s_prev = path.s_values[:-1]
-    keep = s_prev <= x + margin
-    s_prev = s_prev[keep]
-    t_k = s_prev + path.eta_values[keep]
-    return float((_double_exp(x - t_k) - _double_exp(x - s_prev)).sum())
-
-
-def busy_server_count(path: WalkPath, t: float) -> int:
-    """Busy-server count: #{k >= 0 : S_k <= t < S_k + eta_{k+1}}."""
-    if t > path.horizon:
-        raise ValueError(f"t = {t} exceeds the stored horizon {path.horizon}")
-    s_prev = path.s_values[:-1]
-    return int(np.count_nonzero((s_prev <= t) & (t < s_prev + path.eta_values)))
-
-
-def weighted_window_statistic(path: WalkPath, t: float, Q, F_bar) -> float:
-    """Weighted renewal-window statistic:
-    (F_bar(t)/Q(t)) * sum over {k : S_k <= t} of Q(t - S_k),
-    for nonincreasing Q with Q(0) finite and F_bar the exact tail of xi."""
-    if t > path.horizon:
-        raise ValueError(f"t = {t} exceeds the stored horizon {path.horizon}")
-    s = path.s_values[path.s_values <= t]
-    q_vals = np.asarray(Q(t - s), dtype=float)
-    return float(F_bar(t) / Q(t) * q_vals.sum())
 

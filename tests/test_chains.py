@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import mask_grouped_direct, mask_grouped_georep, per_start_dp
 from sievesim.chains import (
+    DEFICIT_CAP,
     ChainSpec,
     Pmf,
     barrier_chain_spec,
@@ -27,71 +29,6 @@ from sievesim.stats import tv_distance
 
 def geometric_target(width):
     return 2.0 ** -(np.arange(width) + 1.0)
-
-
-def per_start_dp(spec, n, deficit_cap=1e-12):
-    """The zero-decrement DP for one start state, run only up to that
-    state: the reference for the multi-start DP."""
-    if n == spec.floor:
-        return Pmf(masses=np.array([1.0]))
-    width = n - spec.floor + 1
-    strict = [spec.row(i)[:-1] for i in range(spec.floor + 1, n + 1)]
-    diag = np.array([spec.stay_prob(i) for i in range(spec.floor + 1, n + 1)])
-    columns = []
-    prev = np.zeros(width)
-    cum_n = 0.0
-    while True:
-        col = np.empty(width)
-        col[0] = 0.0 if columns else 1.0
-        for idx in range(1, width):
-            col[idx] = diag[idx - 1] * prev[idx] + float(strict[idx - 1] @ col[:idx])
-        columns.append(col[-1])
-        cum_n += col[-1]
-        if 1.0 - cum_n <= deficit_cap:
-            return Pmf(masses=np.array(columns), tail_deficit=max(0.0, 1.0 - cum_n))
-        prev = col
-
-
-def mask_grouped_direct(spec, n, size, rng):
-    """Direct simulation grouped by ``np.unique`` and one mask per state:
-    the reference for the argsort-grouped sampler."""
-    states = np.full(size, n, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    active = np.flatnonzero(states > spec.floor)
-    while active.size:
-        cur = states[active]
-        for s in np.unique(cur):
-            sel = active[cur == s]
-            cum = np.cumsum(spec.row(int(s)))
-            pos = np.minimum(np.searchsorted(cum, rng.random(sel.size), side="right"),
-                             cum.size - 1)
-            nxt = spec.floor + pos
-            counts[sel] += nxt == s
-            states[sel] = nxt
-        active = active[states[active] > spec.floor]
-    return counts
-
-
-def mask_grouped_georep(spec, n, size, rng):
-    """The embedded representation grouped by ``np.unique`` and one mask
-    per state: the reference for the argsort-grouped sampler."""
-    states = np.full(size, n, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    active = np.flatnonzero(states > spec.floor)
-    while active.size:
-        cur = states[active]
-        for s in np.unique(cur):
-            sel = active[cur == s]
-            row = spec.row(int(s))
-            stay = row[-1]
-            if stay > 0.0:
-                counts[sel] += rng.geometric(1.0 - stay, size=sel.size) - 1
-            cum = np.cumsum(row[:-1] / (1.0 - stay))
-            pos = np.minimum(np.searchsorted(cum, rng.random(sel.size), side="right"),
-                             cum.size - 1)
-            states[sel] = spec.floor + pos
-        active = active[states[active] > spec.floor]
-    return counts
 
 
 CRITERION_1_CHAINS = {
@@ -184,7 +121,7 @@ class TestExactDp:
     def test_uniform_sieve_geometric(self):
         spec = sieve_chain_spec(UniformW(), 25)
         for n in (1, 2, 9, 25):
-            pmf = exact_zero_decrement_pmf(spec, n, deficit_cap=1e-12)
+            pmf = exact_zero_decrement_pmf(spec, n)
             target = geometric_target(pmf.masses.size)
             assert np.abs(pmf.masses - target).max() <= 1e-10
 
@@ -202,14 +139,9 @@ class TestExactDp:
 
     def test_mass_conservation(self):
         spec = sieve_chain_spec(BetaW(2, 3), 40)
-        pmf = exact_zero_decrement_pmf(spec, 40, deficit_cap=1e-10)
+        pmf = exact_zero_decrement_pmf(spec, 40)
         assert pmf.masses.sum() + pmf.tail_deficit == pytest.approx(1.0, abs=1e-9)
-        assert pmf.tail_deficit <= 1e-10
-
-    def test_deficit_cap_validation(self):
-        spec = sieve_chain_spec(UniformW(), 5)
-        with pytest.raises(ValueError):
-            exact_zero_decrement_pmf(spec, 5, deficit_cap=1e-6)
+        assert pmf.tail_deficit <= DEFICIT_CAP
 
     def test_unreachable_deficit_is_an_error(self):
         # stay probability 1 - 1e-7 needs ~10^8 counts to exhaust the mass
@@ -233,14 +165,13 @@ class TestMultiStartDp:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=10),
            st.floats(min_value=0.05, max_value=1.0), st.integers(min_value=2, max_value=30),
-           st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
-           st.sampled_from([1e-9, 1e-12]))
-    def test_random_barrier_chains(self, weights, p1, n_max, starts, cap):
+           st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8))
+    def test_random_barrier_chains(self, weights, p1, n_max, starts):
         p = np.array([p1] + weights)
         spec = barrier_chain_spec(p / p.sum(), n_max)
         starts = [min(n, n_max) for n in starts]
-        for n, pmf in zip(starts, exact_zero_decrement_pmfs(spec, starts, cap)):
-            assert_same_pmf(pmf, per_start_dp(spec, n, cap))
+        for n, pmf in zip(starts, exact_zero_decrement_pmfs(spec, starts)):
+            assert_same_pmf(pmf, per_start_dp(spec, n))
 
     def test_error_names_the_first_unfinished_start(self):
         slow = 1.0 - 1e-7  # about 10^8 counts to exhaust the mass

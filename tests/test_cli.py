@@ -1,6 +1,9 @@
 import csv
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -268,6 +271,26 @@ class TestSampleZCommand:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--sampler", "expfunc", "--eps", "20"),  # Levy mass -0.0: no path ever ends
+        ("--sampler", "expfunc", "--eps", "inf"),  # mass 0.0: Y never jumps
+        ("--sampler", "pathint", "--grid-step", "inf"),
+    ], ids=["expfunc-eps-20", "expfunc-eps-inf", "pathint-grid-inf"])
+    def test_degenerate_step_exits_two(self, argv, tmp_path):
+        # a subprocess with a timeout, so a sampler that never ends fails
+        # the test instead of hanging it
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "sievesim.cli", "sample-z", "--alpha", "0.5", "--beta", "0.25",
+             *argv, "--n", "10", "--seed", "1", "--jobs", "1", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+
 class TestSieveCommand:
     def test_run_and_determinism(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -376,16 +399,24 @@ class TestPrwCommand:
                        ("bogus",), 0.25)
         assert drawn == []
 
-    @pytest.mark.parametrize("t", ["-1", "nan"])
+    @pytest.mark.parametrize("t,q,name", [
+        pytest.param("-1", "0.25", "t", id="-1"),
+        pytest.param("nan", "0.25", "t", id="nan"),
+        # Q(x) = (1+x)^(-q) must be finite and nonincreasing
+        pytest.param("1e4", "nan", "q exponent", id="q-nan"),
+        pytest.param("1e4", "inf", "q exponent", id="q-inf"),
+        pytest.param("1e4", "-0.5", "q exponent", id="q-negative"),
+    ])
     @pytest.mark.parametrize("stat", ["empty", "busy", "renewals", "window"])
-    def test_invalid_t_exits_two_before_any_walk(self, stat, t, tmp_path, capsys, monkeypatch):
+    def test_invalid_t_exits_two_before_any_walk(self, stat, t, q, name, tmp_path, capsys,
+                                                 monkeypatch):
         drawn = []
         monkeypatch.setattr(walks.PrwLaw, "sample_pairs", lambda *a, **k: drawn.append(a))
         code = run_cli("prw", "--xi", "pareto:0.5", "--eta", "pareto:0.25", "--t", t,
-                       "--stat", stat, "--reps", "20", "--jobs", "1", "--seed", "1",
-                       "--out", tmp_path)
+                       "--q-exponent", q, "--stat", stat, "--reps", "20", "--jobs", "1",
+                       "--seed", "1", "--out", tmp_path)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: t must be finite nonnegative")
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite nonnegative")
         assert drawn == [] and not any(tmp_path.iterdir())
 
     def test_walk_that_cannot_cross_exits_three_in_bounded_memory(self, tmp_path, capsys):

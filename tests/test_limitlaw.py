@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from oracles import kanter_sine_form, levy_density
 from sievesim.limitlaw import (
     AlphaBeta,
     _pathint_block,
@@ -21,13 +22,6 @@ from sievesim.limitlaw import (
 )
 from sievesim.randkit import RngStream, _standard_stable, sample_uniform01
 from sievesim.stats import ks_one_sample, mc_accumulate
-from test_randkit import kanter_sine_form
-
-
-def levy_density(alpha, t):
-    """Levy density of Y, exp(-t/a) * (1-exp(-t/a))^(-(a+1)) on (0, inf):
-    the quadrature oracle for the closed-form tail and the jump sampler."""
-    return math.exp(-t / alpha) * (-math.expm1(-t / alpha)) ** -(alpha + 1.0)
 
 
 class TestAlphaBeta:

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from oracles import kanter_sine_form
 from sievesim.randkit import (
     RngStream,
-    StableSpec,
     _kanter_stable,
     _standard_stable,
-    sample_stable,
     sample_uniform01,
 )
 from sievesim.stats import ks_one_sample, ks_two_sample
@@ -53,29 +52,28 @@ class TestStreams:
         assert np.array_equal(u[:-1], (ks[:-1] + 0.5) * 2.0**-53)
 
 
-class TestStableSampler:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            StableSpec(alpha=1.0)
-        with pytest.raises(ValueError):
-            StableSpec(alpha=0.5, laplace_scale=0.0)
-        with pytest.raises(ValueError):
-            sample_stable(StableSpec(0.5), 0.0, RngStream(1, 0))
+def stable_draws(alpha, stream, size, scale=1.0):
+    """Draws with Laplace transform exp(-scale * s**alpha): standard draws
+    times scale**(1/alpha), as the path-integral sampler scales its
+    increments."""
+    return scale ** (1.0 / alpha) * _standard_stable(alpha, stream.generator(), size=size)
 
+
+class TestStableSampler:
     def test_outputs_strictly_positive(self):
-        draws = sample_stable(StableSpec(0.5), 1.0, RngStream(5, 0), size=100_000)
+        draws = stable_draws(0.5, RngStream(5, 0), 100_000)
         assert np.all(draws > 0.0)
 
     def test_laplace_transform_unit_scale(self):
         # oracle: E exp(-S) = exp(-1) for the standard alpha=1/2 law
-        draws = sample_stable(StableSpec(0.5, 1.0), 1.0, RngStream(6, 0), size=1_000_000)
+        draws = stable_draws(0.5, RngStream(6, 0), 1_000_000)
         vals = np.exp(-draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-1.0)) <= 3.0 * se
 
     def test_laplace_transform_gamma_scale(self):
         scale = math.gamma(0.5)
-        draws = sample_stable(StableSpec(0.5, scale), 1.0, RngStream(7, 0), size=1_000_000)
+        draws = stable_draws(0.5, RngStream(7, 0), 1_000_000, scale)
         vals = np.exp(-draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-scale)) <= 3.0 * se
@@ -83,8 +81,7 @@ class TestStableSampler:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_laplace_transform_grid(self, alpha, s):
-        spec = StableSpec(alpha, 1.0)
-        draws = sample_stable(spec, 1.0, RngStream(8, int(10 * alpha + s)), size=100_000)
+        draws = stable_draws(alpha, RngStream(8, int(10 * alpha + s)), 100_000)
         vals = np.exp(-s * draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-(s**alpha))) <= 4.0 * se
@@ -92,7 +89,7 @@ class TestStableSampler:
     def test_time_scaling(self):
         # increments over dt have transform exp(-dt * s^alpha)
         dt = 0.1
-        draws = sample_stable(StableSpec(0.5, 1.0), dt, RngStream(9, 0), size=500_000)
+        draws = stable_draws(0.5, RngStream(9, 0), 500_000, dt)
         vals = np.exp(-draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-dt)) <= 4.0 * se
@@ -114,19 +111,6 @@ class _Fixed(np.random.Generator):
         return self.es.reshape(size)
 
 
-def kanter_sine_form(alpha, u, e):
-    """Kanter's S = (A(u)/E)^((1-alpha)/alpha) with A(u) from three ``np.sin``
-    calls in log space: the reference for the tan half-angle evaluation."""
-    pu = np.pi * u
-    frac = alpha / (1.0 - alpha)
-    log_a = (
-        frac * np.log(np.sin(alpha * pu))
-        + np.log(np.sin((1.0 - alpha) * pu))
-        - (1.0 + frac) * np.log(np.sin(pu))
-    )
-    return np.exp((log_a - np.log(e)) * (1.0 / frac))
-
-
 class _ZeroNormal:
     """Generator stand-in whose normal draws are all exactly 0.0."""
 
@@ -141,7 +125,7 @@ class TestLevyRoute:
     def test_exact_levy_cdf(self):
         # P{S <= x} = P{|N| >= 1/sqrt(2x)} = erfc(1/(2*sqrt(x)))
         n = 200_000
-        draws = sample_stable(StableSpec(0.5), 1.0, RngStream(30, 0), size=n)
+        draws = stable_draws(0.5, RngStream(30, 0), n)
         d = ks_one_sample(draws, lambda x: erfc(0.5 / np.sqrt(x)))
         assert d <= 1.63 / math.sqrt(n)  # 1% critical value
 

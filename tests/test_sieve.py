@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as scipy_beta
 
+from oracles import OccupancyResult, allocate_uniform
 from sievesim.chains import empirical_pmf, geometric_pmf
 from sievesim.randkit import RngStream
 from sievesim.sieve import (
@@ -12,9 +13,7 @@ from sievesim.sieve import (
     ConstantW,
     FrequencySeq,
     LogParetoMixtureW,
-    OccupancyResult,
     UniformW,
-    allocate_uniform,
     mean_empty_given_freqs,
     var_empty_given_freqs,
     normalization_ratio,
@@ -101,8 +100,8 @@ class TestFrequencySeq:
 
     def test_fixed_sequence(self):
         fs = FrequencySeq(q_values=[1.0, 0.5, 0.25, 0.125])
-        assert fs.depth == 3
-        assert np.allclose(fs.p_values(), [0.5, 0.25, 0.125])
+        assert fs.q.size == 4
+        assert np.allclose(-np.diff(fs.q), [0.5, 0.25, 0.125])
         with pytest.raises(ValueError):
             fs.extend_below(1e-3)
 
@@ -386,7 +385,3 @@ class TestTrendExperiment:
             assert r.mean_normalized > 0.0
             assert 0.0 <= r.ks_vs_limit <= 1.0
             assert r.stderr > 0.0
-
-    def test_requires_z_draws_for_opaque_laws(self):
-        with pytest.raises(ValueError):
-            limit_trend_experiment(UniformW(), [100], 100, RngStream(5, 1))

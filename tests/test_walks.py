@@ -3,6 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    WalkPath,
+    busy_server_count,
+    empty_box_functional,
+    generate_path,
+    renewal_count,
+    weighted_window_statistic,
+)
 from sievesim import walks
 from sievesim.limitlaw import mittag_leffler_moment, z_moment, AlphaBeta
 from sievesim.randkit import RngStream
@@ -14,13 +22,7 @@ from sievesim.walks import (
     LogDecayLaw,
     ParetoLaw,
     PrwLaw,
-    WalkPath,
-    busy_server_count,
-    empty_box_functional,
-    generate_path,
-    weighted_window_statistic,
     renewal_function_estimate,
-    renewal_count,
     walk_functionals,
 )
 

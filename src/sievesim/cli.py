@@ -2,11 +2,13 @@
 
 Replicates are partitioned into fixed-size chunks, one indexed RNG stream
 per chunk, and chunk results are concatenated in index order, so output
-files are byte-identical for a given config regardless of ``--jobs``.
-Output files carry no timestamps; metric rows carry the config hash and
-seed.  Exit codes: 0 all checks in scope passed, 1 a check failed,
-2 invalid configuration, 3 a run could not finish because a step, depth
-or count budget ran out.
+files are byte-identical for a given config regardless of ``--jobs``.  The
+process that draws a chunk formats its detail rows; the parent writes them
+in chunk order as chunks arrive, into a file opened before sampling and
+deleted if the run fails.  Output files carry no timestamps; metric rows
+carry the config hash and seed.  Exit codes: 0 all checks in scope
+passed, 1 a check failed, 2 invalid configuration, 3 a run could not
+finish because a step, depth or count budget ran out.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager
 from itertools import repeat
 from pathlib import Path
 
@@ -66,8 +69,9 @@ def parse_marginal(text: str) -> walks.MarginalLaw:
     )
 
 
-def _config_hash(params: dict) -> str:
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
+def _config_hash(args, params: dict) -> str:
+    blob = json.dumps({"experiment": args.command, "seed": args.seed, **params},
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -79,11 +83,16 @@ def _chunk_plan(total: int):
 
 
 def _call_chunk(task):
-    worker, stream, count, payload = task
-    return worker(stream.generator(), count, *payload)
+    worker, stream, start, count, payload, layout = task
+    result = worker(stream.generator(), count, *payload)
+    if layout is None:
+        return result, count, None
+    values = result[0] if isinstance(result, tuple) else result
+    return result, count, layout.rows([range(start, start + count), *values.reshape(count, -1).T])
 
 
-def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream: int = 0):
+def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream: int = 0,
+                detail=None) -> list:
     """``worker(rng, count, *payload)`` on each chunk of ``total`` replicates,
     results in chunk order.
 
@@ -91,21 +100,35 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
     ``RngStream(seed, (stream << 32) | cid)``: the address is (seed, sample,
     chunk), so results do not depend on ``jobs``.  The experiments use
     stream 0, so their chunk ``cid`` draws from ``RngStream(seed, cid)``.
+
+    With a ``Detail``, the process that draws a chunk also formats its rows
+    (the replicate index, then the columns of its array, a tuple result's
+    first item); the parent writes them to ``detail`` as each chunk arrives.
     """
-    tasks = [(worker, RngStream(seed, (stream << 32) | cid), count, payload)
+    layout = None if detail is None else detail.layout
+    tasks = [(worker, RngStream(seed, (stream << 32) | cid), cid * CHUNK, count, payload, layout)
              for cid, count in _chunk_plan(total)]
+
+    def gather(done):
+        parts = []
+        for result, count, text in done:
+            if text is not None:
+                detail.write(text, count)
+            parts.append(result)
+        return parts
+
     if jobs <= 1 or len(tasks) == 1:
-        return [_call_chunk(t) for t in tasks]
+        return gather(map(_call_chunk, tasks))
     # a fork pool starts every worker at the first submit, so ask for no
     # more workers than there are chunks
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_call_chunk, tasks))
+        return gather(pool.map(_call_chunk, tasks))
 
 
-def _run_counted(worker, seed: int, total: int, jobs: int, payload: tuple, stream: int = 0):
+def _run_counted(*args, **kwargs):
     """``_run_chunks`` for a worker that returns (array, count): the arrays
     joined in chunk order and the counts summed."""
-    parts = _run_chunks(worker, seed, total, jobs, payload, stream)
+    parts = _run_chunks(*args, **kwargs)
     return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
 
 
@@ -201,8 +224,8 @@ class Table:
         return self.rows
 
 
-# Rows formatted and written at a time; peak memory is set by this, not by
-# the row count.
+# Rows the parent formats at a time; a chunk worker formats its CHUNK rows
+# at once.  Peak memory is set by these, not by the row count.
 BLOCK = 4096
 
 
@@ -235,8 +258,10 @@ def _cells(column, fmt: str):
     return map(_CELL[fmt], column)
 
 
-def _write_detail(path: Path, fmt: str, header, table: Table) -> None:
-    """Stream ``table`` to ``path``, BLOCK rows at a time.
+class Layout:
+    """The fixed text of a detail file: ``head``, the texts of ``rows``
+    joined by ``sep``, then ``tail``, or ``empty`` for no rows.  Of
+    ``columns`` only the scalars are read; other entries mark varying ones.
 
     CSV is byte for byte what ``csv.writer`` writes for the rows with floats
     as ``repr``: CRLF line ends, minimal quoting (a row that is one empty
@@ -244,48 +269,92 @@ def _write_detail(path: Path, fmt: str, header, table: Table) -> None:
     has at least two columns).  JSON is byte for byte
     ``json.dumps(records, sort_keys=True, indent=2) + "\n"``.
     """
-    cell = _CELL[fmt]
-    if fmt == "json":
-        order = sorted(range(len(header)), key=header.__getitem__)
-        opens = [("," if k else "  {") + f"\n    {json.dumps(header[i])}: "
-                 for k, i in enumerate(order)]
-        close, sep = "\n  }", ",\n"
-        head, tail = ("[\n", "\n]\n") if len(table) else ("[]\n", "")
-    else:
-        order = range(len(header))
-        opens = [""] + [","] * (len(header) - 1)
-        close, sep = "\r\n", ""
-        head, tail = ",".join(map(_csv_cell, header)) + "\r\n", ""
-    # A row is literal text between the varying columns; the scalar
-    # columns are formatted once, into that text.
-    texts, varying = [""], []
-    for text, i in zip(opens, order):
-        column = table.columns[i]
-        if isinstance(column, _SCALAR):
-            texts[-1] += text + cell(column)
+
+    def __init__(self, fmt: str, header, columns):
+        cell = _CELL[fmt]
+        if fmt == "json":
+            order = sorted(range(len(header)), key=header.__getitem__)
+            opens = [("," if k else "  {") + f"\n    {json.dumps(header[i])}: "
+                     for k, i in enumerate(order)]
+            close, self.sep = "\n  }", ",\n"
+            self.head, self.tail, self.empty = "[\n", "\n]\n", "[]\n"
         else:
-            texts[-1] += text
-            texts.append("")
-            varying.append(column)
-    texts[-1] += close
-    with open(path, "w", newline="") as fh:
-        fh.write(head)
+            order = range(len(header))
+            opens = [""] + [","] * (len(header) - 1)
+            close, self.sep, self.tail = "\r\n", "", ""
+            self.head = self.empty = ",".join(map(_csv_cell, header)) + "\r\n"
+        # A row is literal text between the varying columns; the scalar
+        # columns are formatted once, into that text.
+        varying = [i for i, c in enumerate(columns) if not isinstance(c, _SCALAR)]
+        self.fmt, self.texts, self.order = fmt, [""], []
+        for text, i in zip(opens, order):
+            if isinstance(columns[i], _SCALAR):
+                self.texts[-1] += text + cell(columns[i])
+            else:
+                self.texts[-1] += text
+                self.texts.append("")
+                self.order.append(varying.index(i))
+        self.texts[-1] += close
+
+    def rows(self, columns) -> str:
+        """The text of the rows of ``columns``, the varying columns in order."""
+        parts = [repeat(self.texts[0])]
+        for k, text in zip(self.order, self.texts[1:]):
+            parts += (_cells(columns[k], self.fmt), repeat(text))
+        return self.sep.join(map("".join, zip(*parts)))
+
+
+class Detail(AbstractContextManager):
+    """A detail file fed the text of its rows in order; ``len()`` counts the
+    rows.  It is finished when its ``with`` block ends, deleted if it raises."""
+
+    def __init__(self, path: Path, fmt: str, header, columns):
+        self.layout = Layout(fmt, header, columns)
+        self.path, self.rows = path, 0
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(path, "w", newline="")
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __exit__(self, exc_type, *exc) -> None:
+        with self._fh:
+            if exc_type is None:
+                self._fh.write(self.layout.tail if self.rows else self.layout.empty)
+        if exc_type is not None:
+            self.path.unlink()
+
+    def write(self, text: str, rows: int) -> None:
+        self._fh.write(self.layout.sep if self.rows else self.layout.head)
+        self._fh.write(text)
+        self.rows += rows
+
+
+def _write_detail(path: Path, fmt: str, header, table: Table) -> None:
+    """Write ``table`` to ``path``, BLOCK rows at a time."""
+    varying = [c for c in table.columns if not isinstance(c, _SCALAR)]
+    with Detail(path, fmt, header, table.columns) as detail:
         for start in range(0, len(table), BLOCK):
-            parts = [repeat(texts[0])]
-            for column, text in zip(varying, texts[1:]):
-                parts += (_cells(column[start:start + BLOCK], fmt), repeat(text))
-            if start:
-                fh.write(sep)
-            fh.write(sep.join(map("".join, zip(*parts))))
-        fh.write(tail)
+            block = [column[start:start + BLOCK] for column in varying]
+            detail.write(detail.layout.rows(block), len(block[0]))
 
 
-def _emit(outdir: Path, name: str, fmt: str, header, table: Table, summary: dict) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_detail(outdir / f"{name}.{fmt}", fmt, header, table)
+def _emit(outdir: Path, name: str, fmt: str, header, table, summary: dict) -> Path:
+    """Write an experiment's summary, and its detail file unless ``table``
+    is the Detail its rows were already written to."""
+    if isinstance(table, Table):
+        _write_detail(outdir / f"{name}.{fmt}", fmt, header, table)
     summary_path = outdir / f"{name}.summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary_path
+
+
+def _detail(args, params: dict, header) -> Detail:
+    """The detail file of experiment ``args.command`` with ``params``, opened
+    before any row is drawn; its columns are config_hash, seed, ``header``."""
+    cfg = _config_hash(args, params)
+    return Detail(args.out / f"{args.command}_{cfg}.{args.format}", args.format,
+                  ["config_hash", "seed", *header], [cfg, args.seed, *[None] * len(header)])
 
 
 def _report(args, params: dict, header, columns, fields: dict, passed: bool,
@@ -294,15 +363,17 @@ def _report(args, params: dict, header, columns, fields: dict, passed: bool,
     return its exit code (0 if ``passed``, else 1).
 
     The experiment is ``args.command``.  ``header`` and ``columns`` are the
-    detail columns after ``config_hash`` and ``seed``; ``fields`` are the
-    summary entries beside the six common ones.
+    detail columns after ``config_hash`` and ``seed``, or ``columns`` is the
+    ``_detail`` they were written to.  ``fields`` are the summary entries
+    beside the six common ones.
     """
     name = args.command
-    cfg = _config_hash({"experiment": name, "seed": args.seed, **params})
+    cfg = _config_hash(args, params)
     summary = {"schema_version": SCHEMA_VERSION, "experiment": name, "params": params,
                "seed": args.seed, "config_hash": cfg, "passed": bool(passed), **fields}
-    _emit(args.out, f"{name}_{cfg}", args.format, ["config_hash", "seed", *header],
-          Table(cfg, args.seed, *columns), summary)
+    table = columns if isinstance(columns, Detail) else Table(cfg, args.seed, *columns)
+    _emit(args.out, f"{name}_{cfg}", args.format, ["config_hash", "seed", *header], table,
+          summary)
     print(message)
     return 0 if passed else 1
 
@@ -345,7 +416,10 @@ def cmd_sample_z(args) -> int:
         "grid_step": args.grid_step, "eps": args.eps,
     }
     payload = (args.alpha, args.beta, args.sampler, args.grid_step, args.eps)
-    draws = np.concatenate(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs, payload))
+    header = ["replicate", "value"]
+    with _detail(args, params, header) as detail:
+        draws = np.concatenate(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs,
+                                           payload, detail=detail))
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     est1, m1_t, tol1, ok1 = acceptance.moment_check(draws, ab, 1)
     est2, m2_t, tol2, ok2 = acceptance.moment_check(draws, ab, 2)
@@ -355,8 +429,7 @@ def cmd_sample_z(args) -> int:
         "second_moment": est2.mean, "second_moment_stderr": est2.stderr,
         "target_second_moment": m2_t, "mean_tolerance": tol1, "second_moment_tolerance": tol2,
     }
-    return _report(args, params, ["replicate", "value"], [range(draws.size), draws],
-                   {"metrics": metrics}, ok,
+    return _report(args, params, header, detail, {"metrics": metrics}, ok,
                    f"sample-z: {'PASS' if ok else 'FAIL'} mean {est1.mean:.5f} vs {m1_t:.5f}, "
                    f"m2 {est2.mean:.5f} vs {m2_t:.5f}")
 
@@ -366,8 +439,11 @@ def cmd_sieve(args) -> int:
 
     params = {"wlaw": args.wlaw, "balls": args.balls, "reps": args.reps}
     wlaw = parse_wlaw(args.wlaw)
-    table, truncated = _run_counted(_chunk_sieve, args.seed, args.reps, args.jobs,
-                                    (args.wlaw, args.balls))
+    sieve._check_balls(args.balls)
+    header = ["replicate", "occupied", "last_occupied", "empty_in_range"]
+    with _detail(args, params, header) as detail:
+        table, truncated = _run_counted(_chunk_sieve, args.seed, args.reps, args.jobs,
+                                        (args.wlaw, args.balls), detail=detail)
     empty = table[:, 2]
     emp = chains.empirical_pmf(empty)
     metrics = {
@@ -387,9 +463,7 @@ def cmd_sieve(args) -> int:
         msg += f", {truncated} replicates truncated"
     if wlaw.symmetric:
         msg += f", TV vs geometric(1/2) {tv:.5f}"
-    return _report(args, params,
-                   ["replicate", "occupied", "last_occupied", "empty_in_range"],
-                   [range(len(table)), *table.T], {"metrics": metrics}, passed, msg)
+    return _report(args, params, header, detail, {"metrics": metrics}, passed, msg)
 
 
 def cmd_prw(args) -> int:
@@ -403,12 +477,14 @@ def cmd_prw(args) -> int:
     payload = (args.xi, args.eta, args.coupled_multiplier, (args.t,), (args.stat,),
                args.q_exponent)
     _prw_scale(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat)
-    values = np.concatenate(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
-                                        payload))[:, 0]
+    header = ["replicate", "value"]
+    with _detail(args, params, header) as detail:
+        values = np.concatenate(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
+                                            payload, detail=detail))[:, 0]
     est = stats.mc_accumulate(values)
     # prw estimates a functional's mean and checks nothing: "passed" is true
     # because no check failed, and "checks" is empty to say that none ran
-    return _report(args, params, ["replicate", "value"], [range(values.size), values],
+    return _report(args, params, header, detail,
                    {"metrics": {"mean": est.mean, "stderr": est.stderr}, "checks": {}}, True,
                    f"prw[{args.stat}]: mean {est.mean:.5f} +- {est.stderr:.5f} "
                    "(no check in scope)")

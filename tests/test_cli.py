@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,94 @@ class TestDetailWriter:
         assert max(peaks) < 16 * 2**20
 
 
+# The streamed commands: the detail header after config_hash and seed, the
+# chunk worker with the payload the command passes it, and the command line
+# up to its replicate count.
+_STREAMED = {
+    "sieve": (["replicate", "occupied", "last_occupied", "empty_in_range"], cli._chunk_sieve,
+              ("uniform", 10), ("--wlaw", "uniform", "--balls", "10", "--reps")),
+    "sample-z": (["replicate", "value"], cli._chunk_sample_z,
+                 (0.5, 0.0, "mittag-leffler", 1e-4, 1e-4),
+                 ("--alpha", "0.5", "--beta", "0", "--sampler", "mittag-leffler", "--n")),
+    "prw": (["replicate", "value"], cli._chunk_prw,
+            ("pareto:0.5", "const:0", None, (100.0,), ("renewals",), 0.25),
+            ("--xi", "pareto:0.5", "--stat", "renewals", "--t", "100", "--reps")),
+}
+
+
+def _detail_rows(path: Path) -> int:
+    return len(path.read_text().splitlines()) - 1
+
+
+class TestStreamedDetail:
+    @pytest.mark.parametrize("total", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("cmd", sorted(_STREAMED))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_the_joined_table(self, fmt, cmd, total, tmp_path):
+        # rows formatted chunk by chunk, in or out of process, are the bytes
+        # the writer makes of the whole table
+        header, worker, payload, argv = _STREAMED[cmd]
+        parts = cli._run_chunks(worker, 5, total, 1, payload)
+        values = np.concatenate([p[0] if isinstance(p, tuple) else p for p in parts])
+        columns = values.reshape(total, -1).T
+        for jobs in (1, 2):
+            out = tmp_path / str(jobs)
+            code = run_cli(cmd, *argv, total, "--seed", "5", "--jobs", jobs, "--format", fmt,
+                           "--out", out)
+            assert code in (0, 1)
+            summary, = out.glob("*.summary.json")
+            cfg = json.loads(summary.read_text())["config_hash"]
+            joined = tmp_path / f"joined{jobs}"
+            _write_detail(joined, fmt, ["config_hash", "seed", *header],
+                          Table(cfg, 5, range(total), *columns))
+            assert (out / f"{cmd}_{cfg}.{fmt}").read_bytes() == joined.read_bytes()
+
+    def test_parent_memory_grows_less_than_the_file(self, tmp_path):
+        from sievesim import acceptance  # noqa: F401  (so its import is not in a peak)
+
+        peaks, sizes = [], []
+        for n in (20_000, 100_000):
+            out = tmp_path / str(n)
+            tracemalloc.start()
+            try:
+                code = run_cli("sample-z", "--sampler", "mittag-leffler", "--alpha", "0.5",
+                               "--beta", "0", "--n", n, "--seed", "5", "--jobs", "1",
+                               "--out", out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            detail, = out.glob("*[!y].csv")
+            sizes.append(detail.stat().st_size)
+        # a parent that held every chunk's text would grow by the file's growth
+        assert peaks[1] - peaks[0] < sizes[1] - sizes[0]
+
+    def test_tracer_counts_chunks_and_rows(self, tmp_path):
+        # perfbench/tracing.py wraps cli._run_chunks and cli._emit and takes
+        # len() of the chunk results and of _emit's fifth argument; the
+        # benchmark's traced pass needs both to stay sized
+        path = Path(cli.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+        tracing = types.ModuleType("perfbench_tracing")
+        exec(compile(path.read_text(), str(path), "exec"), vars(tracing))
+        runs = [(("sieve", "--wlaw", "beta:2,3", "--balls", "10", "--reps", 2 * CHUNK), 2),
+                (("sample-z", "--sampler", "mittag-leffler", "--alpha", "0.5", "--beta", "0",
+                  "--n", CHUNK + 7), 2)]
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for k, (argv, chunks) in enumerate(runs):
+                first = len(tracer.spans)
+                out = tmp_path / str(k)
+                assert run_cli(*argv, "--seed", "5", "--jobs", "1", "--out", out) == 0
+                counts = [(name, c["n"]) for name, _, _, _, c in tracer.spans[first:]
+                          if name in ("cli._emit", "cli._run_chunks")]
+                detail, = out.glob("*[!y].csv")
+                assert sorted(counts) == [("cli._emit", _detail_rows(detail)),
+                                          ("cli._run_chunks", chunks)]
+        finally:
+            tracer.uninstall()
+
+
 class TestMomentsCommand:
     def test_identities_pass(self, tmp_path):
         code = run_cli("moments", "--alpha", "0.5", "--beta", "0.25",
@@ -268,6 +357,31 @@ class TestSampleZCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: path-integral sampler exceeded the step budget of 100 (")
         assert err.endswith(" of 50 paths)\n") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_exhausted_path_budget_exits_three_from_a_pool(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the pool's workers are forked, so they run the patched engine; the
+        # detail file opened before sampling is deleted
+        engine = limitlaw._pathint_block
+        monkeypatch.setattr(limitlaw, "_pathint_block",
+                            functools.partial(engine, max_steps=100))
+        code = run_cli("sample-z", "--alpha", "0.6", "--beta", "0.3", "--n", CHUNK + 50,
+                       "--grid-step", "1e-3", "--seed", "11", "--out", tmp_path, "--jobs", "2")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: path-integral sampler exceeded the step budget of 100 (")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_while_sampling_leaves_no_file(self, jobs, tmp_path, capsys):
+        # the direct Mittag-Leffler sampler rejects beta != 0 inside the chunk worker
+        code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", "--sampler",
+                       "mittag-leffler", "--n", CHUNK + 1, "--seed", "1", "--out", tmp_path,
+                       "--jobs", jobs)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: the direct Mittag-Leffler sampler")
         assert not any(tmp_path.iterdir())
 
 
@@ -324,6 +438,15 @@ class TestSieveCommand:
         payload = json.loads(next(Path(tmp_path).glob("sieve_*.summary.json")).read_text())
         assert payload["metrics"]["truncated"] > 0
         assert payload["passed"] is False
+
+    def test_negative_balls_exit_two_before_any_pool(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        code = run_cli("sieve", "--wlaw", "uniform", "--balls", "-5", "--reps", 3 * CHUNK,
+                       "--jobs", "2", "--seed", "1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ball count must be")
+        assert _RecordingPool.sizes == [] and not any(tmp_path.iterdir())
 
 
 class TestMarkovCommand:
@@ -430,6 +553,7 @@ class TestPrwCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: walk failed to cross")
         assert peak < 100 * 2**20
+        assert not any(tmp_path.iterdir())
 
 
 class TestVerifyCommand:

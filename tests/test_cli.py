@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sievesim import cli, limitlaw, sieve, walks
-from sievesim.cli import (BLOCK, CHUNK, Table, _chunk_plan, _chunk_prw, _emit, _write_detail,
-                          main, parse_marginal, parse_wlaw)
+from sievesim.cli import (BLOCK, CHUNK, Detail, _chunk_plan, _chunk_prw, main, parse_marginal,
+                          parse_wlaw)
 from sievesim.randkit import RngStream
 from sievesim.sieve import BetaW, LogParetoMixtureW, UniformW
 from sievesim.walks import ExponentialLaw, ParetoLaw
@@ -74,6 +74,14 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_moment_order_past_the_cap_exits_two(self, tmp_path, capsys):
+        code = run_cli("moments", "--alpha", "0.5", "--beta", "0.25", "--nmax", "21",
+                       "--seed", "1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
 
 class TestChunkPlan:
@@ -170,10 +178,20 @@ def _column(kind, values, rows):
     return cycled if kind == "list" else np.array(cycled, dtype=kind)
 
 
+def _is_scalar(column) -> bool:
+    return isinstance(column, (str, int, float))
+
+
 def _cell_values(column, rows):
-    if isinstance(column, (str, int, float)):
+    if _is_scalar(column):
         return [column] * rows
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _write_columns(path: Path, fmt: str, header, columns):
+    """Write ``columns`` (scalars and varying columns mixed) through Detail."""
+    with Detail(path, fmt, header, columns) as detail:
+        detail.write_columns([c for c in columns if not _is_scalar(c)])
 
 
 class TestDetailWriter:
@@ -194,16 +212,17 @@ class TestDetailWriter:
             specs[-1] = ("range", None)  # a table takes its row count from a column
         columns = [_column(kind, values, rows) for kind, values in specs]
         out = tmp_path_factory.mktemp("detail")
-        _write_detail(out / "new", fmt, header, Table(*columns))
+        _write_columns(out / "new", fmt, header, columns)
         _reference_detail(out / "old", fmt, header,
                           list(zip(*(_cell_values(c, rows) for c in columns))))
         assert (out / "new").read_bytes() == (out / "old").read_bytes()
 
-    def test_columns_must_share_one_length(self):
-        with pytest.raises(ValueError):
-            Table("cfg", 1, range(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            Table("cfg", 1)
+    def test_columns_must_share_one_length(self, tmp_path):
+        for columns in (["cfg", 1, range(3), np.zeros(4)], ["cfg", 1]):
+            path = tmp_path / "detail.csv"
+            with pytest.raises(ValueError):
+                _write_columns(path, "csv", [f"c{i}" for i in range(len(columns))], columns)
+            assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_memory_does_not_grow_with_rows(self, fmt, tmp_path):
@@ -216,10 +235,10 @@ class TestDetailWriter:
         counts = (batch.occupied, batch.last_occupied, batch.empty_in_range)
         peaks = []
         for rows in (5_000, 20_000):
-            table = Table("0123456789ab", 20260811, range(rows), *(c[:rows] for c in counts))
+            columns = ["0123456789ab", 20260811, range(rows), *(c[:rows] for c in counts)]
             tracemalloc.start()
             try:
-                _emit(tmp_path, f"t{rows}", fmt, header, table, {"passed": True})
+                _write_columns(tmp_path / f"t{rows}.{fmt}", fmt, header, columns)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -265,8 +284,8 @@ class TestStreamedDetail:
             summary, = out.glob("*.summary.json")
             cfg = json.loads(summary.read_text())["config_hash"]
             joined = tmp_path / f"joined{jobs}"
-            _write_detail(joined, fmt, ["config_hash", "seed", *header],
-                          Table(cfg, 5, range(total), *columns))
+            _write_columns(joined, fmt, ["config_hash", "seed", *header],
+                           [cfg, 5, range(total), *columns])
             assert (out / f"{cmd}_{cfg}.{fmt}").read_bytes() == joined.read_bytes()
 
     def test_parent_memory_grows_less_than_the_file(self, tmp_path):
@@ -291,26 +310,31 @@ class TestStreamedDetail:
 
     def test_tracer_counts_chunks_and_rows(self, tmp_path):
         # perfbench/tracing.py wraps cli._run_chunks and cli._emit and takes
-        # len() of the chunk results and of _emit's fifth argument; the
-        # benchmark's traced pass needs both to stay sized
+        # len() of the chunk results and of _emit's fifth argument or rows=;
+        # the benchmark's traced pass needs both to stay sized
         path = Path(cli.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
         tracing = types.ModuleType("perfbench_tracing")
         exec(compile(path.read_text(), str(path), "exec"), vars(tracing))
-        runs = [(("sieve", "--wlaw", "beta:2,3", "--balls", "10", "--reps", 2 * CHUNK), 2),
+        # the streamed commands run two chunks; moments formats its six rows
+        # in the parent, through no _run_chunks
+        runs = [(("sieve", "--wlaw", "beta:2,3", "--balls", "10", "--reps", 2 * CHUNK),
+                 [("cli._emit", 2 * CHUNK), ("cli._run_chunks", 2)]),
                 (("sample-z", "--sampler", "mittag-leffler", "--alpha", "0.5", "--beta", "0",
-                  "--n", CHUNK + 7), 2)]
+                  "--n", CHUNK + 7), [("cli._emit", CHUNK + 7), ("cli._run_chunks", 2)]),
+                (("moments", "--alpha", "0.5", "--beta", "0.25", "--nmax", "6"),
+                 [("cli._emit", 6)])]
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            for k, (argv, chunks) in enumerate(runs):
+            for k, (argv, expected) in enumerate(runs):
                 first = len(tracer.spans)
                 out = tmp_path / str(k)
                 assert run_cli(*argv, "--seed", "5", "--jobs", "1", "--out", out) == 0
                 counts = [(name, c["n"]) for name, _, _, _, c in tracer.spans[first:]
                           if name in ("cli._emit", "cli._run_chunks")]
                 detail, = out.glob("*[!y].csv")
-                assert sorted(counts) == [("cli._emit", _detail_rows(detail)),
-                                          ("cli._run_chunks", chunks)]
+                assert sorted(counts) == expected
+                assert expected[0][1] == _detail_rows(detail)
         finally:
             tracer.uninstall()
 

@@ -5,16 +5,12 @@ Each criterion is deterministic given the master seed: replicate streams
 are indexed per criterion, so any criterion rerun with the same seed
 reproduces its metrics exactly, regardless of what else ran.
 
-The large Monte Carlo samples, the limit-law draws shared by criteria 3,
-4, 5, 12 and 13, the sieve samples of criteria 8 and 14, criterion 9's
-interval-allocation sample and the walk samples of criteria 11 and 12, run
-through ``cli._run_chunks`` and so spread over ``jobs`` processes; that
+The large Monte Carlo samples are the rows of ``SAMPLES``: each names its
+stream id, size, chunk worker and payload of law objects, and ``_sample``
+draws it through ``cli._run_chunks``, spread over ``jobs`` processes.  That
 runner defines the chunk address (seed, sample's stream id, chunk), so the
-draws do not depend on ``jobs``.  The limit-law pair ``(alpha, beta)`` has
-stream id ``1000 + its index in sorted(_Z_SIZES)``; criteria 8, 9, 11, 12
-and 14 have 80, 90, 110, 120 and 140.  The sieve samples use the chunk
-worker of ``sievesim sieve`` (criterion 8 runs it once per case on each
-chunk's stream) and the walk samples that of ``sievesim prw``.
+draws do not depend on ``jobs``.  The limit-law draws, shared by criteria
+3, 4, 5, 12 and 13, are memoised per process in ``_Z_CACHE``.
 
 Two distributional checks (numbers 12 and 13) probe limits with a
 logarithmic convergence rate at fixed desk scale; both run exactly at
@@ -28,14 +24,16 @@ sampler error.
 
 from __future__ import annotations
 
+import io
 import math
 import tempfile
+from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import chains, cli, limitlaw, sieve, stats
+from . import chains, cli, limitlaw, sieve, stats, walks
 from .randkit import RngStream
 
 DEFAULT_SEED = 20260811
@@ -135,79 +133,17 @@ def chain_sampler_check(dp: chains.Pmf, sim, rep):
 
 
 # ----------------------------------------------------------------------
-# shared limit-law draws (canonical sizes so results do not depend on
-# which criteria run together)
-
-_Z_SIZES = {
-    (0.5, 0.0): 100_000,
-    (0.5, 0.25): 100_000,
-    (0.75, 0.5): 100_000,
-    (0.5, 0.5): 100_000,
-    (0.6, 0.3): 20_000,
-}
-_Z_GRID = 1e-4
-_Z_CACHE: dict = {}
-
-# criterion 9's interval-allocation sample: replicates, balls, stream id
-_INTERVAL_REPS = 100_000
-_INTERVAL_BALLS = 100
-_INTERVAL_STREAM = 90
-
-
-# criteria 8 and 14's sieve samples, drawn by the ``sieve`` chunk worker:
-# criterion -> (stream id, replicates, (W law, balls) cases)
-_SIEVE_SAMPLES = {
-    8: (80, 100_000, tuple((wlaw, balls) for wlaw in ("uniform", "beta:2,2")
-                           for balls in (5, 50, 500))),
-    14: (140, 100_000, (("beta:2,1", 100_000),)),
-}
-
+# the chunked samples
 
 def _chunk_interval_empty(rng, count, balls):
     batch = sieve.sample_occupancy(sieve.UniformW(), balls, count, rng, method="uniform")
     return batch.empty_in_range
 
 
-# criteria 11 and 12's walk samples, drawn by the ``prw`` chunk worker from
-# Pareto(1/2) steps and Pareto(1/4) perturbations: criterion -> (stream id,
-# walks, t values, statistics)
-_WALK_LAW = ("pareto:0.5", "pareto:0.25", None)
-_WALK_SAMPLES = {
-    11: (110, 100_000, (1e2, 1e3, 1e4), ("window",)),
-    12: (120, 10_000, (1e4,), ("empty", "busy")),
-}
-
-
-def _walk_sample(number: int, seed: int, jobs: int = 1) -> np.ndarray:
-    """Criterion ``number``'s normalised walk functionals, one column per
-    (statistic, t)."""
-    stream, total, t_values, names = _WALK_SAMPLES[number]
-    parts = cli._run_chunks(cli._chunk_prw, seed, total, jobs,
-                            (*_WALK_LAW, t_values, names, 0.25), stream)
-    return np.concatenate(parts)
-
-
-def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
-    key = (alpha, beta, seed)
-    if key not in _Z_CACHE:
-        stream = 1000 + sorted(_Z_SIZES).index((alpha, beta))
-        parts = cli._run_chunks(cli._chunk_sample_z, seed, _Z_SIZES[(alpha, beta)], jobs,
-                                (alpha, beta, "pathint", _Z_GRID, None), stream)
-        _Z_CACHE[key] = np.concatenate(parts)
-    return _Z_CACHE[key]
-
-
-def _interval_empty(seed: int, jobs: int = 1) -> np.ndarray:
-    """Criterion 9's empty-box counts from the interval representation."""
-    parts = cli._run_chunks(_chunk_interval_empty, seed, _INTERVAL_REPS, jobs,
-                            (_INTERVAL_BALLS,), _INTERVAL_STREAM)
-    return np.concatenate(parts)
-
-
 def _chunk_sieve_empty(rng, count, cases):
-    """Empty-box counts of ``count`` sieve replicates per case, the cases
-    drawn one after another from the chunk's stream, one column each, and
-    the number of replicates truncated.
+    """Empty-box counts of ``count`` sieve replicates per (W law, balls)
+    case, the cases drawn one after another from the chunk's stream, one
+    column each, and the number of replicates truncated.
 
     The counts are below the ball count, so int32 holds them at half the
     memory the parent process needs for the joined sample.
@@ -220,11 +156,45 @@ def _chunk_sieve_empty(rng, count, cases):
     return empty, truncated
 
 
-def _sieve_empty(number: int, seed: int, jobs: int = 1):
-    """Criterion ``number``'s empty-box counts, one column per case, and the
-    number of replicates truncated."""
-    stream, total, cases = _SIEVE_SAMPLES[number]
-    return cli._run_counted(_chunk_sieve_empty, seed, total, jobs, (cases,), stream)
+_Z_GRID = 1e-4
+
+# name -> (stream id, replicates, chunk worker, payload): a limit-law pair
+# (alpha, beta) names its path-integral draws, a criterion number its sample.
+# Sizes are canonical, so results do not depend on which criteria run together.
+SAMPLES = {
+    **{pair: (stream, size, cli._chunk_sample_z,
+              (limitlaw.AlphaBeta(*pair), "pathint", _Z_GRID, None))
+       for stream, pair, size in [(1000, (0.5, 0.0), 100_000), (1001, (0.5, 0.25), 100_000),
+                                  (1002, (0.5, 0.5), 100_000), (1003, (0.6, 0.3), 20_000),
+                                  (1004, (0.75, 0.5), 100_000)]},
+    8: (80, 100_000, _chunk_sieve_empty,
+        (tuple((wlaw, balls) for wlaw in (sieve.UniformW(), sieve.BetaW(2, 2))
+               for balls in (5, 50, 500)),)),
+    9: (90, 100_000, _chunk_interval_empty, (100,)),
+    # walks of Pareto(1/2) steps and Pareto(1/4) perturbations
+    11: (110, 100_000, cli._chunk_prw,
+         (walks.PrwLaw.independent(walks.ParetoLaw(0.5), walks.ParetoLaw(0.25)),
+          (1e2, 1e3, 1e4), ("window",), 0.25)),
+    12: (120, 10_000, cli._chunk_prw,
+         (walks.PrwLaw.independent(walks.ParetoLaw(0.5), walks.ParetoLaw(0.25)),
+          (1e4,), ("empty", "busy"), 0.25)),
+    14: (140, 100_000, _chunk_sieve_empty, (((sieve.BetaW(2, 1), 100_000),),)),
+}
+_Z_CACHE: dict = {}
+
+
+def _sample(name, seed: int, jobs: int = 1):
+    """The sample ``SAMPLES[name]`` at ``seed``: its chunk results joined
+    (an array, or an array and a truncation count for the sieve samples)."""
+    stream, total, worker, payload = SAMPLES[name]
+    return cli._join(cli._run_chunks(worker, seed, total, jobs, payload, stream))
+
+
+def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
+    key = (alpha, beta, seed)
+    if key not in _Z_CACHE:
+        _Z_CACHE[key] = _sample((alpha, beta), seed, jobs)
+    return _Z_CACHE[key]
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +329,7 @@ def crit_07_chain_sampler_agreement(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
-    empty, truncated = _sieve_empty(8, seed, jobs)
+    empty, truncated = _sample(8, seed, jobs)
     worst = max(geometric_half_check(chains.empirical_pmf(column))[0] for column in empty.T)
     passed = worst <= TV_TOL and truncated == 0
     return CriterionResult(
@@ -371,9 +341,9 @@ def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_09_chain_vs_sieve(seed: int, jobs: int) -> CriterionResult:
-    spec = chains.sieve_chain_spec(sieve.UniformW(), _INTERVAL_BALLS)
-    dp = chains.exact_zero_decrement_pmf(spec, _INTERVAL_BALLS)
-    emp = chains.empirical_pmf(_interval_empty(seed, jobs), width=dp.masses.size)
+    (balls,) = SAMPLES[9][3]
+    dp = chains.exact_zero_decrement_pmf(chains.sieve_chain_spec(sieve.UniformW(), balls), balls)
+    emp = chains.empirical_pmf(_sample(9, seed, jobs), width=dp.masses.size)
     tv = stats.tv_distance(emp, dp)
     passed = tv <= 0.01
     return CriterionResult(
@@ -408,7 +378,7 @@ def crit_10_conditional_formulas(seed: int, jobs: int) -> CriterionResult:
 
 def crit_11_window_statistic_trend(seed: int, jobs: int) -> CriterionResult:
     target = limitlaw.z_moment(limitlaw.AlphaBeta(0.5, 0.25), 1)
-    rel_errs = np.abs(_walk_sample(11, seed, jobs).mean(axis=0) - target) / target
+    rel_errs = np.abs(_sample(11, seed, jobs).mean(axis=0) - target) / target
     monotone = bool(rel_errs[0] > rel_errs[1] > rel_errs[2])
     passed = rel_errs[2] <= 0.15 and monotone
     return CriterionResult(
@@ -420,9 +390,9 @@ def crit_11_window_statistic_trend(seed: int, jobs: int) -> CriterionResult:
 
 
 def crit_12_walk_functionals_vs_limit(seed: int, jobs: int) -> CriterionResult:
-    (x,) = _WALK_SAMPLES[12][2]
-    ratio = cli._prw_scale(cli._prw_law(*_WALK_LAW), x, "busy")  # P{xi > x} / P{eta > x}
-    t_vals, r_vals = _walk_sample(12, seed, jobs).T
+    law, (x,), _, _ = SAMPLES[12][3]
+    ratio = cli._prw_scale(law, x, "busy")  # P{xi > x} / P{eta > x}
+    t_vals, r_vals = _sample(12, seed, jobs).T
     z = _z_draws(0.5, 0.25, seed, jobs)[:t_vals.size]
     d_t = stats.ks_two_sample(t_vals, z)
     d_r = stats.ks_two_sample(r_vals, z)
@@ -479,7 +449,7 @@ def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
     if any(abs(geo_report.factorial_moments[r - 1] - math.factorial(r)) > 1e-6 for r in range(1, 5)):
         problems.append("geometric factorial moments differ from r!")
     # advisory run on heavy-tail-free sieve samples
-    empty, truncated = _sieve_empty(14, seed, jobs)
+    empty, truncated = _sample(14, seed, jobs)
     empty = empty[:, 0]
     if truncated:
         problems.append(f"{truncated} sieve replicates truncated")
@@ -487,8 +457,8 @@ def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
     if not sieve_report.passed:
         problems.append("beta(2,1) sieve sample flagged")
     # limit comparison: mixed Poisson with parameter 2|log(1-W)|
-    (wlaw, _), = _SIEVE_SAMPLES[14][2]
-    w_draws = cli.parse_wlaw(wlaw).sample(rng, size=100_000)
+    ((wlaw, _),), = SAMPLES[14][3]
+    w_draws = wlaw.sample(rng, size=100_000)
     mixed = rng.poisson(2.0 * -np.log1p(-w_draws))
     width = max(int(empty.max()), int(mixed.max())) + 1
     tv = stats.tv_distance(
@@ -513,7 +483,8 @@ def crit_15_determinism(seed: int, jobs: int) -> CriterionResult:
     ]
     blobs = []
     for run_jobs in (1, 2):
-        with tempfile.TemporaryDirectory() as tmp:
+        # the nested runs' report lines stay off the suite's own output
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
             code = cli.main(argv_base + ["--out", tmp, "--jobs", str(run_jobs)])
             if code != 0:
                 return CriterionResult(15, "seeded determinism and parallelism independence",

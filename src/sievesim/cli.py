@@ -36,7 +36,8 @@ CHUNK = 4096
 
 
 # ----------------------------------------------------------------------
-# law descriptor parsing (shared by flags and worker processes)
+# law descriptor parsing: each flag is parsed once, in the parent, and chunk
+# workers take the law objects
 
 def parse_wlaw(text: str) -> sieve.WLaw:
     name, _, rest = text.partition(":")
@@ -100,7 +101,8 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
     Chunk ``cid`` of the sample with stream id ``stream`` draws from
     ``RngStream(seed, (stream << 32) | cid)``: the address is (seed, sample,
     chunk), so results do not depend on ``jobs``.  The experiments use
-    stream 0, so their chunk ``cid`` draws from ``RngStream(seed, cid)``.
+    stream 0, so their chunk ``cid`` draws from ``RngStream(seed, cid)``;
+    ``markov`` draws its second sample on stream 1.
 
     With a ``Detail``, the process that draws a chunk also formats its rows
     (the replicate index, then the columns of its array, a tuple result's
@@ -126,37 +128,27 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
         return gather(pool.map(_call_chunk, tasks))
 
 
-def _run_counted(*args, **kwargs):
-    """``_run_chunks`` for a worker that returns (array, count): the arrays
-    joined in chunk order and the counts summed."""
-    parts = _run_chunks(*args, **kwargs)
-    return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+def _join(parts):
+    """The chunk results of ``_run_chunks`` as one sample: arrays joined in
+    chunk order, and for a worker that returns (array, count) the arrays
+    joined and the counts summed."""
+    if isinstance(parts[0], tuple):
+        return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+    return np.concatenate(parts)
 
 
-def _chunk_sample_z(rng, count, alpha, beta, sampler, grid_step, eps):
-    params = limitlaw.AlphaBeta(alpha, beta)
+def _chunk_sample_z(rng, count, params: limitlaw.AlphaBeta, sampler, grid_step, eps):
     if sampler == "pathint":
         return limitlaw.sample_z_pathint(params, grid_step, rng, size=count)
     if sampler == "expfunc":
         return limitlaw.sample_z_expfunctional(params, eps, rng, size=count)
-    if sampler == "mittag-leffler":
-        if beta != 0.0:
-            raise ValueError("the direct Mittag-Leffler sampler requires beta = 0")
-        return limitlaw.sample_mittag_leffler(alpha, rng, size=count)
-    raise ValueError(f"unknown sampler {sampler!r}")
+    return limitlaw.sample_mittag_leffler(params.alpha, rng, size=count)
 
 
-def _chunk_sieve(rng, count, wlaw_text, balls):
-    batch = sieve.sample_occupancy(parse_wlaw(wlaw_text), balls, count, rng)
+def _chunk_sieve(rng, count, wlaw: sieve.WLaw, balls):
+    batch = sieve.sample_occupancy(wlaw, balls, count, rng)
     table = np.stack([batch.occupied, batch.last_occupied, batch.empty_in_range], axis=1)
     return table, batch.truncated
-
-
-def _prw_law(xi_text: str, eta_text: str, multiplier) -> walks.PrwLaw:
-    xi_law = parse_marginal(xi_text)
-    if multiplier is not None:
-        return walks.PrwLaw.coupled(xi_law, multiplier)
-    return walks.PrwLaw.independent(xi_law, parse_marginal(eta_text))
 
 
 def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
@@ -184,18 +176,16 @@ def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
     return 1.0  # the window statistic carries its own normalisation
 
 
-def _chunk_prw(rng, count, xi_text, eta_text, multiplier, t_values, stats, q_exponent):
+def _chunk_prw(rng, count, law: walks.PrwLaw, t_values, stats, q_exponent):
     """Normalised walk functionals of ``count`` walks: column ``i * len(t_values) + j``
     holds ``stats[i]`` at ``t_values[j]``, all from the same walks."""
-    law = _prw_law(xi_text, eta_text, multiplier)
     scales = [_prw_scale(law, t, stat) for stat in stats for t in t_values]
     q = lambda x: (1.0 + x) ** -q_exponent
     values = walks.walk_functionals(law, t_values, count, rng, stats, q=q)
     return np.hstack([values[stat] for stat in stats]) * scales
 
 
-def _chunk_markov(rng, count, spec_json, n, method):
-    spec = chains.chain_from_json(spec_json)
+def _chunk_markov(rng, count, spec: chains.ChainSpec, n, method):
     if method == "direct":
         return chains.sample_zero_decrements(spec, n, count, rng)
     return chains.sample_geometric_rep(spec, n, count, rng)
@@ -391,11 +381,12 @@ def cmd_sample_z(args) -> int:
         "alpha": args.alpha, "beta": args.beta, "n": args.n, "sampler": args.sampler,
         "grid_step": args.grid_step, "eps": args.eps,
     }
-    payload = (args.alpha, args.beta, args.sampler, args.grid_step, args.eps)
-    with _detail(args, params, ["replicate", "value"]) as detail:
-        draws = np.concatenate(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs,
-                                           payload, detail=detail))
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
+    if args.sampler == "mittag-leffler" and args.beta != 0.0:
+        raise ValueError("the direct Mittag-Leffler sampler requires beta = 0")
+    with _detail(args, params, ["replicate", "value"]) as detail:
+        draws = _join(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs,
+                                  (ab, args.sampler, args.grid_step, args.eps), detail=detail))
     est1, m1_t, tol1, ok1 = acceptance.moment_check(draws, ab, 1)
     est2, m2_t, tol2, ok2 = acceptance.moment_check(draws, ab, 2)
     ok = ok1 and ok2
@@ -417,8 +408,8 @@ def cmd_sieve(args) -> int:
     sieve._check_balls(args.balls)
     with _detail(args, params, ["replicate", "occupied", "last_occupied",
                                 "empty_in_range"]) as detail:
-        table, truncated = _run_counted(_chunk_sieve, args.seed, args.reps, args.jobs,
-                                        (args.wlaw, args.balls), detail=detail)
+        table, truncated = _join(_run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs,
+                                             (wlaw, args.balls), detail=detail))
     empty = table[:, 2]
     emp = chains.empirical_pmf(empty)
     metrics = {
@@ -449,12 +440,16 @@ def cmd_prw(args) -> int:
         "xi": args.xi, "eta": args.eta, "coupled_multiplier": args.coupled_multiplier,
         "t": args.t, "stat": args.stat, "reps": args.reps, "q_exponent": args.q_exponent,
     }
-    payload = (args.xi, args.eta, args.coupled_multiplier, (args.t,), (args.stat,),
-               args.q_exponent)
-    _prw_scale(_prw_law(args.xi, args.eta, args.coupled_multiplier), args.t, args.stat)
+    xi_law = parse_marginal(args.xi)
+    if args.coupled_multiplier is None:
+        law = walks.PrwLaw.independent(xi_law, parse_marginal(args.eta))
+    else:
+        law = walks.PrwLaw.coupled(xi_law, args.coupled_multiplier)
+    _prw_scale(law, args.t, args.stat)
     with _detail(args, params, ["replicate", "value"]) as detail:
-        values = np.concatenate(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
-                                            payload, detail=detail))[:, 0]
+        values = _join(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
+                                   (law, (args.t,), (args.stat,), args.q_exponent),
+                                   detail=detail))[:, 0]
     est = stats.mc_accumulate(values)
     # prw estimates a functional's mean and checks nothing: "passed" is true
     # because no check failed, and "checks" is empty to say that none ran
@@ -497,10 +492,10 @@ def cmd_markov(args) -> int:
         chain = f"spec-json:{hashlib.sha256(spec_json.encode()).hexdigest()}"
     params = {"chain": chain, "n": args.n, "reps": args.reps}
     dp = chains.exact_zero_decrement_pmf(spec, args.n)
-    sim = np.concatenate(_run_chunks(_chunk_markov, args.seed, args.reps, args.jobs,
-                                     (spec_json, args.n, "direct")))
-    rep = np.concatenate(_run_chunks(_chunk_markov, args.seed + 1, args.reps, args.jobs,
-                                     (spec_json, args.n, "georep")))
+    sim = _join(_run_chunks(_chunk_markov, args.seed, args.reps, args.jobs,
+                            (spec, args.n, "direct")))
+    rep = _join(_run_chunks(_chunk_markov, args.seed, args.reps, args.jobs,
+                            (spec, args.n, "georep"), stream=1))
     sim_pmf, rep_pmf, tv_sim, tv_rep, passed = acceptance.chain_sampler_check(dp, sim, rep)
     width = sim_pmf.masses.size
     metrics = {"tv_sim_vs_dp": tv_sim, "tv_georep_vs_dp": tv_rep,

@@ -31,17 +31,20 @@ def test_criterion(number):
 # chunk-addressed samples
 
 SMALL = 2 * cli.CHUNK + 5  # three chunks, the last one partial
-PAIRS = sorted(acceptance._Z_SIZES)
-WALKS = sorted(acceptance._WALK_SAMPLES)
-SIEVES = sorted(acceptance._SIEVE_SAMPLES)
-_CHUNK_Z = cli._chunk_sample_z
+PAIRS = sorted(name for name in acceptance.SAMPLES if isinstance(name, tuple))
+SIEVES = [name for name, (_, _, worker, _) in acceptance.SAMPLES.items()
+          if worker is acceptance._chunk_sieve_empty]
+
+
+def _sample_id(name) -> str:
+    return "-".join(map(str, name)) if isinstance(name, tuple) else str(name)
 
 
 def _process_keyed_chunk_z(rng, count, *payload):
     """A faulty worker: where it draws on its chunk's stream depends on the
     process that runs it, and so on how many jobs the chunks are spread over."""
     rng.bit_generator.advance(os.getpid())
-    return _CHUNK_Z(rng, count, *payload)
+    return cli._chunk_sample_z(rng, count, *payload)
 
 
 def _record_streams(monkeypatch):
@@ -58,18 +61,24 @@ def _record_streams(monkeypatch):
 
 @pytest.fixture
 def small_samples(monkeypatch):
-    monkeypatch.setattr(acceptance, "_Z_SIZES", {pair: SMALL for pair in PAIRS})
-    monkeypatch.setattr(acceptance, "_Z_GRID", 1e-2)
+    """Every row of SAMPLES at SMALL replicates: the limit-law pairs at grid
+    1e-2, criterion 9 at 10 balls and the sieve cases at 1000 balls at most."""
+    for name, (stream, _, worker, payload) in list(acceptance.SAMPLES.items()):
+        if worker is cli._chunk_sample_z:
+            params, sampler, _, eps = payload
+            payload = (params, sampler, 1e-2, eps)
+        elif worker is acceptance._chunk_interval_empty:
+            payload = (10,)
+        elif worker is acceptance._chunk_sieve_empty:
+            payload = (tuple((wlaw, min(balls, 1000)) for wlaw, balls in payload[0]),)
+        monkeypatch.setitem(acceptance.SAMPLES, name, (stream, SMALL, worker, payload))
     monkeypatch.setattr(acceptance, "_Z_CACHE", {})
-    monkeypatch.setattr(acceptance, "_INTERVAL_REPS", SMALL)
-    monkeypatch.setattr(acceptance, "_INTERVAL_BALLS", 10)
-    monkeypatch.setattr(acceptance, "_WALK_SAMPLES", {
-        number: (stream, SMALL, t_values, stats)
-        for number, (stream, _, t_values, stats) in acceptance._WALK_SAMPLES.items()})
-    monkeypatch.setattr(acceptance, "_SIEVE_SAMPLES", {
-        number: (stream, SMALL, tuple((wlaw, min(balls, 1000)) for wlaw, balls in cases))
-        for number, (stream, _, cases) in acceptance._SIEVE_SAMPLES.items()})
     assert len(cli._chunk_plan(SMALL)) >= 3
+
+
+def _array(sample):
+    """A sample's array; the sieve samples come with their truncation count."""
+    return sample[0] if isinstance(sample, tuple) else sample
 
 
 def _by_jobs(sample):
@@ -77,39 +86,29 @@ def _by_jobs(sample):
     out = []
     for jobs in (1, 2, 3):
         acceptance._Z_CACHE.clear()
-        draws = sample(jobs)
+        draws = _array(sample(jobs))
         assert len(draws) == SMALL
         out.append((draws.dtype, draws.tobytes()))
     return out
 
 
 class TestChunkedSamples:
+    @pytest.mark.parametrize("name", list(acceptance.SAMPLES), ids=_sample_id)
+    def test_sample_does_not_depend_on_jobs(self, name, small_samples):
+        first, *rest = _by_jobs(lambda jobs: acceptance._sample(name, SEED, jobs))
+        assert all(other == first for other in rest)
+
     @pytest.mark.parametrize("pair", PAIRS)
     def test_z_draws_do_not_depend_on_jobs(self, pair, small_samples):
+        # through the per-process memo that criteria 3, 4, 5, 12 and 13 share
         first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(*pair, SEED, jobs))
-        assert all(other == first for other in rest)
-
-    def test_interval_sample_does_not_depend_on_jobs(self, small_samples):
-        first, *rest = _by_jobs(lambda jobs: acceptance._interval_empty(SEED, jobs))
-        assert all(other == first for other in rest)
-
-    @pytest.mark.parametrize("number", WALKS)
-    def test_walk_samples_do_not_depend_on_jobs(self, number, small_samples):
-        first, *rest = _by_jobs(lambda jobs: acceptance._walk_sample(number, SEED, jobs))
         assert all(other == first for other in rest)
 
     @pytest.mark.parametrize("number", SIEVES)
     def test_sieve_samples_do_not_depend_on_jobs(self, number, small_samples):
-        truncated = []
-
-        def draw(jobs):
-            empty, count = acceptance._sieve_empty(number, SEED, jobs)
-            truncated.append(count)
-            return empty
-
-        first, *rest = _by_jobs(draw)
-        assert all(other == first for other in rest)
-        assert truncated == [0, 0, 0]
+        # the truncation counts are summed over the chunks at every jobs
+        counts = [acceptance._sample(number, SEED, jobs)[1] for jobs in (1, 2, 3)]
+        assert counts == [0, 0, 0]
 
     @pytest.mark.parametrize("number,calls", [(8, 25 * 6), (14, 25)])
     def test_truncated_replicates_fail_the_criterion(self, number, calls, monkeypatch):
@@ -128,42 +127,49 @@ class TestChunkedSamples:
         assert f"{calls} " in result.details and "replicates truncated" in result.details
 
     def test_worker_keyed_on_jobs_is_caught(self, small_samples, monkeypatch):
-        monkeypatch.setattr(cli, "_chunk_sample_z", _process_keyed_chunk_z)
+        stream, total, _, payload = acceptance.SAMPLES[(0.5, 0.0)]
+        monkeypatch.setitem(acceptance.SAMPLES, (0.5, 0.0),
+                            (stream, total, _process_keyed_chunk_z, payload))
         first, *rest = _by_jobs(lambda jobs: acceptance._z_draws(0.5, 0.0, SEED, jobs))
         assert all(other != first for other in rest)
 
+    def test_clearing_the_memo_draws_again(self, small_samples, monkeypatch):
+        # the benchmark clears acceptance._Z_CACHE by that name before every
+        # operation, so each one draws the limit-law pairs afresh
+        used = _record_streams(monkeypatch)
+        for _ in range(2):
+            acceptance._z_draws(0.5, 0.0, SEED)
+        assert len(used) == 3
+        acceptance._Z_CACHE.clear()
+        acceptance._z_draws(0.5, 0.0, SEED)
+        assert len(used) == 6
+        # only the limit-law draws are memoised
+        for _ in range(2):
+            acceptance._sample(8, SEED)
+        assert len(used) == 12
+        assert list(acceptance._Z_CACHE) == [(0.5, 0.0, SEED)]
+
     def test_pairs_and_chunks_draw_from_distinct_streams(self, small_samples, monkeypatch):
         used = _record_streams(monkeypatch)
-        for pair in PAIRS:
-            acceptance._z_draws(*pair, SEED)
-        acceptance._interval_empty(SEED)
-        for number in WALKS:
-            acceptance._walk_sample(number, SEED)
-        for number in SIEVES:
-            acceptance._sieve_empty(number, SEED)
-        assert len(set(used)) == len(used) == 3 * (len(PAIRS) + 1 + len(WALKS) + len(SIEVES))
+        for name in acceptance.SAMPLES:
+            acceptance._sample(name, SEED)
+        assert len(set(used)) == len(used) == 3 * len(acceptance.SAMPLES)
         # a chunk address never collides with a plain per-criterion stream id
         assert min(used) >= 1 << 32
 
     def test_canonical_chunk_addresses_are_distinct(self, monkeypatch):
         used = _record_streams(monkeypatch)
-        samples = {1000 + k: acceptance._Z_SIZES[pair] for k, pair in enumerate(PAIRS)}
-        samples[acceptance._INTERVAL_STREAM] = acceptance._INTERVAL_REPS
-        for stream, total, _, _ in acceptance._WALK_SAMPLES.values():
-            samples[stream] = total
-        for stream, total, _ in acceptance._SIEVE_SAMPLES.values():
-            samples[stream] = total
-        for stream, total in samples.items():
+        streams = [stream for stream, _, _, _ in acceptance.SAMPLES.values()]
+        assert len(set(streams)) == len(streams)
+        chunks = 0
+        for stream, total, _, _ in acceptance.SAMPLES.values():
             cli._run_chunks(lambda rng, count: count, SEED, total, 1, (), stream)
-        # the limit-law pairs, criteria 9, 11 and 12, criteria 8 and 14
-        assert len(set(used)) == len(used) == 4 * 25 + 5 + 25 + 25 + 3 + 25 + 25
+            chunks += len(cli._chunk_plan(total))
+        assert len(set(used)) == len(used) == chunks
         assert min(used) >= 1 << 32
 
     def test_pairs_and_chunks_draw_different_values(self, small_samples):
-        samples = [acceptance._z_draws(*pair, SEED) for pair in PAIRS]
-        samples.append(acceptance._interval_empty(SEED))
-        samples += [acceptance._walk_sample(number, SEED)[:, 0] for number in WALKS]
-        samples += [acceptance._sieve_empty(number, SEED)[0] for number in SIEVES]
+        samples = [_array(acceptance._sample(name, SEED)) for name in acceptance.SAMPLES]
         heads = [s[start:start + 64].tobytes() for s in samples
                  for start in range(0, SMALL, cli.CHUNK)]
         assert len(set(heads)) == len(heads) == 3 * len(samples)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sievesim import cli, limitlaw, sieve, walks
+from sievesim import chains, cli, limitlaw, sieve, walks
 from sievesim.cli import (BLOCK, CHUNK, Detail, _chunk_plan, _chunk_prw, main, parse_marginal,
                           parse_wlaw)
 from sievesim.randkit import RngStream
 from sievesim.sieve import BetaW, LogParetoMixtureW, UniformW
-from sievesim.walks import ExponentialLaw, ParetoLaw
+from sievesim.walks import ConstantLaw, ExponentialLaw, ParetoLaw
 
 
 def run_cli(*argv):
@@ -129,6 +129,29 @@ class TestJobs:
         assert cli._run_chunks(chunk_size, 1, 2 * CHUNK, 1, ()) == [CHUNK, CHUNK]
         assert cli._run_chunks(chunk_size, 1, CHUNK, 8, ()) == [CHUNK]
         assert _RecordingPool.sizes == []
+
+    def test_each_flag_is_parsed_once(self, tmp_path, monkeypatch):
+        # the parent parses each law flag and hands every chunk the object
+        spec = tmp_path / "chain.json"
+        spec.write_text(chains.chain_to_json(chains.sieve_chain_spec(UniformW(), 8)))
+        calls = []
+
+        def counted(name, parse):
+            return lambda text: calls.append(name) or parse(text)
+
+        for module, name in ((cli, "parse_wlaw"), (cli, "parse_marginal"),
+                             (chains, "chain_from_json")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        runs = [(("sieve", "--wlaw", "beta:2,3", "--balls", "10"), "parse_wlaw", 1),
+                (("prw", "--xi", "pareto:0.5", "--eta", "pareto:0.25", "--t", "100"),
+                 "parse_marginal", 2),
+                (("markov", "--spec-json", spec, "--n", "8"), "chain_from_json", 1)]
+        for k, (argv, name, parses) in enumerate(runs):
+            calls.clear()
+            code = run_cli(*argv, "--reps", 2 * CHUNK + 1, "--seed", "5", "--jobs", "1",
+                           "--out", tmp_path / str(k))
+            assert code in (0, 1)
+            assert calls == [name] * parses
 
     def test_experiment_chunks_draw_from_the_plain_chunk_streams(self):
         # stream 0, the experiments' default: chunk cid draws from RngStream(seed, cid)
@@ -251,12 +274,13 @@ class TestDetailWriter:
 # up to its replicate count.
 _STREAMED = {
     "sieve": (["replicate", "occupied", "last_occupied", "empty_in_range"], cli._chunk_sieve,
-              ("uniform", 10), ("--wlaw", "uniform", "--balls", "10", "--reps")),
+              (UniformW(), 10), ("--wlaw", "uniform", "--balls", "10", "--reps")),
     "sample-z": (["replicate", "value"], cli._chunk_sample_z,
-                 (0.5, 0.0, "mittag-leffler", 1e-4, 1e-4),
+                 (limitlaw.AlphaBeta(0.5, 0.0), "mittag-leffler", 1e-4, 1e-4),
                  ("--alpha", "0.5", "--beta", "0", "--sampler", "mittag-leffler", "--n")),
     "prw": (["replicate", "value"], cli._chunk_prw,
-            ("pareto:0.5", "const:0", None, (100.0,), ("renewals",), 0.25),
+            (walks.PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0)), (100.0,),
+             ("renewals",), 0.25),
             ("--xi", "pareto:0.5", "--stat", "renewals", "--t", "100", "--reps")),
 }
 
@@ -400,14 +424,26 @@ class TestSampleZCommand:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_error_while_sampling_leaves_no_file(self, jobs, tmp_path, capsys):
-        # the direct Mittag-Leffler sampler rejects beta != 0 inside the chunk worker
-        code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", "--sampler",
-                       "mittag-leffler", "--n", CHUNK + 1, "--seed", "1", "--out", tmp_path,
-                       "--jobs", jobs)
+        # the path-integral sampler rejects its grid step inside the chunk worker
+        code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", "--grid-step", "-1",
+                       "--n", CHUNK + 1, "--seed", "1", "--out", tmp_path, "--jobs", jobs)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: the direct Mittag-Leffler sampler")
+        assert capsys.readouterr().err.startswith("error: grid_step must be finite positive")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("beta,sampler,message", [
+        ("0.7", "pathint", "need 0 <= beta <= alpha < 1"),
+        ("0.25", "mittag-leffler", "the direct Mittag-Leffler sampler requires beta = 0"),
+    ], ids=["beta-above-alpha", "mittag-leffler-beta"])
+    def test_bad_pair_exits_two_before_any_pool(self, beta, sampler, message, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        code = run_cli("sample-z", "--alpha", "0.5", "--beta", beta, "--sampler", sampler,
+                       "--n", 3 * CHUNK, "--jobs", "2", "--seed", "1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert _RecordingPool.sizes == [] and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ("--sampler", "expfunc", "--eps", "20"),  # Levy mass -0.0: no path ever ends
@@ -489,6 +525,21 @@ class TestMarkovCommand:
         # same chain reloaded from JSON gives the identical DP law
         assert pa["metrics"]["dp_tail_deficit"] == pb["metrics"]["dp_tail_deficit"]
 
+    def test_second_sample_draws_from_its_own_stream(self, tmp_path, monkeypatch):
+        # the georep sample is stream 1 at the run's seed, so no chunk shares
+        # its address with a run at the next seed
+        keys = []
+
+        def recording_stream(seed, stream_id):
+            keys.append((seed, stream_id))
+            return RngStream(seed, stream_id)
+
+        monkeypatch.setattr(cli, "RngStream", recording_stream)
+        run_cli("markov", "--chain", "sieve:uniform", "--n", "8", "--reps", 2 * CHUNK + 1,
+                "--seed", "5", "--jobs", "1", "--out", tmp_path)
+        assert {seed for seed, _ in keys} == {5}
+        assert sorted(stream for _, stream in keys) == [0, 1, 2] + [1 << 32 | c for c in range(3)]
+
     def test_loaded_specs_are_told_apart(self, tmp_path):
         specs = {}
         for chain in ("sieve:uniform", "barrier:dyadic"):
@@ -542,7 +593,8 @@ class TestPrwCommand:
         drawn = []
         monkeypatch.setattr(walks, "walk_functionals", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="unknown statistic"):
-            _chunk_prw(np.random.default_rng(1), 3, "pareto:0.5", "pareto:0.25", None, (100.0,),
+            _chunk_prw(np.random.default_rng(1), 3,
+                       walks.PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25)), (100.0,),
                        ("bogus",), 0.25)
         assert drawn == []
 
@@ -588,6 +640,12 @@ class TestVerifyCommand:
         assert "criterion  1" in out and "criterion  2" in out
         payload = json.loads(next(Path(tmp_path).glob("verify_*.summary.json")).read_text())
         assert payload["passed"] is True
+
+    def test_nested_runs_stay_off_stdout(self, tmp_path, capsys):
+        # criterion 15 runs `sieve` twice; only its own line and the suite's print
+        assert run_cli("verify", "--suite", "determinism", "--seed", "3", "--jobs", "1",
+                       "--out", tmp_path) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_unknown_suite_is_config_error(self, tmp_path):
         assert run_cli("verify", "--suite", "bogus", "--seed", "1", "--out", tmp_path) == 2

@@ -37,7 +37,7 @@ t = 1e4
 counts = walk_functionals(law, [t], 20_000, rng)["renewals"][:, 0]
 print(f"  renewal counts N(t) to t = 1e4: median {np.median(counts):.0f}, "
       f"largest {counts.max():.0f} of 20000 walks")
-scaled = float(np.asarray(law.xi_tail(t))) * counts
+scaled = float(law.xi_tail(t)) * counts
 print(f"  Pareto(1/2) steps at t = 1e4: mean of (1-F(t))*N(t) = {scaled.mean():.4f} "
       f"(limit 2/pi = {2 / np.pi:.4f})")
 
@@ -46,7 +46,7 @@ print("=" * 72)
 print("3. Empty-box functional and busy servers share one limit")
 print("=" * 72)
 x = 1e4
-ratio = float(np.asarray(law.xi_tail(x)) / np.asarray(law.eta_tail(x)))
+ratio = float(law.xi_tail(x) / law.eta_tail(x))
 values = walk_functionals(law, [x], 4000, rng, ("empty", "busy"))
 t_vals, r_vals = ratio * values["empty"][:, 0], ratio * values["busy"][:, 0]
 target = z_moment(AlphaBeta(0.5, 0.25), 1)

@@ -435,5 +435,9 @@ def chain_to_json(spec: ChainSpec) -> str:
 
 def chain_from_json(text: str) -> ChainSpec:
     payload = json.loads(text)
-    rows = {int(i): np.array([float(x) for x in row]) for i, row in payload["rows"].items()}
-    return ChainSpec(floor=int(payload["floor"]), rows=rows)
+    try:
+        rows = {int(i): np.array([float(x) for x in row]) for i, row in payload["rows"].items()}
+        floor = int(payload["floor"])
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed chain spec: {exc}") from None
+    return ChainSpec(floor=floor, rows=rows)

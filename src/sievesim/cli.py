@@ -164,15 +164,15 @@ def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite nonnegative, got {t}")
     if stat in ("empty", "busy"):
-        eta_tail = float(np.asarray(law.eta_tail(t)))
+        eta_tail = float(law.eta_tail(t))
         if not eta_tail > 0.0:
             raise ValueError(
                 f"--stat {stat} is normalised by P{{eta > t}}, which is 0 at t = {t}; "
                 "choose an eta law with mass above t"
             )
-        return float(np.asarray(law.xi_tail(t))) / eta_tail
+        return float(law.xi_tail(t)) / eta_tail
     if stat == "renewals":
-        return float(np.asarray(law.xi_tail(t)))
+        return float(law.xi_tail(t))
     return 1.0  # the window statistic carries its own normalisation
 
 
@@ -384,9 +384,12 @@ def cmd_sample_z(args) -> int:
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     if args.sampler == "mittag-leffler" and args.beta != 0.0:
         raise ValueError("the direct Mittag-Leffler sampler requires beta = 0")
+    # a draw of size 0 runs the sampler's own checks and draws nothing
+    payload = (ab, args.sampler, args.grid_step, args.eps)
+    _chunk_sample_z(RngStream(args.seed).generator(), 0, *payload)
     with _detail(args, params, ["replicate", "value"]) as detail:
-        draws = _join(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs,
-                                  (ab, args.sampler, args.grid_step, args.eps), detail=detail))
+        draws = _join(_run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs, payload,
+                                  detail=detail))
     est1, m1_t, tol1, ok1 = acceptance.moment_check(draws, ab, 1)
     est2, m2_t, tol2, ok2 = acceptance.moment_check(draws, ab, 2)
     ok = ok1 and ok2

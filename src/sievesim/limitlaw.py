@@ -119,7 +119,7 @@ def levy_tail_mass(alpha: float, eps: float) -> float:
     return math.expm1(-alpha * math.log(-math.expm1(-eps / alpha)))
 
 
-def sample_levy_jump(alpha: float, eps: float, rng, size=None):
+def sample_levy_jump(alpha: float, eps: float, rng, size):
     """Jump of Y conditioned to exceed ``eps``, by inverting the tail integral.
 
     Solving tail(t) = V * tail(eps) for uniform V gives
@@ -153,7 +153,7 @@ def small_jump_mean(alpha: float, eps: float) -> float:
 
 
 def sample_subordinator_marginal(
-    alpha: float, t: float, eps: float, rng, size=None, small_jump_drift: bool = False
+    alpha: float, t: float, eps: float, rng, size, small_jump_drift: bool = False
 ):
     """Y(t) from the eps-truncated jump process.
 
@@ -164,15 +164,10 @@ def sample_subordinator_marginal(
     rng = as_generator(rng)
     lam = levy_tail_mass(alpha, eps)
     counts = rng.poisson(lam * t, size=size)
-    total_jumps = int(np.sum(counts))
-    sizes = sample_levy_jump(alpha, eps, rng, size=total_jumps)
-    if size is None:
-        out = float(sizes.sum())
-    else:
-        out = np.zeros(np.shape(counts), dtype=float)
-        flat = out.reshape(-1)
-        np.add.at(flat, np.repeat(np.arange(flat.size), counts.reshape(-1)), sizes)
-        out = flat.reshape(np.shape(counts))
+    sizes = sample_levy_jump(alpha, eps, rng, size=int(counts.sum()))
+    out = np.zeros(counts.size)
+    np.add.at(out, np.repeat(np.arange(counts.size), counts.reshape(-1)), sizes)
+    out = out.reshape(counts.shape)
     if small_jump_drift:
         out = out + small_jump_mean(alpha, eps) * t
     return out
@@ -214,7 +209,7 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_M
     return z
 
 
-def sample_z_pathint(params: AlphaBeta, grid_step: float, rng, size=None):
+def sample_z_pathint(params: AlphaBeta, grid_step: float, rng, size: int):
     """Z via the discretized inverse path: sum of (1 - X(i*h))^(-beta) * h
     over all grid indices with X(i*h) < 1, where X has Laplace scale
     Gamma(1-alpha).
@@ -228,12 +223,10 @@ def sample_z_pathint(params: AlphaBeta, grid_step: float, rng, size=None):
     rng = as_generator(rng)
     alpha, beta = params.alpha, params.beta
     scale = (math.gamma(1.0 - alpha) * grid_step) ** (1.0 / alpha)
-    n = 1 if size is None else int(size)
-    z = _pathint_block(alpha, beta, grid_step, scale, rng, n)
-    return float(z[0]) if size is None else z
+    return _pathint_block(alpha, beta, grid_step, scale, rng, size)
 
 
-def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size=None):
+def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size: int):
     """Z via the exponential functional: integral of exp(-c*Y(t)) over [0, T].
 
     Y is run as its eps-truncated jump process (constant between jumps, so
@@ -246,10 +239,8 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size=None):
         raise ValueError(f"eps must be positive, got {eps}")
     rng = as_generator(rng)
     alpha, beta = params.alpha, params.beta
-    n = 1 if size is None else int(size)
     if beta == alpha:
-        t_exp = rng.standard_exponential(n)
-        return float(t_exp[0]) if size is None else t_exp
+        return rng.standard_exponential(size)
 
     c = (alpha - beta) / alpha
     lam = levy_tail_mass(alpha, eps)
@@ -259,11 +250,11 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size=None):
         # wait -inf, so no path would end
         raise ValueError(f"the Levy mass above eps = {eps} is {lam} in float64; choose a "
                          "smaller eps")
-    t_exp = rng.standard_exponential(n)
-    z = np.zeros(n)
-    y = np.zeros(n)
-    clock = np.zeros(n)
-    active = np.arange(n)
+    t_exp = rng.standard_exponential(size)
+    z = np.zeros(size)
+    y = np.zeros(size)
+    clock = np.zeros(size)
+    active = np.arange(size)
     while active.size:
         m = active.size
         wait = rng.standard_exponential(m) / lam
@@ -275,10 +266,10 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size=None):
         y[active] += np.where(alive, jumps, 0.0)
         clock[active] = nxt
         active = active[alive]
-    return float(z[0]) if size is None else z
+    return z
 
 
-def sample_mittag_leffler(alpha: float, rng, size=None):
+def sample_mittag_leffler(alpha: float, rng, size):
     """Direct Mittag-Leffler draws: Gamma(1-a)^(-1) * S^(-a) for standard
     one-sided stable S (self-similarity inversion of the first-passage level)."""
     _check_alpha(alpha)

@@ -7,6 +7,9 @@ and Mittag-Leffler samplers of :mod:`sievesim.limitlaw`, scale standard draws
 themselves (an increment over time h with Laplace scale c is
 (c*h)^(1/alpha) * S).
 
+Every sampler here and in the modules built on it takes a required
+``size`` and returns an array of that shape; one draw is a size-1 call.
+
 Streams are counter-based (Philox keyed by ``(seed, stream_id)``), so
 replicate streams are indexable: stream ``i`` of a Monte Carlo run can be
 re-created in isolation, and distinct streams never overlap.
@@ -52,7 +55,7 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def sample_uniform01(rng, size=None):
+def sample_uniform01(rng, size):
     """Uniform draws strictly inside (0,1) (endpoints are never returned):
     (k + 1/2) 2^-53 for the 53-bit integer k that ``rng.random`` scales."""
     rng = as_generator(rng)
@@ -60,17 +63,15 @@ def sample_uniform01(rng, size=None):
     return np.minimum(u, 1.0 - 2.0**-53)  # k + 1/2 rounds to 2**53 at k = 2**53 - 1
 
 
-def _standard_stable(alpha: float, rng: np.random.Generator, size=None):
+def _standard_stable(alpha: float, rng: np.random.Generator, size):
     """Exact draws of the standard one-sided stable law: S > 0 with
     E exp(-s*S) = exp(-s**alpha).
 
     At alpha = 1/2 this is the Levy law, S = 1/(2*N^2) with N standard
     normal (its Laplace transform is exp(-sqrt(s))); an exact N = 0 gives
     S = +inf, like E = 0 in Kanter's route.  Every other alpha goes through
-    ``_kanter_stable``.  Both work in place, so a scalar is drawn as an array.
+    ``_kanter_stable``.  Both work in place on arrays of shape ``size``.
     """
-    if size is None or size == ():
-        return _standard_stable(alpha, rng, 1)[0]
     if alpha != 0.5:
         return _kanter_stable(alpha, rng, size)
     n = rng.standard_normal(size=size)

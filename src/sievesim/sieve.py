@@ -55,7 +55,7 @@ class WLaw:
 
     symmetric = False  # True when W and 1-W share a law
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         raise NotImplementedError
 
     def cdf(self, x):
@@ -76,7 +76,7 @@ class WLaw:
 class UniformW(WLaw):
     symmetric = True
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return sample_uniform01(rng, size=size)
 
     def cdf(self, x):
@@ -97,6 +97,9 @@ class UniformW(WLaw):
         return "UniformW()"
 
 
+_MAX_REDRAWS = 1000  # rounds of Beta redraws of endpoint values
+
+
 class BetaW(WLaw):
     """W ~ Beta(a, b); mixed moments are beta-function ratios."""
 
@@ -107,19 +110,18 @@ class BetaW(WLaw):
         self.b = float(b)
         self.symmetric = a == b
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         rng = as_generator(rng)
         w = rng.beta(self.a, self.b, size=size)
-        # endpoint draws have probability zero; redraw any float artifacts
-        if size is None:
-            while not 0.0 < w < 1.0:
-                w = rng.beta(self.a, self.b)
-            return float(w)
+        # endpoint draws have probability zero; redraw any float artifacts,
+        # a bounded number of times: at tiny parameters they are all numpy returns
         bad = ~((w > 0.0) & (w < 1.0))
-        while bad.any():
+        for _ in range(_MAX_REDRAWS):
+            if not bad.any():
+                return w
             w[bad] = rng.beta(self.a, self.b, size=int(bad.sum()))
             bad = ~((w > 0.0) & (w < 1.0))
-        return w
+        raise RuntimeError(f"{self!r} draws still round to 0 or 1 after {_MAX_REDRAWS} redraws")
 
     def cdf(self, x):
         from scipy.special import betainc
@@ -155,18 +157,14 @@ class ConstantW(WLaw):
         self.w = float(w)
         self.symmetric = w == 0.5
 
-    def sample(self, rng, size=None):
-        return self.w if size is None else np.full(size, self.w)
+    def sample(self, rng, size):
+        return np.full(size, self.w)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.w, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(x >= self.w, 1.0, 0.0)
 
     def comp_cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 1.0 - self.w, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(x >= 1.0 - self.w, 1.0, 0.0)
 
     def mixed_moment(self, j, m):
         return self.w**j * (1.0 - self.w) ** m
@@ -206,10 +204,9 @@ class LogParetoMixtureW(WLaw):
         self._v_law = ParetoLaw(alpha)
         self._vprime_law = ParetoLaw(beta) if beta > 0.0 else LogDecayLaw()
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         rng = as_generator(rng)
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
+        n = int(np.prod(size))
         pick = rng.random(n) < self.p
         out = np.empty(n)
         n1 = int(pick.sum())
@@ -218,21 +215,19 @@ class LogParetoMixtureW(WLaw):
         if n - n1:
             out[~pick] = -np.expm1(-self._vprime_law.sample(rng, size=n - n1))
         out = np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-        return float(out[0]) if scalar else out.reshape(size)
+        return out.reshape(size)
 
     def cdf(self, x):
-        x = np.asarray(np.clip(x, 1e-300, 1.0 - 1e-16), dtype=float)
-        low = np.asarray(self._v_law.tail(-np.log(x)))
-        high = 1.0 - np.asarray(self._vprime_law.tail(-np.log1p(-x)))
-        out = self.p * low + (1.0 - self.p) * high
-        return out if out.ndim else float(out)
+        x = np.clip(x, 1e-300, 1.0 - 1e-16)
+        low = self._v_law.tail(-np.log(x))
+        high = 1.0 - self._vprime_law.tail(-np.log1p(-x))
+        return self.p * low + (1.0 - self.p) * high
 
     def comp_cdf(self, x):
-        x = np.asarray(np.clip(x, 1e-300, 1.0 - 1e-16), dtype=float)
-        low = np.asarray(self._vprime_law.tail(-np.log(x)))
-        high = 1.0 - np.asarray(self._v_law.tail(-np.log1p(-x)))
-        out = (1.0 - self.p) * low + self.p * high
-        return out if out.ndim else float(out)
+        x = np.clip(x, 1e-300, 1.0 - 1e-16)
+        low = self._vprime_law.tail(-np.log(x))
+        high = 1.0 - self._v_law.tail(-np.log1p(-x))
+        return (1.0 - self.p) * low + self.p * high
 
     def __repr__(self):
         return f"LogParetoMixtureW({self.alpha}, {self.beta}, p={self.p})"
@@ -243,26 +238,15 @@ _FREQ_CHUNK = 32  # factors drawn per extension step
 
 
 class FrequencySeq:
-    """Residuals Q_0 = 1 > Q_1 > ... of the stick-breaking process.
-
-    Generative sequences (built from a W law and a generator) extend lazily;
-    fixed sequences (built from explicit residuals) cannot.
+    """Residuals Q_0 = 1 > Q_1 > ... of the stick-breaking process with
+    factors W drawn from ``wlaw``; the sequence is drawn from ``rng`` lazily,
+    as deeper residuals are asked for.
     """
 
-    def __init__(self, wlaw: WLaw | None = None, rng=None, q_values=None):
-        if q_values is not None:
-            q = np.asarray(q_values, dtype=float)
-            if q[0] != 1.0 or np.any(np.diff(q) >= 0.0) or np.any(q <= 0.0):
-                raise ValueError("q_values must start at 1 and decrease strictly within (0,1]")
-            self._q = list(q)
-            self._wlaw = None
-            self._rng = None
-        else:
-            if wlaw is None or rng is None:
-                raise ValueError("generative FrequencySeq needs both wlaw and rng")
-            self._q = [1.0]
-            self._wlaw = wlaw
-            self._rng = as_generator(rng)
+    def __init__(self, wlaw: WLaw, rng):
+        self._q = [1.0]
+        self._wlaw = wlaw
+        self._rng = as_generator(rng)
 
     @property
     def q(self) -> np.ndarray:
@@ -270,16 +254,8 @@ class FrequencySeq:
 
     def extend_below(self, threshold: float) -> None:
         """Grow the sequence until the last residual drops below ``threshold``."""
-        if self._q[-1] < threshold:
-            return
-        if self._wlaw is None:
-            raise ValueError(
-                f"fixed frequency sequence is too shallow (residual {self._q[-1]:.3e} "
-                f">= required {threshold:.3e})"
-            )
         while self._q[-1] >= threshold:
-            ws = np.atleast_1d(self._wlaw.sample(self._rng, size=_FREQ_CHUNK))
-            tail = self._q[-1] * np.cumprod(ws)
+            tail = self._q[-1] * np.cumprod(self._wlaw.sample(self._rng, size=_FREQ_CHUNK))
             self._q.extend(tail.tolist())
             if len(self._q) > _MAX_FREQ_DEPTH:
                 raise RuntimeError("frequency sequence failed to shrink within the depth budget")
@@ -295,9 +271,12 @@ class OccupancyBatch:
     truncated: int = 0
 
 
+_MAX_BALLS = np.iinfo(np.int64).max  # ball counts are held as int64
+
+
 def _check_balls(n) -> int:
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ValueError(f"ball count must be a nonnegative integer, got {n!r}")
+    if not (isinstance(n, (int, np.integer)) and 0 <= n <= _MAX_BALLS):
+        raise ValueError(f"ball count must be an integer in [0, 2**63 - 1], got {n!r}")
     return int(n)
 
 
@@ -372,20 +351,15 @@ def sample_occupancy(
             if k >= q_fixed.size:
                 freqs.extend_below(q_fixed[-1] * 0.5**32)
                 q_fixed = freqs.q
-            hit_prob = 1.0 - q_fixed[k] / q_fixed[k - 1]
+            hit_prob = np.full(active.size, 1.0 - q_fixed[k] / q_fixed[k - 1])
         else:
-            hit_prob = 1.0 - np.asarray(wlaw.sample(rng, size=active.size))
+            hit_prob = 1.0 - wlaw.sample(rng, size=active.size)
         c = remaining[active]
         # a replicate whose residual degenerated in floats, or that ran past
         # the depth budget, dumps its remainder in this box; the rest thin on
-        dump = np.broadcast_to(np.asarray(hit_prob) <= 0.0, c.shape) | (k > _MAX_ALLOC_DEPTH)
-        if dump.any():
-            truncated += int(dump.sum())
-            keep = ~dump
-            if keep.any():
-                c[keep] = rng.binomial(c[keep], np.broadcast_to(hit_prob, c.shape)[keep])
-        else:
-            c = rng.binomial(c, hit_prob)
+        keep = ~((hit_prob <= 0.0) | (k > _MAX_ALLOC_DEPTH))
+        truncated += c.size - int(keep.sum())
+        c[keep] = rng.binomial(c[keep], hit_prob[keep])
         hit = c > 0
         occupied[active] += hit
         last[active] = np.where(hit, k, last[active])
@@ -441,8 +415,8 @@ def normalization_ratio(wlaw: WLaw, n) -> float:
     """Exact ratio P{W <= 1/n} / P{1-W <= 1/n} from the law's tail evaluators."""
     if not n >= 3:
         raise ValueError(f"need n >= 3, got {n}")
-    num = float(np.asarray(wlaw.cdf(1.0 / n)))
-    den = float(np.asarray(wlaw.comp_cdf(1.0 / n)))
+    num = float(wlaw.cdf(1.0 / n))
+    den = float(wlaw.comp_cdf(1.0 / n))
     if den == 0.0:
         raise ValueError("P{1-W <= 1/n} vanishes; the law violates the tail conditions")
     return num / den

@@ -50,7 +50,7 @@ class MarginalLaw:
     """Nonnegative marginal with an exact tail evaluator: subclasses provide
     ``sample`` and ``tail``."""
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         raise NotImplementedError
 
     def tail(self, x):
@@ -65,15 +65,14 @@ class ParetoLaw(MarginalLaw):
             raise ValueError(f"Pareto index must be positive, got {index}")
         self.index = index
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = sample_uniform01(rng, size=size)
         return u ** (-1.0 / self.index)
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
         out = np.ones_like(x)
-        np.power(x, -self.index, out=out, where=x > 1.0)
-        return out if out.ndim else float(out)
+        return np.power(x, -self.index, out=out, where=x > 1.0)
 
 
 class ExponentialLaw(MarginalLaw):
@@ -82,13 +81,11 @@ class ExponentialLaw(MarginalLaw):
             raise ValueError(f"mean must be positive, got {mean}")
         self.mean = mean
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return as_generator(rng).standard_exponential(size=size) * self.mean
 
     def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-np.maximum(x, 0.0) / self.mean)
-        return out if out.ndim else float(out)
+        return np.exp(-np.maximum(x, 0.0) / self.mean)
 
 
 class ConstantLaw(MarginalLaw):
@@ -97,13 +94,11 @@ class ConstantLaw(MarginalLaw):
             raise ValueError(f"constant must be nonnegative, got {value}")
         self.value = value
 
-    def sample(self, rng, size=None):
-        return self.value if size is None else np.full(size, self.value)
+    def sample(self, rng, size):
+        return np.full(size, self.value, dtype=float)
 
     def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < self.value, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(x < self.value, 1.0, 0.0)
 
 
 class LogDecayLaw(MarginalLaw):
@@ -115,7 +110,7 @@ class LogDecayLaw(MarginalLaw):
     tolerate inf values.
     """
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = sample_uniform01(rng, size=size)
         with np.errstate(over="ignore"):
             return np.exp(1.0 / u - 1.0)
@@ -123,8 +118,7 @@ class LogDecayLaw(MarginalLaw):
     def tail(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(x > 1.0, 1.0 / (1.0 + np.log(np.maximum(x, 1.0))), 1.0)
-        return out if out.ndim else float(out)
+            return np.where(x > 1.0, 1.0 / (1.0 + np.log(np.maximum(x, 1.0))), 1.0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ class PrwLaw:
             raise ValueError("provide exactly one of eta_law (independent) or multiplier (coupled)")
         if self.multiplier is not None and not self.multiplier > 0.0:
             raise ValueError(f"coupling multiplier must be positive, got {self.multiplier}")
-        if not float(np.asarray(self.xi_law.tail(0.0))) > 0.0:
+        if not float(self.xi_law.tail(0.0)) > 0.0:
             raise ValueError("xi must satisfy P{xi = 0} < 1")
 
     @staticmethod
@@ -154,18 +148,17 @@ class PrwLaw:
 
     def sample_pairs(self, rng, size):
         rng = as_generator(rng)
-        xi = np.asarray(self.xi_law.sample(rng, size=size), dtype=float)
+        xi = self.xi_law.sample(rng, size=size)
         if self.multiplier is not None:
             return xi, self.multiplier * xi
-        eta = np.asarray(self.eta_law.sample(rng, size=size), dtype=float)
-        return xi, eta
+        return xi, self.eta_law.sample(rng, size=size)
 
     def xi_tail(self, x):
         return self.xi_law.tail(x)
 
     def eta_tail(self, x):
         if self.multiplier is not None:
-            return self.xi_law.tail(np.asarray(x, dtype=float) / self.multiplier)
+            return self.xi_law.tail(np.divide(x, self.multiplier))
         return self.eta_law.tail(x)
 
 
@@ -245,7 +238,7 @@ def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("
         active = active[cum[:, -1] <= horizon]
         drawn += size
     if "window" in sums:
-        sums["window"] *= np.asarray(law.xi_tail(t_values)) / np.asarray(q(t_values))
+        sums["window"] *= law.xi_tail(t_values) / q(t_values)
     return sums
 
 

@@ -24,6 +24,16 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _run_module(*argv):
+    """``python -m sievesim.cli`` in a subprocess with a 60 s timeout, for
+    runs that would hang the test process if a loop never ended."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sievesim.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestParsing:
     def test_wlaw_descriptors(self):
         assert isinstance(parse_wlaw("uniform"), UniformW)
@@ -423,23 +433,37 @@ class TestSampleZCommand:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_error_while_sampling_leaves_no_file(self, jobs, tmp_path, capsys):
-        # the path-integral sampler rejects its grid step inside the chunk worker
-        code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", "--grid-step", "-1",
+    def test_error_while_sampling_leaves_no_file(self, jobs, tmp_path, capsys, monkeypatch):
+        # an engine that rejects every nonempty chunk raises inside the chunk
+        # worker, after the detail file is opened; a pool's forked workers
+        # run the patched engine
+        engine = limitlaw._pathint_block
+
+        def rejecting(alpha, beta, grid_step, scale, rng, n):
+            if n:
+                raise ValueError("the engine rejected a chunk")
+            return engine(alpha, beta, grid_step, scale, rng, n)
+
+        monkeypatch.setattr(limitlaw, "_pathint_block", rejecting)
+        code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", "--grid-step", "1e-3",
                        "--n", CHUNK + 1, "--seed", "1", "--out", tmp_path, "--jobs", jobs)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: grid_step must be finite positive")
+        assert capsys.readouterr().err == "error: the engine rejected a chunk\n"
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("beta,sampler,message", [
-        ("0.7", "pathint", "need 0 <= beta <= alpha < 1"),
-        ("0.25", "mittag-leffler", "the direct Mittag-Leffler sampler requires beta = 0"),
-    ], ids=["beta-above-alpha", "mittag-leffler-beta"])
-    def test_bad_pair_exits_two_before_any_pool(self, beta, sampler, message, tmp_path, capsys,
+    @pytest.mark.parametrize("argv,message", [
+        (("--beta", "0.7"), "need 0 <= beta <= alpha < 1"),
+        (("--sampler", "mittag-leffler"), "the direct Mittag-Leffler sampler requires beta = 0"),
+        (("--grid-step", "-1"), "grid_step must be finite positive"),
+        (("--sampler", "expfunc", "--eps", "-1"), "eps must be positive"),
+        (("--sampler", "expfunc", "--eps", "20"), "the Levy mass above eps = 20.0 is -0.0"),
+    ], ids=["beta-above-alpha", "mittag-leffler-beta", "grid-step-negative",
+            "expfunc-eps-negative", "expfunc-eps-20"])
+    def test_bad_pair_exits_two_before_any_pool(self, argv, message, tmp_path, capsys,
                                                 monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        code = run_cli("sample-z", "--alpha", "0.5", "--beta", beta, "--sampler", sampler,
+        code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", *argv,
                        "--n", 3 * CHUNK, "--jobs", "2", "--seed", "1", "--out", tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -453,13 +477,8 @@ class TestSampleZCommand:
     def test_degenerate_step_exits_two(self, argv, tmp_path):
         # a subprocess with a timeout, so a sampler that never ends fails
         # the test instead of hanging it
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-            "PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "sievesim.cli", "sample-z", "--alpha", "0.5", "--beta", "0.25",
-             *argv, "--n", "10", "--seed", "1", "--jobs", "1", "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=60)
+        done = _run_module("sample-z", "--alpha", "0.5", "--beta", "0.25", *argv, "--n", "10",
+                           "--seed", "1", "--jobs", "1", "--out", tmp_path)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert not any(tmp_path.iterdir())
@@ -500,16 +519,40 @@ class TestSieveCommand:
         assert payload["passed"] is False
 
     def test_negative_balls_exit_two_before_any_pool(self, tmp_path, capsys, monkeypatch):
+        # 2**63 does not fit the int64 ball counts
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        code = run_cli("sieve", "--wlaw", "uniform", "--balls", "-5", "--reps", 3 * CHUNK,
-                       "--jobs", "2", "--seed", "1", "--out", tmp_path)
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ball count must be")
+        for balls in (-5, 2**63):
+            code = run_cli("sieve", "--wlaw", "uniform", "--balls", balls, "--reps", 3 * CHUNK,
+                           "--jobs", "2", "--seed", "1", "--out", tmp_path)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ball count must be") and err.count("\n") == 1
         assert _RecordingPool.sizes == [] and not any(tmp_path.iterdir())
+
+    def test_degenerate_beta_law_exits_three(self, tmp_path):
+        # numpy's Beta draws at these parameters are all 0.0 or 1.0, so the
+        # redraws of endpoint values run out
+        done = _run_module("sieve", "--wlaw", "beta:1e-300,1e-300", "--balls", "10",
+                           "--reps", "10", "--seed", "1", "--jobs", "1", "--out", tmp_path)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
 
 class TestMarkovCommand:
+    @pytest.mark.parametrize("spec", ['{"floor": 0, "rows": [1]}', "[1, 2]"],
+                             ids=["rows-not-a-dict", "spec-not-a-dict"])
+    def test_malformed_spec_exits_two(self, spec, tmp_path, capsys):
+        spec_path, out = tmp_path / "chain.json", tmp_path / "out"
+        spec_path.write_text(spec)
+        out.mkdir()
+        code = run_cli("markov", "--spec-json", spec_path, "--seed", "1", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed chain spec: ") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
     def test_run_with_export_and_reload(self, tmp_path):
         spec_path = tmp_path / "chain.json"
         code = run_cli("markov", "--chain", "sieve:uniform", "--n", "12", "--reps", "20000",

@@ -73,7 +73,7 @@ class TestMoments:
             with pytest.raises(ValueError):
                 mittag_leffler_moment(alpha, 1)
             with pytest.raises(ValueError):
-                sample_mittag_leffler(alpha, RngStream(1, 0))
+                sample_mittag_leffler(alpha, RngStream(1, 0), size=1)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ class TestZSamplers:
 class _UnitNormal:
     """Generator stand-in whose normal draws are all exactly 1.0."""
 
-    def standard_normal(self, size=None):
+    def standard_normal(self, size):
         return np.ones(size)
 
 

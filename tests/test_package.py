@@ -47,3 +47,19 @@ def test_every_listed_name_has_a_caller_outside_the_tests():
               for export in getattr(importlib.import_module(f"sievesim.{name}"), "__all__", ())
               if export not in used]
     assert unused == []
+
+
+def test_no_size_parameter_has_a_default():
+    # samplers take an array shape and return an array: a single draw is a
+    # size-1 call, so no sampler keeps a scalar path behind size=None
+    defaulted = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            spec = node.args
+            positional = spec.posonlyargs + spec.args
+            params = positional[len(positional) - len(spec.defaults):] + [
+                arg for arg, default in zip(spec.kwonlyargs, spec.kw_defaults) if default]
+            defaulted += [f"{path.name}:{node.lineno}" for arg in params if arg.arg == "size"]
+    assert defaulted == []

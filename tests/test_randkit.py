@@ -40,7 +40,7 @@ class TestStreams:
         u = sample_uniform01(g, size=100_000)
         k = h.integers(0, 1 << 53, size=100_000)
         assert np.array_equal(u, np.minimum((k + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
-        assert sample_uniform01(g) == (h.integers(0, 1 << 53) + 0.5) * 2.0**-53
+        assert sample_uniform01(g, size=1)[0] == (h.integers(0, 1 << 53) + 0.5) * 2.0**-53
         assert g.random() == h.random()
 
     def test_lattice_ends_stay_inside_and_others_are_unmoved(self):
@@ -114,8 +114,8 @@ class _Fixed(np.random.Generator):
 class _ZeroNormal:
     """Generator stand-in whose normal draws are all exactly 0.0."""
 
-    def standard_normal(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
 class TestLevyRoute:
@@ -135,12 +135,12 @@ class TestLevyRoute:
         kanter = _kanter_stable(0.5, RngStream(31, 1).generator(), size=n)
         assert ks_two_sample(levy, kanter) <= 1.63 * math.sqrt(2.0 / n)
 
-    @pytest.mark.parametrize("size", [None, 5, (2, 3)])
+    @pytest.mark.parametrize("size", [5, 1, (2, 3)])
     def test_zero_normal_is_an_infinite_increment(self, size):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = _standard_stable(0.5, _ZeroNormal(), size=size)
-        assert np.shape(s) == (() if size is None else np.empty(size).shape)
+        assert s.shape == np.empty(size).shape
         assert np.all(np.isposinf(s))
 
     def test_other_alphas_use_kanter_unchanged(self):
@@ -179,14 +179,14 @@ class TestKanterHalfAngles:
 
     @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
     def test_scalar_draw_is_a_scalar_from_the_same_stream(self, alpha):
+        # a single draw is a size-1 call, and it consumes one (U, E) pair
         g = RngStream(34, 0).generator()
-        u, e = sample_uniform01(g), g.standard_exponential()
+        u, e = sample_uniform01(g, size=1), g.standard_exponential(size=1)
         rng = RngStream(34, 0).generator()
-        s = _standard_stable(alpha, rng)
-        assert isinstance(s, np.float64) and np.ndim(s) == 0
-        assert s == pytest.approx(kanter_sine_form(alpha, u, e), rel=1e-12, abs=0.0)
+        s = _standard_stable(alpha, rng, size=1)
+        assert s.shape == (1,)
+        np.testing.assert_allclose(s, kanter_sine_form(alpha, u, e), rtol=1e-12, atol=0.0)
         assert rng.random() == g.random()
-        assert _standard_stable(alpha, RngStream(34, 0).generator(), size=()) == s
 
     @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
     def test_zero_exponential_is_an_infinite_increment(self, alpha):

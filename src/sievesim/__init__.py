@@ -14,6 +14,7 @@ from .chains import (
     barrier_chain_spec,
     chain_from_json,
     chain_to_json,
+    counts_pmf,
     empirical_pmf,
     exact_zero_decrement_pmf,
     exact_zero_decrement_pmfs,
@@ -56,6 +57,7 @@ from .stats import (
     ks_one_sample,
     ks_two_sample,
     mc_accumulate,
+    mc_merge,
     tv_distance,
 )
 from .walks import (

@@ -38,6 +38,7 @@ __all__ = [
     "mixed_poisson_diagnostic",
     "MixedPoissonReport",
     "empirical_pmf",
+    "counts_pmf",
     "geometric_pmf",
     "chain_to_json",
     "chain_from_json",
@@ -63,13 +64,20 @@ class Pmf:
             raise ValueError(f"pmf mass + deficit = {total}, expected 1 within 1e-9")
 
 
-def empirical_pmf(samples, width: int | None = None) -> Pmf:
+def empirical_pmf(samples, width: int = 0) -> Pmf:
     """Empirical pmf of nonnegative integer samples (zero tail deficit)."""
     samples = np.asarray(samples, dtype=np.int64)
     if samples.size == 0 or np.any(samples < 0):
         raise ValueError("need a nonempty sample of nonnegative integers")
-    counts = np.bincount(samples, minlength=0 if width is None else width)
-    return Pmf(masses=counts / samples.size)
+    return counts_pmf([np.bincount(samples)], width)
+
+
+def counts_pmf(parts, width: int = 0) -> Pmf:
+    """Empirical pmf, on at least ``width`` masses, of the union of samples
+    given by their value counts (``np.bincount`` of each)."""
+    width = max(width, *(c.size for c in parts))
+    counts = sum(np.pad(c, (0, width - c.size)) for c in parts)
+    return Pmf(masses=counts / counts.sum())
 
 
 def geometric_pmf(success: float, width: int) -> Pmf:

@@ -6,6 +6,7 @@ Thresholds throughout the package are stated directly as distances
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 __all__ = [
     "McEstimate",
     "mc_accumulate",
+    "mc_merge",
     "ks_two_sample",
     "ks_one_sample",
     "tv_distance",
@@ -21,20 +23,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McEstimate:
-    mean: float
-    stderr: float
+    """The mean of ``count`` values and ``m2``, their sum of squared deviations."""
+
     count: int
+    mean: float
+    m2: float
+
+    @property
+    def stderr(self) -> float:
+        n = self.count
+        return math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n >= 2 else 0.0
 
 
 def mc_accumulate(values) -> McEstimate:
-    """Mean with standard error from a stream of reals."""
-    values = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    """Mean with standard error of an array of reals: the bits of
+    ``values.mean()`` and ``values.std(ddof=1) / sqrt(n)``."""
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("mc_accumulate needs at least one value")
-    n = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(n)) if n >= 2 else 0.0
-    return McEstimate(mean=mean, stderr=se, count=int(n))
+    mean = values.mean()
+    return McEstimate(count=values.size, mean=float(mean), m2=float(np.sum((values - mean) ** 2)))
+
+
+def mc_merge(estimates) -> McEstimate:
+    """The estimate of the disjoint samples of ``estimates`` pooled left to
+    right by the update of Chan, Golub and LeVeque (1979); one estimate is
+    returned as it is."""
+    total, *rest = estimates
+    for est in rest:
+        count = total.count + est.count
+        delta = est.mean - total.mean
+        total = McEstimate(count, total.mean + delta * (est.count / count),
+                           total.m2 + est.m2 + delta * delta * (total.count * est.count / count))
+    return total
 
 
 def ks_two_sample(xs, ys) -> float:

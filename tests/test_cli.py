@@ -322,25 +322,41 @@ class TestStreamedDetail:
                            [cfg, 5, range(total), *columns])
             assert (out / f"{cmd}_{cfg}.{fmt}").read_bytes() == joined.read_bytes()
 
-    def test_parent_memory_grows_less_than_the_file(self, tmp_path):
+    def test_parent_memory_is_flat_in_the_replicate_count(self, tmp_path, monkeypatch):
         from sievesim import acceptance  # noqa: F401  (so its import is not in a peak)
 
-        peaks, sizes = [], []
-        for n in (20_000, 100_000):
-            out = tmp_path / str(n)
-            tracemalloc.start()
-            try:
-                code = run_cli("sample-z", "--sampler", "mittag-leffler", "--alpha", "0.5",
-                               "--beta", "0", "--n", n, "--seed", "5", "--jobs", "1",
-                               "--out", out)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            detail, = out.glob("*[!y].csv")
-            sizes.append(detail.stat().st_size)
-        # a parent that held every chunk's text would grow by the file's growth
-        assert peaks[1] - peaks[0] < sizes[1] - sizes[0]
+        # each chunk is reduced where it is drawn, so the parent holds one
+        # chunk's rows and the chunk summaries, never the joined sample.  Here
+        # a chunk's rows are one string of about their usual size: tracemalloc
+        # slows the per-row formatting about 18-fold, and the formatter's own
+        # memory is TestDetailWriter's test_peak_memory_does_not_grow_with_rows.
+        monkeypatch.setattr(cli.Layout, "rows", lambda self, columns: "0," * 12 * len(columns[0]))
+        runs = {**{cmd: argv for cmd, (_, _, _, argv) in _STREAMED.items()},
+                "markov": ("--chain", "sieve:uniform", "--n", "5", "--reps")}
+        for cmd, argv in runs.items():
+            peaks = []
+            for n in (20_000, 200_000):
+                tracemalloc.start()
+                try:
+                    code = run_cli(cmd, *argv, n, "--seed", "5", "--jobs", "1",
+                                   "--out", tmp_path / f"{cmd}{n}")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code in (0, 1)
+            assert peaks[1] - peaks[0] < 2**19, cmd
+
+    @pytest.mark.parametrize("cmd", ["sample-z", "prw"])
+    def test_pooled_summaries_do_not_depend_on_jobs(self, cmd, tmp_path):
+        # the chunk moments are pooled in chunk order, whichever worker drew them
+        _, _, _, argv = _STREAMED[cmd]
+        files = []
+        for jobs in (1, 2):
+            out = tmp_path / str(jobs)
+            assert run_cli(cmd, *argv, 3 * CHUNK + 5, "--seed", "5", "--jobs", jobs,
+                           "--out", out) == 0
+            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(files[0]) == 2 and files[0] == files[1]
 
     def test_tracer_counts_chunks_and_rows(self, tmp_path):
         # perfbench/tracing.py wraps cli._run_chunks and cli._emit and takes
@@ -582,6 +598,18 @@ class TestMarkovCommand:
                 "--seed", "5", "--jobs", "1", "--out", tmp_path)
         assert {seed for seed, _ in keys} == {5}
         assert sorted(stream for _, stream in keys) == [0, 1, 2] + [1 << 32 | c for c in range(3)]
+
+    def test_sampling_noise_is_reported_beside_the_tolerance(self, tmp_path, capsys):
+        # at 2e4 reps the TV of an exact sampler is about 0.006 on average,
+        # so the fixed tolerance 0.01 fails this correct run
+        code = run_cli("markov", "--chain", "sieve:uniform", "--n", "30", "--reps", "20000",
+                       "--seed", "20260811", "--jobs", "1", "--out", tmp_path)
+        assert code == 1
+        summary = json.loads(next(tmp_path.glob("markov_*.summary.json")).read_text())
+        noise = summary["metrics"]["expected_sampling_tv"]
+        assert noise == pytest.approx(0.00594, abs=1e-5)
+        assert summary["metrics"]["tv_sim_vs_dp"] > summary["metrics"]["tv_tolerance"]
+        assert f"expected sampling TV {noise:.5f}" in capsys.readouterr().out
 
     def test_loaded_specs_are_told_apart(self, tmp_path):
         specs = {}

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sievesim.randkit import RngStream
-from sievesim.stats import ks_one_sample, ks_two_sample, mc_accumulate, tv_distance
+from sievesim.stats import ks_one_sample, ks_two_sample, mc_accumulate, mc_merge, tv_distance
 
 
 class TestKs:
@@ -85,3 +86,35 @@ class TestAccumulator:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mc_accumulate([])
+
+
+def _chunks(values, cuts):
+    """``values`` split at the sorted distinct ``cuts`` inside it."""
+    bounds = [0, *sorted({c for c in cuts if 0 < c < values.size}), values.size]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestMerge:
+    # values in [-1, 1] with both ends present: the sum of squared deviations
+    # is at least 2, so the data are well conditioned and the pooled moments
+    # agree with the one-pass ones to rounding
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=hnp.arrays(np.float64, st.integers(0, 300),
+                             elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+           .map(lambda v: np.concatenate([[-1.0], v, [1.0]])),
+           cuts=st.lists(st.integers(1, 301), max_size=8))
+    def test_any_split_pools_to_the_whole_sample(self, values, cuts):
+        whole = mc_accumulate(values)
+        assert whole.mean == float(values.mean())
+        assert whole.stderr == float(values.std(ddof=1) / np.sqrt(values.size))
+        # one chunk is the whole sample, bit for bit
+        assert mc_merge([whole]) == whole
+        parts = [mc_accumulate(c) for c in _chunks(values, cuts)]
+        pooled = mc_merge(parts)
+        assert pooled.count == whole.count
+        assert pooled.mean == pytest.approx(whole.mean, rel=1e-12, abs=1e-12)
+        assert pooled.m2 == pytest.approx(whole.m2, rel=1e-12)
+        assert pooled.stderr == pytest.approx(whole.stderr, rel=1e-12)
+        # a left fold in chunk order: pooling a prefix first changes no bit
+        for k in range(1, len(parts)):
+            assert mc_merge([mc_merge(parts[:k]), *parts[k:]]) == pooled

@@ -59,7 +59,7 @@ print("=" * 72)
 print("Y's truncated-jump simulation (with small-jump mean drift) reproduces")
 print("exp(-phi(x)):\n")
 for alpha in (0.3, 0.5, 0.8):
-    y = sample_subordinator_marginal(alpha, 1.0, 1e-3, rng, size=50_000, small_jump_drift=True)
+    y = sample_subordinator_marginal(alpha, 1.0, 1e-3, rng, size=50_000)
     for x in (1.0, 2.0):
         est = float(np.exp(-x * y).mean())
         target = math.exp(-phi_alpha(alpha, x))

@@ -28,7 +28,7 @@ import io
 import math
 import tempfile
 from contextlib import redirect_stdout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-    metrics: dict = field(default_factory=dict)
+    metrics: dict
 
     def report_line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -74,6 +74,7 @@ def suite_criteria(suite: str):
 # checks that the CLI experiments run as well
 
 TV_TOL = 0.01
+EXACT_TOL = 1e-10  # for quantities that exact arithmetic would make equal
 
 
 def moment_check(est: stats.McEstimate, params: limitlaw.AlphaBeta, order: int):
@@ -183,14 +184,14 @@ SAMPLES = {
 _Z_CACHE: dict = {}
 
 
-def _sample(name, seed: int, jobs: int = 1):
+def _sample(name, seed: int, jobs: int):
     """The sample ``SAMPLES[name]`` at ``seed``: its chunk results joined
     (an array, or an array and a truncation count for the sieve samples)."""
     stream, total, worker, payload = SAMPLES[name]
     return cli._join(cli._run_chunks(worker, seed, total, jobs, payload, stream))
 
 
-def _z_draws(alpha: float, beta: float, seed: int, jobs: int = 1) -> np.ndarray:
+def _z_draws(alpha: float, beta: float, seed: int, jobs: int) -> np.ndarray:
     key = (alpha, beta, seed)
     if key not in _Z_CACHE:
         _Z_CACHE[key] = _sample((alpha, beta), seed, jobs)
@@ -211,12 +212,12 @@ def crit_01_exact_dp_geometric(seed: int, jobs: int) -> CriterionResult:
         starts = range(spec.floor + 1, 61)
         for pmf in chains.exact_zero_decrement_pmfs(spec, starts):
             m_top = min(40, pmf.masses.size - 1)
-            target = 2.0 ** -(np.arange(m_top + 1) + 1.0)
+            target = chains.geometric_pmf(0.5, m_top + 1).masses
             worst = max(worst, float(np.abs(pmf.masses[: m_top + 1] - target).max()))
-    passed = worst <= 1e-10
+    passed = worst <= EXACT_TOL
     return CriterionResult(
         1, "exact geometric law from the zero-decrement DP", passed,
-        f"max |pmf(m) - 2^-(m+1)| = {worst:.2e} over n <= 60, m <= 40 (tol 1e-10)",
+        f"max |pmf(m) - 2^-(m+1)| = {worst:.2e} over n <= 60, m <= 40 (tol {EXACT_TOL:g})",
         {"max_abs_err": worst},
     )
 
@@ -226,10 +227,10 @@ def crit_02_moment_identities(seed: int, jobs: int) -> CriterionResult:
     for alpha in np.arange(0.1, 0.95, 0.1):
         alpha = round(float(alpha), 10)
         worst = max(worst, *(max(e) for e in moment_identity_errors(alpha, range(1, 7))))
-    passed = worst <= 1e-10
+    passed = worst <= EXACT_TOL
     return CriterionResult(
         2, "moment-formula identities", passed,
-        f"max relative error {worst:.2e} over alpha grid, n <= 6 (tol 1e-10)",
+        f"max relative error {worst:.2e} over alpha grid, n <= 6 (tol {EXACT_TOL:g})",
         {"max_rel_err": worst},
     )
 
@@ -286,9 +287,7 @@ def crit_06_laplace_exponent(seed: int, jobs: int) -> CriterionResult:
     eps, reps = 1e-3, 200_000
     fails, worst = [], 0.0
     for alpha in (0.3, 0.5, 0.8):
-        y = limitlaw.sample_subordinator_marginal(
-            alpha, 1.0, eps, rng, size=reps, small_jump_drift=True
-        )
+        y = limitlaw.sample_subordinator_marginal(alpha, 1.0, eps, rng, size=reps)
         for x in (0.5, 1.0, 2.0):
             vals = np.exp(-x * y)
             target = math.exp(-limitlaw.phi_alpha(alpha, x))
@@ -324,7 +323,7 @@ def crit_07_chain_sampler_agreement(seed: int, jobs: int) -> CriterionResult:
     passed = worst <= TV_TOL
     return CriterionResult(
         7, "chain sampler three-way agreement", passed,
-        f"worst pairwise TV at n=30, 1e5 reps: {worst:.4f} (tol 0.01; {'; '.join(lines)})",
+        f"worst pairwise TV at n=30, 1e5 reps: {worst:.4f} (tol {TV_TOL}; {'; '.join(lines)})",
         {"worst_tv": worst},
     )
 
@@ -335,7 +334,8 @@ def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
     passed = worst <= TV_TOL and truncated == 0
     return CriterionResult(
         8, "symmetric-W geometric empty-box law", passed,
-        f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} (tol 0.01)"
+        f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} "
+        f"(tol {TV_TOL})"
         + (f"; {truncated} replicates truncated" if truncated else ""),
         {"worst_tv": worst, "truncated": truncated},
     )
@@ -346,10 +346,10 @@ def crit_09_chain_vs_sieve(seed: int, jobs: int) -> CriterionResult:
     dp = chains.exact_zero_decrement_pmf(chains.sieve_chain_spec(sieve.UniformW(), balls), balls)
     emp = chains.empirical_pmf(_sample(9, seed, jobs), width=dp.masses.size)
     tv = stats.tv_distance(emp, dp)
-    passed = tv <= 0.01
+    passed = tv <= TV_TOL
     return CriterionResult(
         9, "chain DP vs sieve occupancy", passed,
-        f"TV between DP law and interval-allocation sample at n=100: {tv:.4f} (tol 0.01)",
+        f"TV between DP law and interval-allocation sample at n=100: {tv:.4f} (tol {TV_TOL})",
         {"tv": tv},
     )
 
@@ -526,7 +526,7 @@ _CRITERIA = {
 }
 
 
-def run_criterion(number: int, seed: int = DEFAULT_SEED, jobs: int = 1) -> CriterionResult:
+def run_criterion(number: int, seed: int = DEFAULT_SEED, *, jobs: int) -> CriterionResult:
     try:
         fn = _CRITERIA[number]
     except KeyError:

@@ -357,10 +357,11 @@ class MixedPoissonReport:
     passed: bool
 
 
-def _falling_factorials(values: np.ndarray, orders: int = 4) -> np.ndarray:
+def _falling_factorials(values: np.ndarray) -> np.ndarray:
+    """The falling factorials of orders 1 to 4 of ``values``, one column each."""
     cols = []
     acc = np.ones_like(values, dtype=float)
-    for r in range(1, orders + 1):
+    for r in range(1, 5):
         acc = acc * (values - (r - 1))
         cols.append(acc.copy())
     return np.stack(cols, axis=1)

@@ -2,16 +2,18 @@
 
 Replicates are partitioned into fixed-size chunks, one indexed RNG stream
 per chunk, and chunk results are taken in index order, so output files are
-byte-identical for a given config regardless of ``--jobs``.  Every command
-writes its detail file through one ``Detail``, deleted if the run fails: the
-process that draws a chunk formats its rows and reduces its sample to what
-the summary needs (value counts, integer sums, mergeable moments), and the
-parent writes the rows and folds the reductions in chunk order as chunks
-arrive, so it never holds a whole sample; the small tables go in blocks of
-rows.  Output files carry no timestamps; metric rows carry the config
-hash and seed.  Exit codes: 0 all checks in scope passed, 1 a check failed,
-2 invalid configuration, 3 a run could not finish because a step, depth or
-count budget ran out.
+byte-identical for a given config regardless of ``--jobs``.  A chunk worker
+checks its own payload, and the runner first draws a sample of size 0 in the
+parent, so a bad payload exits 2 before a file or a pool exists.  Every
+command writes its detail file through one ``Detail``, deleted if the run
+fails: the process that draws a chunk formats its rows and reduces its
+sample to what the summary needs (value counts, integer sums, mergeable
+moments), and the parent writes the rows and folds the reductions in chunk
+order as chunks arrive, so it never holds a whole sample; the small tables
+go in blocks of rows.  Output files carry no timestamps; metric rows carry
+the config hash and seed.  Exit codes: 0 all checks in scope passed, 1 a
+check failed, 2 invalid configuration, 3 a run could not finish because a
+step, depth or count budget ran out.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, nullcontext
 from itertools import repeat
 from pathlib import Path
 
@@ -101,18 +103,24 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
     """``worker(rng, count, *payload)`` on each chunk of ``total`` replicates,
     results (or with ``reduce``, each chunk's ``reduce(result)``) in chunk order.
 
+    First the parent calls ``worker(rng, 0, *payload)``: a draw of size 0
+    runs the worker's checks of its payload and takes nothing from ``rng``,
+    so a bad payload raises before ``detail`` is opened or a pool starts.
+
     Chunk ``cid`` of the sample with stream id ``stream`` draws from
     ``RngStream(seed, (stream << 32) | cid)``: the address is (seed, sample,
     chunk), so results do not depend on ``jobs``.  The experiments use
     stream 0, so their chunk ``cid`` draws from ``RngStream(seed, cid)``;
     ``markov`` draws its second sample on stream 1.
 
-    With a ``Detail``, the process that draws a chunk also formats its rows
-    (the replicate index, then the columns of its array, a tuple result's
-    first item); the parent writes them to ``detail`` as each chunk arrives.
-    Then it applies ``reduce`` (module-level, to reach pool workers), so the
-    parent holds one chunk's text and the chunk reductions, not the sample.
+    With a ``Detail``, the parent enters it, and the process that draws a
+    chunk also formats its rows (the replicate index, then the columns of its
+    array, a tuple result's first item); the parent writes them to ``detail``
+    as each chunk arrives.  Then it applies ``reduce`` (module-level, to
+    reach pool workers), so the parent holds one chunk's text and the chunk
+    reductions, not the sample.
     """
+    worker(np.random.default_rng(0), 0, *payload)
     layout = None if detail is None else detail.layout
     tasks = [(worker, RngStream(seed, (stream << 32) | cid), cid * CHUNK, count, payload, layout,
               reduce) for cid, count in _chunk_plan(total)]
@@ -125,12 +133,13 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
             parts.append(result)
         return parts
 
-    if jobs <= 1 or len(tasks) == 1:
-        return gather(map(_call_chunk, tasks))
-    # a fork pool starts every worker at the first submit, so ask for no
-    # more workers than there are chunks
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return gather(pool.map(_call_chunk, tasks))
+    with nullcontext() if detail is None else detail:
+        if jobs <= 1 or len(tasks) == 1:
+            return gather(map(_call_chunk, tasks))
+        # a fork pool starts every worker at the first submit, so ask for no
+        # more workers than there are chunks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return gather(pool.map(_call_chunk, tasks))
 
 
 def _join(parts):
@@ -147,6 +156,8 @@ def _chunk_sample_z(rng, count, params: limitlaw.AlphaBeta, sampler, grid_step, 
         return limitlaw.sample_z_pathint(params, grid_step, rng, size=count)
     if sampler == "expfunc":
         return limitlaw.sample_z_expfunctional(params, eps, rng, size=count)
+    if params.beta != 0.0:
+        raise ValueError("the direct Mittag-Leffler sampler requires beta = 0")
     return limitlaw.sample_mittag_leffler(params.alpha, rng, size=count)
 
 
@@ -170,14 +181,8 @@ def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
     """The factor that normalises ``prw --stat`` at ``t``.
 
     The empty-box and busy-server statistics are normalised by
-    P{xi > t} / P{eta > t}, which must be defined; an unknown statistic, a
-    t that is not finite nonnegative or an undefined normalisation raises
-    ValueError before any path is drawn.
+    P{xi > t} / P{eta > t}: a zero P{eta > t} raises ValueError.
     """
-    if stat not in walks.FUNCTIONALS:
-        raise ValueError(f"unknown statistic {stat!r}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite nonnegative, got {t}")
     if stat in ("empty", "busy"):
         eta_tail = float(law.eta_tail(t))
         if not eta_tail > 0.0:
@@ -194,9 +199,12 @@ def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
 def _chunk_prw(rng, count, law: walks.PrwLaw, t_values, stats, q_exponent):
     """Normalised walk functionals of ``count`` walks: column ``i * len(t_values) + j``
     holds ``stats[i]`` at ``t_values[j]``, all from the same walks."""
-    scales = [_prw_scale(law, t, stat) for stat in stats for t in t_values]
+    # the window weight Q(x) = (1+x)^(-q) must be finite and nonincreasing
+    if not (math.isfinite(q_exponent) and q_exponent >= 0.0):
+        raise ValueError(f"q exponent must be finite nonnegative, got {q_exponent}")
     q = lambda x: (1.0 + x) ** -q_exponent
     values = walks.walk_functionals(law, t_values, count, rng, stats, q=q)
+    scales = [_prw_scale(law, t, stat) for stat in stats for t in t_values]
     return np.hstack([values[stat] for stat in stats]) * scales
 
 
@@ -298,13 +306,17 @@ class Layout:
 
 class Detail(AbstractContextManager):
     """A detail file fed the text of its rows in order; ``len()`` counts the
-    rows.  It is finished when its ``with`` block ends, deleted if it raises."""
+    rows.  It is opened when its ``with`` block starts, finished when the
+    block ends and deleted if it raises."""
 
     def __init__(self, path: Path, fmt: str, header, columns):
         self.layout = Layout(fmt, header, columns)
         self.path, self.rows = path, 0
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "w", newline="")
+
+    def __enter__(self) -> Detail:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(self.path, "w", newline="")
+        return self
 
     def __len__(self) -> int:
         return self.rows
@@ -378,7 +390,8 @@ def cmd_moments(args) -> int:
         worst["z_equals_factorial"] = max(factorial_err)
     if args.beta == 0.0:
         worst["z_equals_mittag_leffler"] = max(ml_err)
-    checks = {name: {"value": value, "tolerance": 1e-10, "passed": value <= 1e-10}
+    tol = acceptance.EXACT_TOL
+    checks = {name: {"value": value, "tolerance": tol, "passed": value <= tol}
               for name, value in worst.items()}
     passed = all(c["passed"] for c in checks.values())
     with _detail(args, params, ["order", "z_moment", "ml_moment", "factorial",
@@ -396,19 +409,13 @@ def cmd_sample_z(args) -> int:
     # acceptance is imported where used, so a CLI start does not load the suite
     from . import acceptance
 
-    params = {
-        "alpha": args.alpha, "beta": args.beta, "n": args.n, "sampler": args.sampler,
-        "grid_step": args.grid_step, "eps": args.eps,
-    }
+    params = {"alpha": args.alpha, "beta": args.beta, "n": args.n, "sampler": args.sampler,
+              "grid_step": args.grid_step, "eps": args.eps}
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
-    if args.sampler == "mittag-leffler" and args.beta != 0.0:
-        raise ValueError("the direct Mittag-Leffler sampler requires beta = 0")
-    # a draw of size 0 runs the sampler's own checks and draws nothing
-    payload = (ab, args.sampler, args.grid_step, args.eps)
-    _chunk_sample_z(RngStream(args.seed).generator(), 0, *payload)
-    with _detail(args, params, ["replicate", "value"]) as detail:
-        parts = _run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs, payload,
-                            detail=detail, reduce=_reduce_z)
+    detail = _detail(args, params, ["replicate", "value"])
+    parts = _run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs,
+                        (ab, args.sampler, args.grid_step, args.eps), detail=detail,
+                        reduce=_reduce_z)
     est1, m1_t, tol1, ok1 = acceptance.moment_check(stats.mc_merge(p[0] for p in parts), ab, 1)
     est2, m2_t, tol2, ok2 = acceptance.moment_check(stats.mc_merge(p[1] for p in parts), ab, 2)
     ok = ok1 and ok2
@@ -427,11 +434,9 @@ def cmd_sieve(args) -> int:
 
     params = {"wlaw": args.wlaw, "balls": args.balls, "reps": args.reps}
     wlaw = parse_wlaw(args.wlaw)
-    sieve._check_balls(args.balls)
-    with _detail(args, params, ["replicate", "occupied", "last_occupied",
-                                "empty_in_range"]) as detail:
-        parts = _run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs, (wlaw, args.balls),
-                            detail=detail, reduce=_reduce_sieve)
+    detail = _detail(args, params, ["replicate", "occupied", "last_occupied", "empty_in_range"])
+    parts = _run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs, (wlaw, args.balls),
+                        detail=detail, reduce=_reduce_sieve)
     counts, occupied, empty, truncated = zip(*parts)
     emp, truncated = chains.counts_pmf(counts), sum(truncated)
     # exact integer sums over reps: the bits of np.mean of the joined columns
@@ -456,23 +461,17 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_prw(args) -> int:
-    # the window weight Q(x) = (1+x)^(-q) must be finite and nonincreasing
-    if not (math.isfinite(args.q_exponent) and args.q_exponent >= 0.0):
-        raise ValueError(f"q exponent must be finite nonnegative, got {args.q_exponent}")
-    params = {
-        "xi": args.xi, "eta": args.eta, "coupled_multiplier": args.coupled_multiplier,
-        "t": args.t, "stat": args.stat, "reps": args.reps, "q_exponent": args.q_exponent,
-    }
+    params = {"xi": args.xi, "eta": args.eta, "coupled_multiplier": args.coupled_multiplier,
+              "t": args.t, "stat": args.stat, "reps": args.reps, "q_exponent": args.q_exponent}
     xi_law = parse_marginal(args.xi)
     if args.coupled_multiplier is None:
         law = walks.PrwLaw.independent(xi_law, parse_marginal(args.eta))
     else:
         law = walks.PrwLaw.coupled(xi_law, args.coupled_multiplier)
-    _prw_scale(law, args.t, args.stat)
-    with _detail(args, params, ["replicate", "value"]) as detail:
-        est = stats.mc_merge(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
-                                         (law, (args.t,), (args.stat,), args.q_exponent),
-                                         detail=detail, reduce=_reduce_prw))
+    detail = _detail(args, params, ["replicate", "value"])
+    est = stats.mc_merge(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
+                                     (law, (args.t,), (args.stat,), args.q_exponent),
+                                     detail=detail, reduce=_reduce_prw))
     # prw estimates a functional's mean and checks nothing: "passed" is true
     # because no check failed, and "checks" is empty to say that none ran
     return _report(args, params, detail,

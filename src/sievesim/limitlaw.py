@@ -152,14 +152,10 @@ def small_jump_mean(alpha: float, eps: float) -> float:
     return val
 
 
-def sample_subordinator_marginal(
-    alpha: float, t: float, eps: float, rng, size, small_jump_drift: bool = False
-):
-    """Y(t) from the eps-truncated jump process.
-
-    With ``small_jump_drift`` the discarded sub-eps jumps are replaced by
-    their expected mass, shrinking the (one-sided) truncation bias of
-    E exp(-x*Y(t)) from O(x*eps^(1-a)) to O(x^2*eps^(2-a)).
+def sample_subordinator_marginal(alpha: float, t: float, eps: float, rng, size):
+    """Y(t) from the eps-truncated jump process, plus the expected mass of
+    the discarded sub-eps jumps as a drift, which shrinks the (one-sided)
+    truncation bias of E exp(-x*Y(t)) from O(x*eps^(1-a)) to O(x^2*eps^(2-a)).
     """
     rng = as_generator(rng)
     lam = levy_tail_mass(alpha, eps)
@@ -167,19 +163,21 @@ def sample_subordinator_marginal(
     sizes = sample_levy_jump(alpha, eps, rng, size=int(counts.sum()))
     out = np.zeros(counts.size)
     np.add.at(out, np.repeat(np.arange(counts.size), counts.reshape(-1)), sizes)
-    out = out.reshape(counts.shape)
-    if small_jump_drift:
-        out = out + small_jump_mean(alpha, eps) * t
-    return out
+    return out.reshape(counts.shape) + small_jump_mean(alpha, eps) * t
 
 
+# The path-integral sampler's step budget per path; the exponential-functional
+# sampler refuses an eps whose expected jump count per path exceeds it.
 _MAX_PATH_STEPS = 200_000_000
+_PATH_BLOCK = 64  # grid steps per path and block
 
 
-def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_MAX_PATH_STEPS):
+def _pathint_block(alpha, beta, grid_step, scale, rng, n):
     """Lockstep path-integral draws: all paths advance through shared
     increment blocks; finished paths drop out of the active set.  Each path
-    draws at most ``max_steps`` increments: the last block is clipped to it."""
+    draws at most ``_MAX_PATH_STEPS`` increments, read at call time: the last
+    block is clipped to it."""
+    max_steps = _MAX_PATH_STEPS
     z = np.zeros(n)
     x = np.zeros(n)
     active = np.arange(n)
@@ -190,7 +188,7 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n, block=64, max_steps=_M
         if steps >= max_steps:
             raise RuntimeError(f"path-integral sampler exceeded the step budget of {max_steps} "
                                f"({active.size} of {n} paths)")
-        width = min(block, max_steps - steps)
+        width = min(_PATH_BLOCK, max_steps - steps)
         inc = _standard_stable(alpha, rng, size=(active.size, width))
         inc *= scale
         cum = np.cumsum(inc, axis=1, out=inc)
@@ -233,7 +231,8 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size: int):
     the integral is an exact finite sum); sub-eps jumps are discarded without
     compensation, a documented one-sided bias.  At beta = alpha the exponent
     c is zero and the integral is T itself; otherwise an ``eps`` with no Levy
-    mass above it in float64 raises ValueError.
+    mass above it in float64 raises ValueError, and so does one whose mass,
+    the expected jump count of a path (E T = 1), exceeds ``_MAX_PATH_STEPS``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -250,6 +249,10 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size: int):
         # wait -inf, so no path would end
         raise ValueError(f"the Levy mass above eps = {eps} is {lam} in float64; choose a "
                          "smaller eps")
+    if lam > _MAX_PATH_STEPS:
+        raise ValueError(f"the Levy mass above eps = {eps} is {lam:.3g}, the expected jump "
+                         f"count of a path, above the budget of {_MAX_PATH_STEPS}; choose a "
+                         "larger eps")
     t_exp = rng.standard_exponential(size)
     z = np.zeros(size)
     y = np.zeros(size)

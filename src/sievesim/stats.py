@@ -82,21 +82,10 @@ def ks_one_sample(xs, cdf) -> float:
     return float(max(upper, lower))
 
 
-def _masses_and_deficit(p):
-    if hasattr(p, "masses"):
-        return np.asarray(p.masses, dtype=float), float(getattr(p, "tail_deficit", 0.0))
-    return np.asarray(p, dtype=float), 0.0
-
-
 def tv_distance(p, q) -> float:
-    """Total variation between finite pmfs, charging mismatched tail deficits.
-
-    Accepts plain arrays or Pmf-like objects carrying ``masses`` and
-    ``tail_deficit``; shorter supports are zero-padded.
-    """
-    pm, pd = _masses_and_deficit(p)
-    qm, qd = _masses_and_deficit(q)
-    width = max(pm.size, qm.size)
-    pm = np.pad(pm, (0, width - pm.size))
-    qm = np.pad(qm, (0, width - qm.size))
-    return float(0.5 * np.abs(pm - qm).sum() + 0.5 * abs(pd - qd))
+    """Total variation between two ``chains.Pmf``s, charging mismatched tail
+    deficits; the shorter support is zero-padded."""
+    width = max(p.masses.size, q.masses.size)
+    pm = np.pad(p.masses, (0, width - p.masses.size))
+    qm = np.pad(q.masses, (0, width - q.masses.size))
+    return float(0.5 * np.abs(pm - qm).sum() + 0.5 * abs(p.tail_deficit - q.tail_deficit))

@@ -202,7 +202,7 @@ def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("
         raise ValueError(f"unknown statistic {unknown[0]!r}")
     t_values = np.asarray(t_values, dtype=float).ravel()
     if not (t_values.size and np.all(np.isfinite(t_values) & (t_values >= 0.0))):
-        raise ValueError(f"t values must be finite nonnegative, got {t_values.tolist()}")
+        raise ValueError(f"t must be finite nonnegative, got {t_values.tolist()}")
     if "window" in functionals and q is None:
         raise ValueError("the window statistic needs a weight function q")
     horizon = float(t_values.max()) + (_MARGIN if "empty" in functionals else 0.0)

@@ -138,21 +138,21 @@ class TestChunkedSamples:
         # operation, so each one draws the limit-law pairs afresh
         used = _record_streams(monkeypatch)
         for _ in range(2):
-            acceptance._z_draws(0.5, 0.0, SEED)
+            acceptance._z_draws(0.5, 0.0, SEED, 1)
         assert len(used) == 3
         acceptance._Z_CACHE.clear()
-        acceptance._z_draws(0.5, 0.0, SEED)
+        acceptance._z_draws(0.5, 0.0, SEED, 1)
         assert len(used) == 6
         # only the limit-law draws are memoised
         for _ in range(2):
-            acceptance._sample(8, SEED)
+            acceptance._sample(8, SEED, 1)
         assert len(used) == 12
         assert list(acceptance._Z_CACHE) == [(0.5, 0.0, SEED)]
 
     def test_pairs_and_chunks_draw_from_distinct_streams(self, small_samples, monkeypatch):
         used = _record_streams(monkeypatch)
         for name in acceptance.SAMPLES:
-            acceptance._sample(name, SEED)
+            acceptance._sample(name, SEED, 1)
         assert len(set(used)) == len(used) == 3 * len(acceptance.SAMPLES)
         # a chunk address never collides with a plain per-criterion stream id
         assert min(used) >= 1 << 32
@@ -169,7 +169,7 @@ class TestChunkedSamples:
         assert min(used) >= 1 << 32
 
     def test_pairs_and_chunks_draw_different_values(self, small_samples):
-        samples = [_array(acceptance._sample(name, SEED)) for name in acceptance.SAMPLES]
+        samples = [_array(acceptance._sample(name, SEED, 1)) for name in acceptance.SAMPLES]
         heads = [s[start:start + 64].tobytes() for s in samples
                  for start in range(0, SMALL, cli.CHUNK)]
         assert len(set(heads)) == len(heads) == 3 * len(samples)

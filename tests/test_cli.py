@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sievesim import chains, cli, limitlaw, sieve, walks
+from sievesim import acceptance, chains, cli, limitlaw, sieve, walks
 from sievesim.cli import (BLOCK, CHUNK, Detail, _chunk_plan, _chunk_prw, main, parse_marginal,
                           parse_wlaw)
 from sievesim.randkit import RngStream
@@ -295,6 +294,64 @@ _STREAMED = {
 }
 
 
+# Every chunk worker with a payload it is run with: the rows of
+# acceptance.SAMPLES, the streamed commands' and both of markov's.
+_PAYLOADS = {
+    **{f"SAMPLES-{'-'.join(map(str, name)) if isinstance(name, tuple) else name}":
+       (worker, payload) for name, (_, _, worker, payload) in acceptance.SAMPLES.items()},
+    **{cmd: (worker, payload) for cmd, (_, worker, payload, _) in _STREAMED.items()},
+    "sample-z-expfunc": (cli._chunk_sample_z,
+                         (limitlaw.AlphaBeta(0.5, 0.25), "expfunc", 1e-4, 1e-4)),
+    **{f"markov-{method}": (cli._chunk_markov,
+                            (chains.sieve_chain_spec(UniformW(), 8), 8, method))
+       for method in ("direct", "georep")},
+}
+
+
+class TestPayloadCheck:
+    """_run_chunks draws a sample of size 0 in the parent first, so a chunk
+    worker's own checks refuse a bad payload before any file or pool."""
+
+    @pytest.mark.parametrize("name", list(_PAYLOADS))
+    def test_zero_size_draw_is_empty_and_takes_nothing(self, name):
+        worker, payload = _PAYLOADS[name]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        result = worker(rng, 0, *payload)
+        values = result[0] if isinstance(result, tuple) else result
+        assert values.shape[0] == 0 and values.size == 0
+        assert rng.bit_generator.state == state
+
+    def test_refused_payload_opens_no_file_and_starts_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        counts = []
+
+        def refusing(rng, count):
+            counts.append(count)
+            if count == 0:
+                raise ValueError("payload refused")
+            return np.zeros(count)
+
+        out = tmp_path / "out"
+        detail = Detail(out / "detail.csv", "csv", ["replicate", "value"], [None, None])
+        with pytest.raises(ValueError, match="payload refused"):
+            cli._run_chunks(refusing, 1, 2 * CHUNK, 2, (), detail=detail)
+        assert counts == [0] and _RecordingPool.sizes == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sieve", "--wlaw", "uniform", "--balls", "-5"),
+        ("sample-z", "--alpha", "0.5", "--beta", "0.25", "--grid-step", "-1"),
+        ("prw", "--xi", "pareto:0.5", "--t", "-1"),
+    ], ids=["sieve-balls", "sample-z-grid-step", "prw-t"])
+    def test_refused_run_creates_no_out_directory(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "1", "--jobs", "2", "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 def _detail_rows(path: Path) -> int:
     return len(path.read_text().splitlines()) - 1
 
@@ -422,9 +479,7 @@ class TestSampleZCommand:
         assert {"config_hash", "seed", "replicate", "value"} <= set(detail[0])
 
     def test_exhausted_path_budget_exits_three(self, tmp_path, capsys, monkeypatch):
-        engine = limitlaw._pathint_block
-        monkeypatch.setattr(limitlaw, "_pathint_block",
-                            functools.partial(engine, max_steps=100))
+        monkeypatch.setattr(limitlaw, "_MAX_PATH_STEPS", 100)
         code = run_cli("sample-z", "--alpha", "0.6", "--beta", "0.3", "--n", "50",
                        "--grid-step", "1e-3", "--seed", "11", "--out", tmp_path, "--jobs", "1")
         assert code == 3
@@ -437,9 +492,7 @@ class TestSampleZCommand:
                                                            monkeypatch):
         # the pool's workers are forked, so they run the patched engine; the
         # detail file opened before sampling is deleted
-        engine = limitlaw._pathint_block
-        monkeypatch.setattr(limitlaw, "_pathint_block",
-                            functools.partial(engine, max_steps=100))
+        monkeypatch.setattr(limitlaw, "_MAX_PATH_STEPS", 100)
         code = run_cli("sample-z", "--alpha", "0.6", "--beta", "0.3", "--n", CHUNK + 50,
                        "--grid-step", "1e-3", "--seed", "11", "--out", tmp_path, "--jobs", "2")
         assert code == 3
@@ -473,8 +526,9 @@ class TestSampleZCommand:
         (("--grid-step", "-1"), "grid_step must be finite positive"),
         (("--sampler", "expfunc", "--eps", "-1"), "eps must be positive"),
         (("--sampler", "expfunc", "--eps", "20"), "the Levy mass above eps = 20.0 is -0.0"),
+        (("--sampler", "expfunc", "--eps", "1e-30"), "the Levy mass above eps = 1e-30 is 7.07e+14"),
     ], ids=["beta-above-alpha", "mittag-leffler-beta", "grid-step-negative",
-            "expfunc-eps-negative", "expfunc-eps-20"])
+            "expfunc-eps-negative", "expfunc-eps-20", "expfunc-eps-1e-30"])
     def test_bad_pair_exits_two_before_any_pool(self, argv, message, tmp_path, capsys,
                                                 monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
@@ -488,8 +542,9 @@ class TestSampleZCommand:
     @pytest.mark.parametrize("argv", [
         ("--sampler", "expfunc", "--eps", "20"),  # Levy mass -0.0: no path ever ends
         ("--sampler", "expfunc", "--eps", "inf"),  # mass 0.0: Y never jumps
+        ("--sampler", "expfunc", "--eps", "1e-30"),  # mass 7.1e14: about that many jumps a path
         ("--sampler", "pathint", "--grid-step", "inf"),
-    ], ids=["expfunc-eps-20", "expfunc-eps-inf", "pathint-grid-inf"])
+    ], ids=["expfunc-eps-20", "expfunc-eps-inf", "expfunc-eps-1e-30", "pathint-grid-inf"])
     def test_degenerate_step_exits_two(self, argv, tmp_path):
         # a subprocess with a timeout, so a sampler that never ends fails
         # the test instead of hanging it
@@ -662,7 +717,7 @@ class TestPrwCommand:
 
     def test_unknown_statistic_is_rejected_before_any_path(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(walks, "walk_functionals", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(walks.PrwLaw, "sample_pairs", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="unknown statistic"):
             _chunk_prw(np.random.default_rng(1), 3,
                        walks.PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25)), (100.0,),

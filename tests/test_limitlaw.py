@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from oracles import kanter_sine_form, levy_density
+from sievesim import limitlaw
 from sievesim.limitlaw import (
     AlphaBeta,
     _pathint_block,
@@ -18,6 +19,7 @@ from sievesim.limitlaw import (
     sample_subordinator_marginal,
     sample_z_expfunctional,
     sample_z_pathint,
+    small_jump_mean,
     z_moment,
 )
 from sievesim.randkit import RngStream, _standard_stable, sample_uniform01
@@ -306,24 +308,27 @@ class TestPathintEngine:
         np.testing.assert_allclose(z, ref, rtol=1e-10, atol=0.0)
 
     @staticmethod
-    def _exhaust(beta, budget, rng, n=64, h=1e-2):
+    def _exhaust(monkeypatch, beta, budget, rng, n=64, h=1e-2):
         scale = (math.gamma(0.5) * h) ** 2.0
-        with pytest.raises(RuntimeError, match=rf"budget of {budget} \(\d+ of {n} paths\)") as info:
-            _pathint_block(0.5, beta, h, scale, rng, n, max_steps=budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(limitlaw, "_MAX_PATH_STEPS", budget)
+            with pytest.raises(RuntimeError,
+                               match=rf"budget of {budget} \(\d+ of {n} paths\)") as info:
+                _pathint_block(0.5, beta, h, scale, rng, n)
         return int(re.search(r"\((\d+) of", str(info.value))[1])
 
-    def test_budget_clips_the_last_block(self):
+    def test_budget_clips_the_last_block(self, monkeypatch):
         rng = _RecordingNormals(43)
-        k = self._exhaust(0.25, 100, rng)
+        k = self._exhaust(monkeypatch, 0.25, 100, rng)
         assert 0 < k < 64
         # every live path drew exactly the budget: a full block, then one clipped to it
         assert [size[1] for size in rng.sizes] == [64, 36]
         assert rng.sizes[0][0] == 64 and 64 > rng.sizes[1][0] >= k
 
-    def test_budget_counts_the_paths_below_the_level(self):
+    def test_budget_counts_the_paths_below_the_level(self, monkeypatch):
         # a budget of two whole blocks leaves the stream as in an unbudgeted
         # run, where the paths still below 1 after 128 steps have z >= 129 h
-        k = self._exhaust(0.0, 128, RngStream(44, 0).generator())
+        k = self._exhaust(monkeypatch, 0.0, 128, RngStream(44, 0).generator())
         h = 1e-2
         z = _pathint_block(0.5, 0.0, h, (math.gamma(0.5) * h) ** 2.0,
                            RngStream(44, 0).generator(), 64)
@@ -333,9 +338,7 @@ class TestPathintEngine:
 
 class TestTruncatedMarginal:
     def test_laplace_with_drift(self):
-        y = sample_subordinator_marginal(
-            0.5, 1.0, 1e-3, RngStream(22, 0), size=30_000, small_jump_drift=True
-        )
+        y = sample_subordinator_marginal(0.5, 1.0, 1e-3, RngStream(22, 0), size=30_000)
         vals = np.exp(-y)
         est = mc_accumulate(vals)
         target = math.exp(-phi_alpha(0.5, 1.0))
@@ -344,6 +347,7 @@ class TestTruncatedMarginal:
     def test_truncation_bias_is_one_sided(self):
         # without drift the transform is overestimated (Y underestimated)
         y = sample_subordinator_marginal(0.8, 1.0, 1e-2, RngStream(23, 0), size=30_000)
+        y -= small_jump_mean(0.8, 1e-2) * 1.0
         est = mc_accumulate(np.exp(-y))
         target = math.exp(-phi_alpha(0.8, 1.0))
         assert est.mean > target

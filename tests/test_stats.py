@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sievesim.chains import Pmf
 from sievesim.randkit import RngStream
 from sievesim.stats import ks_one_sample, ks_two_sample, mc_accumulate, mc_merge, tv_distance
 
@@ -46,13 +47,13 @@ class TestKs:
 
 class TestTv:
     def test_equal(self):
-        assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert tv_distance(Pmf([0.5, 0.5]), Pmf([0.5, 0.5])) == 0.0
 
     def test_point_masses(self):
-        assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
+        assert tv_distance(Pmf([1.0, 0.0]), Pmf([0.0, 1.0])) == 1.0
 
     def test_pads_shorter_support(self):
-        assert tv_distance([1.0], [0.5, 0.5]) == pytest.approx(0.5)
+        assert tv_distance(Pmf([1.0]), Pmf([0.5, 0.5])) == pytest.approx(0.5)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
@@ -61,7 +62,7 @@ class TestTv:
     def test_triangle_inequality_and_bounds(self, a, b, c):
         def norm(v):
             t = sum(v)
-            return np.asarray(v) / t if t > 0 else np.ones(len(v)) / len(v)
+            return Pmf(np.asarray(v) / t if t > 0 else np.ones(len(v)) / len(v))
 
         p, q, r = norm(a), norm(b), norm(c)
         d_pq, d_qr, d_pr = tv_distance(p, q), tv_distance(q, r), tv_distance(p, r)

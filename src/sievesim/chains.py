@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import as_generator
-
 __all__ = [
     "Pmf",
     "ChainSpec",
@@ -227,7 +225,6 @@ def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarra
     ascending order and each state's replicates in index order.
     """
     spec._require_range(n)
-    rng = as_generator(rng)
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
@@ -250,7 +247,6 @@ def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
     state's replicates, in ascending state order, draw their stay counts and
     then their next positions."""
     spec._require_range(n)
-    rng = as_generator(rng)
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
@@ -271,6 +267,16 @@ def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
     return counts
 
 
+# The chain builders' largest state: the rows hold n_max^2 / 2 probabilities,
+# 400 MB of float64 at this cap.
+_MAX_CHAIN_STATES = 10_000
+
+
+def _check_n_max(n_max: int, low: int):
+    if not low <= n_max <= _MAX_CHAIN_STATES:
+        raise ValueError(f"n_max must lie in [{low}, {_MAX_CHAIN_STATES}], got {n_max}")
+
+
 def sieve_chain_spec(wlaw, n_max: int) -> ChainSpec:
     """Sieve chain: floor 0, s_{i,j} = C(i,j) E W^j (1-W)^{i-j}.
 
@@ -279,8 +285,7 @@ def sieve_chain_spec(wlaw, n_max: int) -> ChainSpec:
     per step; this needs a law with a closed-form ``mixed_moment`` (the beta
     and constant families).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_n_max(n_max, 1)
     try:
         wlaw.mixed_moment(0, 1)
     except NotImplementedError as exc:
@@ -315,22 +320,15 @@ def barrier_chain_spec(step_pmf, n_max: int) -> ChainSpec:
         raise ValueError("step law needs p_1 > 0 (absorption is not certain otherwise)")
     if np.any(p < 0.0) or p.sum() > 1.0 + 1e-12:
         raise ValueError("step probabilities must be nonnegative and sum to at most 1")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    _check_n_max(n_max, 2)
     partial = np.concatenate([[0.0], np.cumsum(p)])
-
-    def head_sum(count: int) -> float:
-        return float(partial[min(count, p.size)])
-
     rows = {}
     for i in range(2, n_max + 1):
         row = np.zeros(i)  # states 1..i
-        for j in range(1, i):
-            step = i - j
-            if step <= p.size:
-                row[j - 1] = p[step - 1]
+        k = min(i - 1, p.size)  # steps 1..k land above the barrier, at states i-1..i-k
+        row[i - 1 - k:i - 1] = p[k - 1::-1]
         # a step law summing to 1 can overshoot it by an ulp in the partial sum
-        row[i - 1] = max(0.0, 1.0 - head_sum(i - 1))
+        row[i - 1] = max(0.0, 1.0 - float(partial[k]))
         rows[i] = row
     return ChainSpec(floor=1, rows=rows)
 

@@ -488,13 +488,13 @@ def _build_chain(args) -> chains.ChainSpec:
         return chains.sieve_chain_spec(parse_wlaw(rest), args.n)
     if name == "barrier":
         kind, _, param = rest.partition(":")
-        if kind == "dyadic":
+        if rest == "dyadic":
             p = 2.0 ** -np.arange(1, args.n + 1, dtype=float)
-        elif kind == "geom":
+        elif kind == "geom" and param:
             q = float(param)
             p = (1.0 - q) * q ** np.arange(args.n, dtype=float)
         else:
-            raise ValueError(f"unknown barrier step law {rest!r}")
+            raise ValueError(f"unknown barrier step law {rest!r} (expected dyadic or geom:q)")
         return chains.barrier_chain_spec(p, args.n)
     raise ValueError(f"unknown chain {args.chain!r}")
 
@@ -503,7 +503,8 @@ def cmd_markov(args) -> int:
     from . import acceptance
 
     spec = _build_chain(args)
-    spec_json = chains.chain_to_json(spec)
+    # the JSON text grows as n^2: only these two flags read it
+    spec_json = chains.chain_to_json(spec) if args.export_spec or args.spec_json else None
     if args.export_spec:
         Path(args.export_spec).write_text(spec_json)
     # a loaded spec is named by its content, so the config hash and the

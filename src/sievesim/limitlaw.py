@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import _standard_stable, as_generator, sample_uniform01
+from .randkit import _standard_stable, sample_uniform01
 
 __all__ = [
     "AlphaBeta",
@@ -127,7 +127,6 @@ def sample_levy_jump(alpha: float, eps: float, rng, size):
     construction (V -> 1 hits eps, V -> 0 runs into the far tail).
     """
     lam = levy_tail_mass(alpha, eps)
-    rng = as_generator(rng)
     v = sample_uniform01(rng, size=size)
     # log1p/expm1 route: 1 + v*lam can be enormous near eps ~ 0
     inner = -np.expm1(-np.log1p(v * lam) / alpha)
@@ -157,7 +156,6 @@ def sample_subordinator_marginal(alpha: float, t: float, eps: float, rng, size):
     the discarded sub-eps jumps as a drift, which shrinks the (one-sided)
     truncation bias of E exp(-x*Y(t)) from O(x*eps^(1-a)) to O(x^2*eps^(2-a)).
     """
-    rng = as_generator(rng)
     lam = levy_tail_mass(alpha, eps)
     counts = rng.poisson(lam * t, size=size)
     sizes = sample_levy_jump(alpha, eps, rng, size=int(counts.sum()))
@@ -166,8 +164,8 @@ def sample_subordinator_marginal(alpha: float, t: float, eps: float, rng, size):
     return out.reshape(counts.shape) + small_jump_mean(alpha, eps) * t
 
 
-# The path-integral sampler's step budget per path; the exponential-functional
-# sampler refuses an eps whose expected jump count per path exceeds it.
+# The path-integral sampler's step budget per path; the samplers refuse a
+# grid step or an eps whose expected step or jump count per path exceeds it.
 _MAX_PATH_STEPS = 200_000_000
 _PATH_BLOCK = 64  # grid steps per path and block
 
@@ -214,12 +212,18 @@ def sample_z_pathint(params: AlphaBeta, grid_step: float, rng, size: int):
 
     A pre-crossing grid value equal to 1.0 exactly (float-induced; the event
     has probability zero) is treated as crossed, so the singular integrand is
-    never evaluated at 0.
+    never evaluated at 0.  A path takes E L(1) / h steps on average, for any
+    beta, with E L(1) = ``mittag_leffler_moment(alpha, 1)``; a grid step at
+    which that exceeds ``_MAX_PATH_STEPS`` raises ValueError.
     """
     if not (grid_step > 0.0 and math.isfinite(grid_step)):
         raise ValueError(f"grid_step must be finite positive, got {grid_step}")
-    rng = as_generator(rng)
     alpha, beta = params.alpha, params.beta
+    steps = mittag_leffler_moment(alpha, 1) / grid_step
+    if steps > _MAX_PATH_STEPS:
+        raise ValueError(f"the expected step count of a path at grid_step = {grid_step} is "
+                         f"{steps:.3g}, above the budget of {_MAX_PATH_STEPS}; choose a larger "
+                         "grid_step")
     scale = (math.gamma(1.0 - alpha) * grid_step) ** (1.0 / alpha)
     return _pathint_block(alpha, beta, grid_step, scale, rng, size)
 
@@ -236,7 +240,6 @@ def sample_z_expfunctional(params: AlphaBeta, eps: float, rng, size: int):
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    rng = as_generator(rng)
     alpha, beta = params.alpha, params.beta
     if beta == alpha:
         return rng.standard_exponential(size)
@@ -276,5 +279,5 @@ def sample_mittag_leffler(alpha: float, rng, size):
     """Direct Mittag-Leffler draws: Gamma(1-a)^(-1) * S^(-a) for standard
     one-sided stable S (self-similarity inversion of the first-passage level)."""
     _check_alpha(alpha)
-    s = _standard_stable(alpha, as_generator(rng), size=size)
+    s = _standard_stable(alpha, rng, size=size)
     return s**-alpha / math.gamma(1.0 - alpha)

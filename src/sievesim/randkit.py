@@ -7,12 +7,14 @@ and Mittag-Leffler samplers of :mod:`sievesim.limitlaw`, scale standard draws
 themselves (an increment over time h with Laplace scale c is
 (c*h)^(1/alpha) * S).
 
-Every sampler here and in the modules built on it takes a required
-``size`` and returns an array of that shape; one draw is a size-1 call.
+Every sampler here and in the modules built on it takes a
+``numpy.random.Generator``, which it advances, and a required ``size``, and
+returns an array of that shape; one draw is a size-1 call.
 
-Streams are counter-based (Philox keyed by ``(seed, stream_id)``), so
-replicate streams are indexable: stream ``i`` of a Monte Carlo run can be
-re-created in isolation, and distinct streams never overlap.
+An ``RngStream`` is the address of a generator: counter-based Philox keyed
+by ``(seed, stream_id)``, so stream ``i`` of a Monte Carlo run can be
+re-created in isolation with ``RngStream(seed, i).generator()``, and
+distinct streams never overlap.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "as_generator",
     "sample_uniform01",
 ]
 
@@ -42,23 +43,9 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream or a live Generator and return a Generator.
-
-    Passing an RngStream restarts that stream; pass a Generator when several
-    operations must share one advancing state.
-    """
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
 def sample_uniform01(rng, size):
     """Uniform draws strictly inside (0,1) (endpoints are never returned):
     (k + 1/2) 2^-53 for the 53-bit integer k that ``rng.random`` scales."""
-    rng = as_generator(rng)
     u = rng.random(size) + 2.0**-54
     return np.minimum(u, 1.0 - 2.0**-53)  # k + 1/2 rounds to 2**53 at k = 2**53 - 1
 

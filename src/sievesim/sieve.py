@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import as_generator, sample_uniform01
+from .randkit import sample_uniform01
 from .stats import ks_two_sample, mc_accumulate
 from .walks import LogDecayLaw, ParetoLaw
 
@@ -111,7 +111,6 @@ class BetaW(WLaw):
         self.symmetric = a == b
 
     def sample(self, rng, size):
-        rng = as_generator(rng)
         w = rng.beta(self.a, self.b, size=size)
         # endpoint draws have probability zero; redraw any float artifacts,
         # a bounded number of times: at tiny parameters they are all numpy returns
@@ -205,7 +204,6 @@ class LogParetoMixtureW(WLaw):
         self._vprime_law = ParetoLaw(beta) if beta > 0.0 else LogDecayLaw()
 
     def sample(self, rng, size):
-        rng = as_generator(rng)
         n = int(np.prod(size))
         pick = rng.random(n) < self.p
         out = np.empty(n)
@@ -246,7 +244,7 @@ class FrequencySeq:
     def __init__(self, wlaw: WLaw, rng):
         self._q = [1.0]
         self._wlaw = wlaw
-        self._rng = as_generator(rng)
+        self._rng = rng
 
     @property
     def q(self) -> np.ndarray:
@@ -331,7 +329,6 @@ def sample_occupancy(
     balls into one box because their residual degenerated in floats.
     """
     n = _check_balls(n)
-    rng = as_generator(rng)
     if method not in ("uniform", "multinomial"):
         raise ValueError(f"unknown allocation method {method!r}")
     balls = rng.poisson(n, size=reps).astype(np.int64) if poissonized else np.full(reps, n, dtype=np.int64)
@@ -438,7 +435,6 @@ def limit_trend_experiment(wlaw: WLaw, n_grid, replicates: int, rng,
     empty-box count and the two-sample KS distance to the limit-law draws
     ``z_draws``.
     """
-    rng = as_generator(rng)
     rows = []
     for n in n_grid:
         n = _check_balls(n)

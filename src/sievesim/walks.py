@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import as_generator, sample_uniform01
+from .randkit import sample_uniform01
 from .stats import mc_accumulate
 
 __all__ = [
@@ -82,7 +82,7 @@ class ExponentialLaw(MarginalLaw):
         self.mean = mean
 
     def sample(self, rng, size):
-        return as_generator(rng).standard_exponential(size=size) * self.mean
+        return rng.standard_exponential(size=size) * self.mean
 
     def tail(self, x):
         return np.exp(-np.maximum(x, 0.0) / self.mean)
@@ -147,7 +147,6 @@ class PrwLaw:
         return PrwLaw(xi_law=xi_law, multiplier=multiplier)
 
     def sample_pairs(self, rng, size):
-        rng = as_generator(rng)
         xi = self.xi_law.sample(rng, size=size)
         if self.multiplier is not None:
             return xi, self.multiplier * xi
@@ -206,7 +205,6 @@ def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("
     if "window" in functionals and q is None:
         raise ValueError("the window statistic needs a weight function q")
     horizon = float(t_values.max()) + (_MARGIN if "empty" in functionals else 0.0)
-    rng = as_generator(rng)
     sums = {name: np.zeros((replicates, t_values.size)) for name in functionals}
     s = np.zeros(replicates)  # S_{k-1}, the walk before its next step
     active = np.arange(replicates)

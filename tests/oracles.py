@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from sievesim.chains import DEFICIT_CAP, Pmf
-from sievesim.randkit import as_generator
 from sievesim.sieve import FrequencySeq, WLaw, _check_balls
 from sievesim.walks import _MARGIN, _MAX_WALK_STEPS, PrwLaw, _double_exp
 
@@ -58,7 +57,6 @@ def generate_path(law: PrwLaw, horizon: float, rng, max_steps: int = _MAX_WALK_S
     """
     if not (horizon >= 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be finite nonnegative, got {horizon}")
-    rng = as_generator(rng)
     s_chunks = [np.zeros(1)]
     eta_chunks = []
     total = 0.0
@@ -175,7 +173,6 @@ class OccupancyResult:
 def allocate_uniform(wlaw: WLaw, n, rng, freqs: FrequencySeq | None = None) -> OccupancyResult:
     """Throw n uniform balls at the stick-breaking intervals (Q_k, Q_{k-1})."""
     n = _check_balls(n)
-    rng = as_generator(rng)
     if n == 0:
         return OccupancyResult(balls=0, occupied=0, last_occupied=0, empty_in_range=0)
     u = rng.random(n)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import mask_grouped_direct, mask_grouped_georep, per_start_dp
 from sievesim.chains import (
+    _MAX_CHAIN_STATES,
     DEFICIT_CAP,
     ChainSpec,
     Pmf,
@@ -232,6 +233,10 @@ class TestSieveChainSpec:
         with pytest.raises(ValueError):
             sieve_chain_spec(LogParetoMixtureW(0.6, 0.3), 10)
 
+    def test_rejects_more_states_than_the_cap(self):
+        with pytest.raises(ValueError, match=f"n_max must lie in \\[1, {_MAX_CHAIN_STATES}\\]"):
+            sieve_chain_spec(UniformW(), _MAX_CHAIN_STATES + 1)
+
 
 class TestBarrierChainSpec:
     def test_deterministic_unit_step(self):
@@ -239,12 +244,28 @@ class TestBarrierChainSpec:
         spec = barrier_chain_spec([1.0], 30)
         pmf = exact_zero_decrement_pmf(spec, 30)
         assert pmf.masses[0] == pytest.approx(1.0, abs=1e-12)
-        assert sample_zero_decrements(spec, 30, 1, RngStream(1, 0)).tolist() == [0]
-        assert sample_geometric_rep(spec, 30, 1, RngStream(1, 1)).tolist() == [0]
+        assert sample_zero_decrements(spec, 30, 1, RngStream(1, 0).generator()).tolist() == [0]
+        assert sample_geometric_rep(spec, 30, 1, RngStream(1, 1).generator()).tolist() == [0]
 
     def test_rejects_zero_first_step(self):
         with pytest.raises(ValueError):
             barrier_chain_spec([0.0, 1.0], 10)
+
+    def test_rejects_more_states_than_the_cap(self):
+        with pytest.raises(ValueError, match=f"n_max must lie in \\[2, {_MAX_CHAIN_STATES}\\]"):
+            barrier_chain_spec([0.5, 0.5], _MAX_CHAIN_STATES + 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+           st.integers(min_value=2, max_value=30))
+    def test_strict_moves_are_the_step_law(self, weights, n_max):
+        # s_{i,j} = p_{i-j} for j < i, and 0 for a step longer than the law's support
+        p = np.array([1.0, *weights])
+        p /= p.sum()
+        spec = barrier_chain_spec(p, n_max)
+        for i in range(2, n_max + 1):
+            want = [p[i - j - 1] if i - j <= p.size else 0.0 for j in range(1, i)]
+            assert spec.row(i)[:-1].tolist() == want
 
     def test_geometric_tail_pmfs_converge(self):
         # finite-mean steps: the law stabilizes in the start state
@@ -260,14 +281,14 @@ class TestSamplers:
     def test_simulation_matches_dp(self, wlaw, label):
         spec = sieve_chain_spec(wlaw, 30)
         dp = exact_zero_decrement_pmf(spec, 30)
-        draws = sample_zero_decrements(spec, 30, 20_000, RngStream(2, 0))
+        draws = sample_zero_decrements(spec, 30, 20_000, RngStream(2, 0).generator())
         emp = empirical_pmf(draws, width=dp.masses.size)
         assert tv_distance(emp, dp) <= 0.02
 
     def test_geometric_representation_matches_dp(self):
         spec = sieve_chain_spec(BetaW(2, 3), 30)
         dp = exact_zero_decrement_pmf(spec, 30)
-        draws = sample_geometric_rep(spec, 30, 20_000, RngStream(2, 1))
+        draws = sample_geometric_rep(spec, 30, 20_000, RngStream(2, 1).generator())
         emp = empirical_pmf(draws, width=dp.masses.size)
         assert tv_distance(emp, dp) <= 0.02
 
@@ -280,7 +301,7 @@ class TestSamplers:
 
     def test_floor_start(self):
         spec = barrier_chain_spec([0.5, 0.5], 10)
-        assert sample_zero_decrements(spec, 1, 1, RngStream(2, 3)).tolist() == [0]
+        assert sample_zero_decrements(spec, 1, 1, RngStream(2, 3).generator()).tolist() == [0]
 
 
 class TestSamplerGrouping:

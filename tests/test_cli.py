@@ -479,12 +479,14 @@ class TestSampleZCommand:
         assert {"config_hash", "seed", "replicate", "value"} <= set(detail[0])
 
     def test_exhausted_path_budget_exits_three(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(limitlaw, "_MAX_PATH_STEPS", 100)
+        # a path takes 505 steps on average at alpha = 0.6 and grid 1e-3: the
+        # sampler accepts a budget of 600, and about a third of paths run out
+        monkeypatch.setattr(limitlaw, "_MAX_PATH_STEPS", 600)
         code = run_cli("sample-z", "--alpha", "0.6", "--beta", "0.3", "--n", "50",
                        "--grid-step", "1e-3", "--seed", "11", "--out", tmp_path, "--jobs", "1")
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: path-integral sampler exceeded the step budget of 100 (")
+        assert err.startswith("error: path-integral sampler exceeded the step budget of 600 (")
         assert err.endswith(" of 50 paths)\n") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
@@ -492,12 +494,12 @@ class TestSampleZCommand:
                                                            monkeypatch):
         # the pool's workers are forked, so they run the patched engine; the
         # detail file opened before sampling is deleted
-        monkeypatch.setattr(limitlaw, "_MAX_PATH_STEPS", 100)
+        monkeypatch.setattr(limitlaw, "_MAX_PATH_STEPS", 600)
         code = run_cli("sample-z", "--alpha", "0.6", "--beta", "0.3", "--n", CHUNK + 50,
                        "--grid-step", "1e-3", "--seed", "11", "--out", tmp_path, "--jobs", "2")
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: path-integral sampler exceeded the step budget of 100 (")
+        assert err.startswith("error: path-integral sampler exceeded the step budget of 600 (")
         assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
@@ -527,8 +529,10 @@ class TestSampleZCommand:
         (("--sampler", "expfunc", "--eps", "-1"), "eps must be positive"),
         (("--sampler", "expfunc", "--eps", "20"), "the Levy mass above eps = 20.0 is -0.0"),
         (("--sampler", "expfunc", "--eps", "1e-30"), "the Levy mass above eps = 1e-30 is 7.07e+14"),
+        (("--grid-step", "1e-300"),
+         "the expected step count of a path at grid_step = 1e-300 is 6.37e+299"),
     ], ids=["beta-above-alpha", "mittag-leffler-beta", "grid-step-negative",
-            "expfunc-eps-negative", "expfunc-eps-20", "expfunc-eps-1e-30"])
+            "expfunc-eps-negative", "expfunc-eps-20", "expfunc-eps-1e-30", "grid-step-1e-300"])
     def test_bad_pair_exits_two_before_any_pool(self, argv, message, tmp_path, capsys,
                                                 monkeypatch):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
@@ -544,7 +548,9 @@ class TestSampleZCommand:
         ("--sampler", "expfunc", "--eps", "inf"),  # mass 0.0: Y never jumps
         ("--sampler", "expfunc", "--eps", "1e-30"),  # mass 7.1e14: about that many jumps a path
         ("--sampler", "pathint", "--grid-step", "inf"),
-    ], ids=["expfunc-eps-20", "expfunc-eps-inf", "expfunc-eps-1e-30", "pathint-grid-inf"])
+        ("--sampler", "pathint", "--grid-step", "1e-300"),  # about 6e299 steps a path
+    ], ids=["expfunc-eps-20", "expfunc-eps-inf", "expfunc-eps-1e-30", "pathint-grid-inf",
+            "pathint-grid-1e-300"])
     def test_degenerate_step_exits_two(self, argv, tmp_path):
         # a subprocess with a timeout, so a sampler that never ends fails
         # the test instead of hanging it
@@ -623,6 +629,44 @@ class TestMarkovCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed chain spec: ") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("chain", ["barrier:dyadic:junk", "barrier:dyadic:7", "barrier:geom",
+                                       "barrier:geom:"])
+    def test_bad_barrier_descriptor_exits_two(self, chain, tmp_path, capsys):
+        # a parameter after dyadic would change the config hash and not the
+        # chain; geom without its ratio has no chain
+        code = run_cli("markov", "--chain", chain, "--seed", "1", "--out", tmp_path)
+        assert code == 2
+        law = chain.partition(":")[2]
+        assert capsys.readouterr().err == (f"error: unknown barrier step law {law!r} "
+                                           "(expected dyadic or geom:q)\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("chain", ["sieve:uniform", "barrier:dyadic"])
+    def test_oversized_chain_exits_two(self, chain, tmp_path):
+        # a subprocess with a timeout: 10^5 states would take tens of GB
+        done = _run_module("markov", "--chain", chain, "--n", "100000", "--seed", "1",
+                           "--jobs", "2", "--out", tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: n_max must lie in [")
+        assert done.stderr.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_plain_run_builds_no_spec_json(self, tmp_path, monkeypatch):
+        # only --export-spec and --spec-json read the JSON text of the chain
+        argv = ("markov", "--chain", "sieve:beta:2,3", "--n", "20", "--reps", "5000",
+                "--seed", "3", "--jobs", "1")
+        want = run_cli(*argv, "--out", tmp_path / "a")
+
+        def refusing(spec):
+            raise ValueError("the chain JSON was built")
+
+        monkeypatch.setattr(chains, "chain_to_json", refusing)
+        assert run_cli(*argv, "--out", tmp_path / "b") == want
+        names = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert names and names == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_run_with_export_and_reload(self, tmp_path):
         spec_path = tmp_path / "chain.json"

@@ -75,7 +75,7 @@ class TestMoments:
             with pytest.raises(ValueError):
                 mittag_leffler_moment(alpha, 1)
             with pytest.raises(ValueError):
-                sample_mittag_leffler(alpha, RngStream(1, 0), size=1)
+                sample_mittag_leffler(alpha, RngStream(1, 0).generator(), size=1)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -134,7 +134,7 @@ class TestLevyMeasure:
         assert lo >= hi >= 0.0
 
     def test_jump_sampler_respects_floor(self):
-        draws = sample_levy_jump(0.5, 0.1, RngStream(10, 0), size=50_000)
+        draws = sample_levy_jump(0.5, 0.1, RngStream(10, 0).generator(), size=50_000)
         assert np.all(draws >= 0.1)
 
     def test_jump_sampler_mean_vs_quadrature(self):
@@ -142,7 +142,7 @@ class TestLevyMeasure:
         mass = levy_tail_mass(alpha, eps)
         num, _ = quad(lambda t: t * levy_density(alpha, t), eps, np.inf, limit=200)
         oracle = num / mass
-        draws = sample_levy_jump(alpha, eps, RngStream(11, 0), size=1_000_000)
+        draws = sample_levy_jump(alpha, eps, RngStream(11, 0).generator(), size=1_000_000)
         est = mc_accumulate(draws)
         assert abs(est.mean - oracle) <= 3.0 * est.stderr
 
@@ -153,7 +153,7 @@ class TestSubordinatorPath:
     def test_first_passage_mean(self):
         # crossing time of level 1 has the Mittag-Leffler mean
         h = 0.02
-        times = sample_z_pathint(AlphaBeta(0.5, 0.0), h, RngStream(14, 0), size=3000)
+        times = sample_z_pathint(AlphaBeta(0.5, 0.0), h, RngStream(14, 0).generator(), size=3000)
         est = mc_accumulate(times)
         target = mittag_leffler_moment(0.5, 1)
         assert abs(est.mean - target) <= 3.0 * est.stderr + h
@@ -171,36 +171,36 @@ class TestSubordinatorPath:
 class TestZSamplers:
     def test_pathint_beta_zero_is_grid_multiple(self):
         h = 1e-2
-        draws = sample_z_pathint(AlphaBeta(0.5, 0.0), h, RngStream(16, 0), size=200)
+        draws = sample_z_pathint(AlphaBeta(0.5, 0.0), h, RngStream(16, 0).generator(), size=200)
         steps = draws / h
         assert np.allclose(steps, np.round(steps), atol=1e-9)
 
     def test_pathint_mean(self):
-        draws = sample_z_pathint(AlphaBeta(0.5, 0.25), 1e-3, RngStream(17, 0), size=20_000)
+        draws = sample_z_pathint(AlphaBeta(0.5, 0.25), 1e-3, RngStream(17, 0).generator(), size=20_000)
         est = mc_accumulate(draws)
         target = z_moment(AlphaBeta(0.5, 0.25), 1)
         assert abs(est.mean - target) <= 3.0 * est.stderr + 0.02 * target
 
     def test_expfunctional_exponential_shortcircuit(self):
-        draws = sample_z_expfunctional(AlphaBeta(0.5, 0.5), 1e-4, RngStream(18, 0), size=10_000)
+        draws = sample_z_expfunctional(AlphaBeta(0.5, 0.5), 1e-4, RngStream(18, 0).generator(), size=10_000)
         d = ks_one_sample(draws, lambda x: -np.expm1(-np.maximum(x, 0.0)))
         assert d <= 0.02
 
     def test_expfunctional_mean_beta_zero(self):
-        draws = sample_z_expfunctional(AlphaBeta(0.5, 0.0), 1e-4, RngStream(19, 0), size=100_000)
+        draws = sample_z_expfunctional(AlphaBeta(0.5, 0.0), 1e-4, RngStream(19, 0).generator(), size=100_000)
         est = mc_accumulate(draws)
         target = 2.0 / math.pi
         assert abs(est.mean - target) <= 3.0 * est.stderr + 0.01 * target
 
     def test_mittag_leffler_sampler_moments(self):
-        draws = sample_mittag_leffler(0.5, RngStream(20, 0), size=100_000)
+        draws = sample_mittag_leffler(0.5, RngStream(20, 0).generator(), size=100_000)
         for order in (1, 2):
             est = mc_accumulate(draws**order)
             target = mittag_leffler_moment(0.5, order)
             assert abs(est.mean - target) <= 3.0 * est.stderr
 
     def test_positive_outputs(self):
-        draws = sample_z_pathint(AlphaBeta(0.5, 0.25), 1e-2, RngStream(21, 0), size=100)
+        draws = sample_z_pathint(AlphaBeta(0.5, 0.25), 1e-2, RngStream(21, 0).generator(), size=100)
         assert np.all(draws > 0.0)
 
 
@@ -230,7 +230,7 @@ class TestPathintReplay:
     @pytest.mark.parametrize("seed", range(3))
     def test_size_one_draw_equals_replayed_sum(self, alpha, beta, seed):
         h = 1e-3
-        draw = sample_z_pathint(AlphaBeta(alpha, beta), h, RngStream(40, seed), size=1)
+        draw = sample_z_pathint(AlphaBeta(alpha, beta), h, RngStream(40, seed).generator(), size=1)
         scale = (math.gamma(1.0 - alpha) * h) ** (1.0 / alpha)
         ref = _replayed_pathint(alpha, beta, h, scale, RngStream(40, seed).generator())
         assert draw.shape == (1,)
@@ -338,7 +338,7 @@ class TestPathintEngine:
 
 class TestTruncatedMarginal:
     def test_laplace_with_drift(self):
-        y = sample_subordinator_marginal(0.5, 1.0, 1e-3, RngStream(22, 0), size=30_000)
+        y = sample_subordinator_marginal(0.5, 1.0, 1e-3, RngStream(22, 0).generator(), size=30_000)
         vals = np.exp(-y)
         est = mc_accumulate(vals)
         target = math.exp(-phi_alpha(0.5, 1.0))
@@ -346,7 +346,7 @@ class TestTruncatedMarginal:
 
     def test_truncation_bias_is_one_sided(self):
         # without drift the transform is overestimated (Y underestimated)
-        y = sample_subordinator_marginal(0.8, 1.0, 1e-2, RngStream(23, 0), size=30_000)
+        y = sample_subordinator_marginal(0.8, 1.0, 1e-2, RngStream(23, 0).generator(), size=30_000)
         y -= small_jump_mean(0.8, 1e-2) * 1.0
         est = mc_accumulate(np.exp(-y))
         target = math.exp(-phi_alpha(0.8, 1.0))

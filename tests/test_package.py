@@ -63,3 +63,20 @@ def test_no_size_parameter_has_a_default():
                 arg for arg, default in zip(spec.kwonlyargs, spec.kw_defaults) if default]
             defaulted += [f"{path.name}:{node.lineno}" for arg in params if arg.arg == "size"]
     assert defaulted == []
+
+
+def test_no_function_rebinds_its_rng():
+    # samplers take the numpy Generator they are given and advance it: none
+    # converts or replaces its rng argument
+    rebound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            spec = node.args
+            if "rng" not in [arg.arg for arg in spec.posonlyargs + spec.args + spec.kwonlyargs]:
+                continue
+            rebound += [f"{path.name}:{target.lineno}" for target in ast.walk(node)
+                        if isinstance(target, ast.Name) and target.id == "rng"
+                        and isinstance(target.ctx, ast.Store)]
+    assert rebound == []

@@ -27,7 +27,7 @@ class TestWLaws:
     @pytest.mark.parametrize("wlaw", [UniformW(), BetaW(2, 3), BetaW(0.5, 0.5),
                                       ConstantW(0.3), LogParetoMixtureW(0.6, 0.3)])
     def test_samples_inside_unit_interval(self, wlaw):
-        draws = wlaw.sample(RngStream(1, 0), size=10_000)
+        draws = wlaw.sample(RngStream(1, 0).generator(), size=10_000)
         assert np.all((draws > 0.0) & (draws < 1.0))
 
     def test_uniform_mixed_moments(self):
@@ -61,7 +61,7 @@ class TestWLaws:
 
     def test_mixture_tails_match_samples(self):
         w = LogParetoMixtureW(0.6, 0.3, p=0.5)
-        draws = w.sample(RngStream(1, 2), size=200_000)
+        draws = w.sample(RngStream(1, 2).generator(), size=200_000)
         x = 1.0 / 20.0
         assert float(w.cdf(x)) == pytest.approx((draws <= x).mean(), abs=0.005)
         assert float(w.comp_cdf(x)) == pytest.approx((1.0 - draws <= x).mean(), abs=0.005)
@@ -74,7 +74,7 @@ class TestWLaws:
         # beta = 0 swaps the second component for the slowly varying
         # log-decay tail: P{1-W <= 1/n} = (1-p)/(1 + log log n), log n >= 1
         w = LogParetoMixtureW(0.6, 0.0, p=0.5)
-        draws = w.sample(RngStream(1, 3), size=20_000)
+        draws = w.sample(RngStream(1, 3).generator(), size=20_000)
         assert np.all((draws > 0.0) & (draws < 1.0))
         for n in (10, 10**6):
             target = 0.5 / (1.0 + math.log(math.log(n)))
@@ -91,7 +91,7 @@ class TestWLaws:
 
 class TestFrequencySeq:
     def test_generative_extension(self):
-        fs = FrequencySeq(UniformW(), RngStream(2, 0))
+        fs = FrequencySeq(UniformW(), RngStream(2, 0).generator())
         fs.extend_below(1e-6)
         q = fs.q
         assert q[0] == 1.0
@@ -115,10 +115,10 @@ class StuckW(UniformW):
 
 class TestAllocators:
     def test_empty_allocation(self):
-        res = allocate_uniform(UniformW(), 0, RngStream(3, 0))
+        res = allocate_uniform(UniformW(), 0, RngStream(3, 0).generator())
         assert (res.occupied, res.last_occupied, res.empty_in_range) == (0, 0, 0)
         for method in ("uniform", "multinomial"):
-            batch = sample_occupancy(UniformW(), 0, 5, RngStream(3, 0), method=method)
+            batch = sample_occupancy(UniformW(), 0, 5, RngStream(3, 0).generator(), method=method)
             for field in (batch.occupied, batch.last_occupied, batch.empty_in_range):
                 assert np.all(field == 0)
 
@@ -143,7 +143,7 @@ class TestAllocators:
 
     def test_degenerate_residual_is_flagged(self):
         # the remainder is dumped one box down and every replicate counted
-        batch = sample_occupancy(StuckW(), 10, 40, RngStream(99, 0))
+        batch = sample_occupancy(StuckW(), 10, 40, RngStream(99, 0).generator())
         assert batch.truncated == 40
         assert np.all(batch.occupied == 1)
         assert_batch_invariants(batch, 10)
@@ -161,8 +161,8 @@ class TestAllocators:
                 self.calls += 1
                 return w
 
-        batch = sample_occupancy(OneStuckW(), 100, 1000, RngStream(99, 1))
-        clean = sample_occupancy(UniformW(), 100, 1000, RngStream(99, 2))
+        batch = sample_occupancy(OneStuckW(), 100, 1000, RngStream(99, 1).generator())
+        clean = sample_occupancy(UniformW(), 100, 1000, RngStream(99, 2).generator())
         assert batch.truncated == 1
         assert (batch.occupied[0], batch.last_occupied[0]) == (1, 1)
         assert abs(batch.last_occupied[1:].mean() - clean.last_occupied.mean()) <= 0.5
@@ -170,7 +170,7 @@ class TestAllocators:
 
     def test_constant_half_box_is_geometric(self):
         # P_k = 2^-k, so a single ball lands in box k with probability 2^-k
-        boxes = sample_occupancy(ConstantW(0.5), 1, 20_000, RngStream(3, 3)).last_occupied
+        boxes = sample_occupancy(ConstantW(0.5), 1, 20_000, RngStream(3, 3).generator()).last_occupied
         emp = empirical_pmf(boxes - 1)
         assert tv_distance(emp, geometric_pmf(0.5, emp.masses.size)) <= 0.015
 
@@ -183,25 +183,25 @@ class TestAllocators:
         assert tv_distance(emp, geometric_pmf(0.5, emp.masses.size)) <= 0.01
 
     def test_representation_equivalence(self):
-        uni = sample_occupancy(UniformW(), 100, 100_000, RngStream(3, 5), method="uniform")
-        mlt = sample_occupancy(UniformW(), 100, 100_000, RngStream(3, 6), method="multinomial")
+        uni = sample_occupancy(UniformW(), 100, 100_000, RngStream(3, 5).generator(), method="uniform")
+        mlt = sample_occupancy(UniformW(), 100, 100_000, RngStream(3, 6).generator(), method="multinomial")
         for field in ("occupied", "last_occupied", "empty_in_range"):
             d = ks_two_sample(getattr(uni, field), getattr(mlt, field))
             assert d <= 0.01, field
 
     def test_poissonized(self):
-        batch = sample_occupancy(UniformW(), 0, 100, RngStream(3, 7), poissonized=True)
+        batch = sample_occupancy(UniformW(), 0, 100, RngStream(3, 7).generator(), poissonized=True)
         assert np.all(batch.last_occupied == 0)
         # interval allocation with Poisson(30) ball counts is the oracle
-        uni = sample_occupancy(UniformW(), 30, 10_000, RngStream(3, 8), method="uniform",
+        uni = sample_occupancy(UniformW(), 30, 10_000, RngStream(3, 8).generator(), method="uniform",
                                poissonized=True)
-        mlt = sample_occupancy(UniformW(), 30, 10_000, RngStream(3, 10), poissonized=True)
+        mlt = sample_occupancy(UniformW(), 30, 10_000, RngStream(3, 10).generator(), poissonized=True)
         for field in ("occupied", "last_occupied", "empty_in_range"):
             d = ks_two_sample(getattr(uni, field), getattr(mlt, field))
             assert d <= 0.03, field
 
     def test_poissonized_empty_count_stays_geometric(self):
-        batch = sample_occupancy(UniformW(), 100, 50_000, RngStream(3, 9), poissonized=True)
+        batch = sample_occupancy(UniformW(), 100, 50_000, RngStream(3, 9).generator(), poissonized=True)
         emp = empirical_pmf(batch.empty_in_range)
         assert tv_distance(emp, geometric_pmf(0.5, emp.masses.size)) <= 0.015
 
@@ -212,7 +212,7 @@ class TestOccupancyProperties:
            st.sampled_from([UniformW(), BetaW(2, 3), BetaW(0.5, 0.5), ConstantW(0.3)]),
            st.booleans(), st.integers(min_value=0, max_value=2**32))
     def test_lockstep_invariants(self, n, reps, wlaw, poissonized, seed):
-        batch = sample_occupancy(wlaw, n, reps, RngStream(seed, 0), poissonized=poissonized)
+        batch = sample_occupancy(wlaw, n, reps, RngStream(seed, 0).generator(), poissonized=poissonized)
         assert batch.occupied.shape == (reps,)
         assert batch.truncated == 0
         assert np.all(batch.occupied <= batch.last_occupied)
@@ -244,8 +244,8 @@ class TestIntervalLockstep:
         (UniformW(), 50, True, True),
     ], ids=["uniform", "poissonized", "fixed-freqs"])
     def test_same_law_as_the_scalar_allocator(self, wlaw, n, poissonized, fixed):
-        freqs = FrequencySeq(wlaw, RngStream(6, 0)) if fixed else None
-        batch = sample_occupancy(wlaw, n, 20_000, RngStream(6, 1), method="uniform",
+        freqs = FrequencySeq(wlaw, RngStream(6, 0).generator()) if fixed else None
+        batch = sample_occupancy(wlaw, n, 20_000, RngStream(6, 1).generator(), method="uniform",
                                  freqs=freqs, poissonized=poissonized)
         loop = _allocate_loop(wlaw, n, 20_000, RngStream(6, 2), freqs, poissonized)
         fields = (batch.occupied, batch.last_occupied, batch.empty_in_range)
@@ -261,8 +261,8 @@ class TestIntervalLockstep:
     def test_equals_the_scalar_allocator_on_shared_frequencies(self, n, reps, seed):
         # with the frequencies fixed, both draw only the balls, row by row
         # from one stream, so they place the very same balls
-        freqs = FrequencySeq(BetaW(2, 3), RngStream(seed, 1))
-        batch = sample_occupancy(BetaW(2, 3), n, reps, RngStream(seed, 0), method="uniform",
+        freqs = FrequencySeq(BetaW(2, 3), RngStream(seed, 1).generator())
+        batch = sample_occupancy(BetaW(2, 3), n, reps, RngStream(seed, 0).generator(), method="uniform",
                                  freqs=freqs)
         loop = _allocate_loop(BetaW(2, 3), n, reps, RngStream(seed, 0), freqs)
         assert np.array_equal(np.stack([batch.occupied, batch.last_occupied,
@@ -273,7 +273,7 @@ class TestIntervalLockstep:
            st.sampled_from([UniformW(), BetaW(2, 3), BetaW(0.5, 0.5), ConstantW(0.3)]),
            st.booleans(), st.integers(min_value=0, max_value=2**32))
     def test_invariants(self, n, reps, wlaw, poissonized, seed):
-        batch = sample_occupancy(wlaw, n, reps, RngStream(seed, 0), method="uniform",
+        batch = sample_occupancy(wlaw, n, reps, RngStream(seed, 0).generator(), method="uniform",
                                  poissonized=poissonized)
         assert batch.occupied.shape == (reps,) and batch.truncated == 0
         assert np.array_equal(batch.empty_in_range, batch.last_occupied - batch.occupied)
@@ -288,14 +288,14 @@ class TestIntervalLockstep:
 
 class TestConditionalFormulas:
     def test_zero_time(self):
-        fs = FrequencySeq(UniformW(), RngStream(4, 0))
+        fs = FrequencySeq(UniformW(), RngStream(4, 0).generator())
         assert mean_empty_given_freqs(fs, 0.0) == 0.0
         assert var_empty_given_freqs(fs, 0.0) == 0.0
 
     def test_single_term_hand_check(self):
         # W = 1/2 makes the residuals exactly 2^-k; the hand sum runs past
         # the depth the formula draws, by terms below 2^-60 in all
-        fs = FrequencySeq(ConstantW(0.5), RngStream(4, 5))
+        fs = FrequencySeq(ConstantW(0.5), RngStream(4, 5).generator())
         q = [2.0 ** -k for k in range(80)]
         t = 1.0
         manual = sum(
@@ -313,12 +313,12 @@ class TestConditionalFormulas:
             assert var_empty_given_freqs(fs, t) >= 0.0
 
     def test_formulas_match_replay_moments(self):
-        freqs = FrequencySeq(UniformW(), RngStream(4, 2))
+        freqs = FrequencySeq(UniformW(), RngStream(4, 2).generator())
         t = 100.0
         mean_f = mean_empty_given_freqs(freqs, t)
         var_f = var_empty_given_freqs(freqs, t)
         replay = sample_occupancy(
-            UniformW(), 100, 10_000, RngStream(4, 3), freqs=freqs, poissonized=True
+            UniformW(), 100, 10_000, RngStream(4, 3).generator(), freqs=freqs, poissonized=True
         ).empty_in_range
         est = mc_accumulate(replay)
         assert abs(est.mean - mean_f) <= 3.0 * est.stderr

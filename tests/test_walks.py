@@ -34,7 +34,7 @@ class TestMarginals:
         law = ParetoLaw(0.5)
         assert law.tail(0.5) == 1.0
         assert law.tail(4.0) == pytest.approx(0.5)
-        draws = law.sample(RngStream(1, 0), size=100_000)
+        draws = law.sample(RngStream(1, 0).generator(), size=100_000)
         assert np.all(draws >= 1.0)
         emp = (draws > 4.0).mean()
         assert emp == pytest.approx(0.5, abs=0.005)
@@ -53,7 +53,7 @@ class TestMarginals:
         law = LogDecayLaw()
         assert law.tail(1.0) == 1.0
         assert law.tail(math.e) == pytest.approx(0.5)
-        draws = law.sample(RngStream(2, 0), size=50_000)
+        draws = law.sample(RngStream(2, 0).generator(), size=50_000)
         emp = (draws > math.e).mean()
         assert emp == pytest.approx(0.5, abs=0.01)
 
@@ -72,29 +72,29 @@ class TestPrwLaw:
     def test_coupled_tails(self):
         law = PrwLaw.coupled(ParetoLaw(0.5), multiplier=2.0)
         assert law.eta_tail(8.0) == pytest.approx(float(ParetoLaw(0.5).tail(4.0)))
-        xi, eta = law.sample_pairs(RngStream(4, 0), size=1000)
+        xi, eta = law.sample_pairs(RngStream(4, 0).generator(), size=1000)
         assert np.allclose(eta, 2.0 * xi)
 
 
 class TestPathAndRho:
     def test_unit_step_path(self):
-        path = generate_path(UNIT_STEP, 10.0, RngStream(5, 0))
+        path = generate_path(UNIT_STEP, 10.0, RngStream(5, 0).generator())
         assert np.array_equal(path.s_values[:5], [0.0, 1.0, 2.0, 3.0, 4.0])
         assert path.s_values[-1] > 10.0
 
     def test_zero_horizon(self):
-        path = generate_path(UNIT_STEP, 0.0, RngStream(5, 1))
+        path = generate_path(UNIT_STEP, 0.0, RngStream(5, 1).generator())
         assert np.array_equal(path.s_values, [0.0, 1.0])
 
     def test_rho_counts(self):
-        path = generate_path(UNIT_STEP, 10.0, RngStream(5, 2))
+        path = generate_path(UNIT_STEP, 10.0, RngStream(5, 2).generator())
         assert renewal_count(path, -0.5) == 0
         assert renewal_count(path, 0.0) == 1
         assert renewal_count(path, 2.5) == 3
 
     def test_rho_monotone_in_t(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        path = generate_path(law, 100.0, RngStream(6, 0))
+        path = generate_path(law, 100.0, RngStream(6, 0).generator())
         counts = [renewal_count(path, t) for t in np.linspace(0.0, 100.0, 23)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -108,14 +108,14 @@ class TestPathAndRho:
 
         law = CountingLaw(xi_law=ConstantLaw(1.0), eta_law=ConstantLaw(0.0))
         with pytest.raises(RuntimeError, match="within 1000 steps"):
-            generate_path(law, 1e6, RngStream(6, 2), max_steps=1000)
+            generate_path(law, 1e6, RngStream(6, 2).generator(), max_steps=1000)
         assert sum(drawn) == 1000
         # a walk that crosses on the last allowed step is not an error
-        path = generate_path(law, 999.5, RngStream(6, 2), max_steps=1000)
+        path = generate_path(law, 999.5, RngStream(6, 2).generator(), max_steps=1000)
         assert path.s_values[-1] == 1000.0
 
     def test_rho_beyond_horizon(self):
-        path = generate_path(UNIT_STEP, 5.0, RngStream(6, 1))
+        path = generate_path(UNIT_STEP, 5.0, RngStream(6, 1).generator())
         with pytest.raises(ValueError):
             renewal_count(path, 6.0)
 
@@ -137,32 +137,32 @@ class TestPathAndRho:
 
 class TestRenewalFunction:
     def test_unit_step_exact(self):
-        rows = renewal_function_estimate(UNIT_STEP, [0.5, 2.5, 7.9], 100, RngStream(8, 0))
+        rows = renewal_function_estimate(UNIT_STEP, [0.5, 2.5, 7.9], 100, RngStream(8, 0).generator())
         for (t, mean, se) in rows:
             assert mean == math.floor(t) + 1
             assert se == 0.0
 
     def test_poisson_process_renewal(self):
         law = PrwLaw.independent(ExponentialLaw(1.0), ConstantLaw(0.0))
-        rows = renewal_function_estimate(law, [1.0, 10.0], 3000, RngStream(8, 1))
+        rows = renewal_function_estimate(law, [1.0, 10.0], 3000, RngStream(8, 1).generator())
         for (t, mean, se) in rows:
             assert abs(mean - (t + 1.0)) <= 3.0 * se
 
     def test_monotone_estimates(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        rows = renewal_function_estimate(law, [1.0, 5.0, 25.0], 500, RngStream(8, 2))
+        rows = renewal_function_estimate(law, [1.0, 5.0, 25.0], 500, RngStream(8, 2).generator())
         means = [m for _, m, _ in rows]
         assert means == sorted(means)
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
-            renewal_function_estimate(UNIT_STEP, [1.0], 50, RngStream(8, 3))
+            renewal_function_estimate(UNIT_STEP, [1.0], 50, RngStream(8, 3).generator())
 
 
 class TestFunctionalT:
     def test_zero_perturbation_vanishes(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        path = generate_path(law, 50.0, RngStream(9, 0))
+        path = generate_path(law, 50.0, RngStream(9, 0).generator())
         assert empty_box_functional(path, log_t=10.0) == 0.0
 
     def test_single_term_hand_check(self):
@@ -175,7 +175,7 @@ class TestFunctionalT:
         assert empty_box_functional(path, t=t) == pytest.approx(expected, rel=1e-12)
 
     def test_horizon_precondition(self):
-        path = generate_path(UNIT_STEP, 5.0, RngStream(9, 1))
+        path = generate_path(UNIT_STEP, 5.0, RngStream(9, 1).generator())
         with pytest.raises(ValueError):
             empty_box_functional(path, log_t=0.0, margin=40.0)
 
@@ -192,12 +192,12 @@ class TestFunctionalT:
 class TestFunctionalR:
     def test_zero_perturbation(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        path = generate_path(law, 100.0, RngStream(10, 0))
+        path = generate_path(law, 100.0, RngStream(10, 0).generator())
         assert busy_server_count(path, 50.0) == 0
 
     def test_everlasting_perturbation_equals_rho(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(1e9))
-        path = generate_path(law, 100.0, RngStream(10, 1))
+        path = generate_path(law, 100.0, RngStream(10, 1).generator())
         assert busy_server_count(path, 50.0) == renewal_count(path, 50.0)
 
     def test_bounded_by_rho(self):
@@ -213,7 +213,7 @@ class TestFunctionalR:
 class TestWindowStatistic:
     def test_flat_weight_reduces_to_renewal_count(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        path = generate_path(law, 100.0, RngStream(12, 0))
+        path = generate_path(law, 100.0, RngStream(12, 0).generator())
         t = 80.0
         got = weighted_window_statistic(path, t, lambda x: np.ones_like(np.asarray(x, dtype=float)),
                                    law.xi_tail)
@@ -291,7 +291,7 @@ class TestWalkReplay:
         t_values = (0.0, 1.5, 2.6, 30.0, 200.0)
         q_fn = lambda x: (1.0 + x) ** -0.25
         n_walks = 1200  # 16-pair blocks at first, longer ones for the last walks
-        got = walk_functionals(law, t_values, n_walks, RngStream(13, 0), functionals, q=q_fn)
+        got = walk_functionals(law, t_values, n_walks, RngStream(13, 0).generator(), functionals, q=q_fn)
         # the empty-box sum needs the walk 40 past its largest log t
         horizon = max(t_values) + (40.0 if "empty" in functionals else 0.0)
         paths, live = _replayed_paths(blocks, n_walks, horizon)
@@ -315,7 +315,7 @@ class TestWalkReplay:
         monkeypatch.setattr(walks, "_MAX_WALK_STEPS", 55)
         law, blocks = _recording(_REPLAY_LAWS["independent"])
         with pytest.raises(RuntimeError, match="walk failed to cross") as err:
-            walk_functionals(law, (1e4,), 200, RngStream(13, 2))
+            walk_functionals(law, (1e4,), 200, RngStream(13, 2).generator())
         _, live = _replayed_paths(blocks, 200, 1e4)
         assert 0 < live.size < 200
         assert f"within 55 steps ({live.size} of 200 walks)" in str(err.value)
@@ -332,5 +332,5 @@ class TestWalkReplay:
         law, blocks = _recording(_REPLAY_LAWS["independent"])
         args = {"t_values": (10.0,), "functionals": ("renewals",), **kwargs}
         with pytest.raises(ValueError):
-            walk_functionals(law, args["t_values"], 10, RngStream(13, 3), args["functionals"])
+            walk_functionals(law, args["t_values"], 10, RngStream(13, 3).generator(), args["functionals"])
         assert blocks == []

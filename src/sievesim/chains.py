@@ -12,9 +12,15 @@ Three routes to the law are implemented and cross-checked: an exact DP over
 (state, count), direct chain simulation, and the embedded-chain
 representation (strictly decreasing positions plus independent geometric
 stay counts, success probability 1 - s_{j,j}).  Both samplers run their
-replicates in lockstep; a single draw is a ``size=1`` call.  When every row
-has s_{j,floor} = s_{j,j}, the law is geometric with success 1/2 for every
-n, an exactness anchor the DP is tested against at 1e-10.
+replicates in lockstep; a single draw is a ``size=1`` call.  They share one
+table, kept on the spec, of the cumulative sums of the rows laid end to end,
+and each round moves every live replicate by one vectorised bisection over
+its own row of that table.  The direct sampler draws one uniform per live
+replicate, handed out in a stable sort by state; the embedded one draws an
+array of geometric stay counts and then an array of uniforms, both over the
+live replicates in index order.  When every row has s_{j,floor} = s_{j,j},
+the law is geometric with success 1/2 for every n, an exactness anchor the
+DP is tested against at 1e-10.
 """
 
 from __future__ import annotations
@@ -91,8 +97,10 @@ class ChainSpec:
     """Transition rows of a nonincreasing chain with absorbing floor.
 
     ``rows[i]`` holds the probabilities (s_{i,floor}, ..., s_{i,i}) for every
-    state floor+1 <= i <= n_max.  Rows must sum to 1 within 1e-12 and carry
-    s_{i,i-1} > 0 so absorption is certain.
+    state floor+1 <= i <= n_max.  Rows must hold finite entries, sum to 1
+    within 1e-12 and carry s_{i,i-1} > 0 so absorption is certain; s_{i,i}
+    must stay below 1 after rounding, as the embedded chain divides by
+    1 - s_{i,i}.
     """
 
     def __init__(self, floor: int, rows: dict[int, np.ndarray]):
@@ -109,15 +117,18 @@ class ChainSpec:
                 raise ValueError(
                     f"row for state {i} must have {i - floor + 1} entries, got {row.size}"
                 )
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"row for state {i} has non-finite entries")
             if np.any(row < 0.0):
                 raise ValueError(f"row for state {i} has negative entries")
             if abs(row.sum() - 1.0) > _ROW_SUM_TOL:
                 raise ValueError(f"row for state {i} sums to {row.sum()!r}, not 1")
             if not row[-2] > 0.0:
                 raise ValueError(f"state {i} has s_(i,i-1) = 0; absorption is not certain")
+            if not row[-1] < 1.0:
+                raise ValueError(f"state {i} has s_(i,i) = {row[-1]!r}; the chain never leaves it")
             self.rows[i] = row
-        self._cum_cache: dict[int, np.ndarray] = {}
-        self._embedded_cache: dict[int, np.ndarray] = {}
+        self._table = None  # the samplers' cumulative table, see _cum_table
 
     def row(self, i: int) -> np.ndarray:
         try:
@@ -127,21 +138,6 @@ class ChainSpec:
 
     def stay_prob(self, i: int) -> float:
         return float(self.row(i)[-1])
-
-    def _cum_row(self, i: int) -> np.ndarray:
-        if i not in self._cum_cache:
-            self._cum_cache[i] = np.cumsum(self.row(i))
-        return self._cum_cache[i]
-
-    def _embedded_cum(self, i: int) -> np.ndarray:
-        """Cumulative strict-descent probabilities s_{i,j}/(1 - s_{i,i}), j < i."""
-        if i not in self._embedded_cache:
-            row = self.row(i)
-            stay = row[-1]
-            if stay >= 1.0:
-                raise ValueError(f"state {i} has s_(i,i) = 1; the embedded chain is undefined")
-            self._embedded_cache[i] = np.cumsum(row[:-1] / (1.0 - stay))
-        return self._embedded_cache[i]
 
     def _require_range(self, n: int):
         if n < self.floor:
@@ -206,69 +202,84 @@ def exact_zero_decrement_pmfs(spec: ChainSpec, starts) -> list[Pmf]:
     )
 
 
-def _state_groups(states: np.ndarray, active: np.ndarray):
-    """The live replicates ``active`` in a stable sort by state, their states
-    in that order, and each state with its slice of that order, states
-    ascending."""
-    cur = states[active]
-    order = np.argsort(cur, kind="stable")
-    ranked = cur[order]
-    edges = (np.flatnonzero(np.diff(ranked)) + 1).tolist()
-    lo, hi = [0, *edges], [*edges, ranked.size]
-    return active[order], ranked, zip(ranked[lo].tolist(), lo, hi)
+def _cum_table(spec: ChainSpec, n: int):
+    """The cumulative sums of the rows of states floor+1..m, m >= n, each row's
+    ``np.cumsum`` laid end to end, with each row's offset into them and each
+    state's stay probability, both indexed by state - floor - 1.  Kept on
+    ``spec`` for the largest n asked, so both samplers share one table."""
+    if spec._table is None or spec._table[1].size < n - spec.floor:
+        spec._table = None  # free the smaller table before building
+        states = range(spec.floor + 1, n + 1)
+        lengths = np.arange(2, n - spec.floor + 2)  # row i has i - floor + 1 entries
+        ends = np.cumsum(lengths)
+        start = ends - lengths
+        cum = np.empty(ends[-1])
+        for i, a, b in zip(states, start.tolist(), ends.tolist()):
+            np.cumsum(spec.rows[i], out=cum[a:b])
+        spec._table = cum, start, np.array([spec.rows[i][-1] for i in states])
+    return spec._table
+
+
+def _bisect(cum, start, top, u):
+    """For every (a, m, x) of ``start``, ``top`` and ``u`` at once, the count of
+    the first m entries of the row at a that are <= x: bit for bit
+    ``min(np.searchsorted(cum[a:a + m + 1], x, side="right"), m)``, since rows
+    are nondecreasing."""
+    pos = np.zeros_like(start)
+    step = 1 << int(top.max()).bit_length()
+    while step > 1:
+        step >>= 1
+        # a candidate past m reads entry m - 1 (some other entry when m = 0),
+        # and the clip below makes either exact
+        pos += step * (cum[start + np.minimum(pos + step, top) - 1] <= u)
+    return np.minimum(pos, top)
 
 
 def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
-    """Replicated direct simulation, run in lockstep grouped by current state.
-
-    Each round draws one uniform per live replicate, state by state in
-    ascending order and each state's replicates in index order.
-    """
+    """Replicated direct simulation in lockstep: each round hands one uniform
+    per live replicate out in a stable sort by current state."""
     spec._require_range(n)
-    states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
-    active = np.flatnonzero(states > spec.floor)
+    if n == spec.floor or size == 0:
+        return counts
+    cum, start, _ = _cum_table(spec, n)
+    states = np.full(size, n, dtype=np.int64)
+    active = np.arange(size)
     while active.size:
-        sel, ranked, groups = _state_groups(states, active)
-        u = rng.random(sel.size)
-        nxt = np.empty_like(sel)
-        for s, lo, hi in groups:
-            cum = spec._cum_row(s)
-            nxt[lo:hi] = np.minimum(np.searchsorted(cum, u[lo:hi], side="right"), cum.size - 1)
-        nxt += spec.floor
-        counts[sel] += nxt == ranked
-        states[sel] = nxt
+        sel = active[np.argsort(states[active], kind="stable")]
+        top = states[sel] - spec.floor  # position of the stay, the row's last entry
+        pos = _bisect(cum, start[top - 1], top, rng.random(sel.size))
+        counts[sel] += pos == top
+        states[sel] = spec.floor + pos
         active = active[states[active] > spec.floor]
     return counts
 
 
 def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
-    """Replicated embedded-representation sampling, lockstep by state: each
-    state's replicates, in ascending state order, draw their stay counts and
-    then their next positions."""
+    """Replicated embedded-representation sampling in lockstep: each round
+    draws the live replicates' stay counts (geometric, success 1 - s_{i,i}),
+    then uniforms u, each placed at u (1 - s_{i,i}) in its strict row's cumsum."""
     spec._require_range(n)
-    states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
-    active = np.flatnonzero(states > spec.floor)
+    if n == spec.floor or size == 0:
+        return counts
+    cum, start, stay = _cum_table(spec, n)
+    states = np.full(size, n, dtype=np.int64)
+    active = np.arange(size)
     while active.size:
-        sel, _, groups = _state_groups(states, active)
-        nxt = np.empty_like(sel)
-        for s, lo, hi in groups:
-            stay = spec.stay_prob(s)
-            if stay > 0.0:
-                counts[sel[lo:hi]] += rng.geometric(1.0 - stay, size=hi - lo) - 1
-            cum = spec._embedded_cum(s)
-            nxt[lo:hi] = np.minimum(
-                np.searchsorted(cum, rng.random(hi - lo), side="right"), cum.size - 1
-            )
-        nxt += spec.floor
-        states[sel] = nxt
+        k = states[active] - spec.floor - 1
+        leave = 1.0 - stay[k]
+        counts[active] += rng.geometric(leave) - 1
+        u = rng.random(active.size) * leave
+        states[active] = spec.floor + _bisect(cum, start[k], k, u)
         active = active[states[active] > spec.floor]
     return counts
 
 
 # The chain builders' largest state: the rows hold n_max^2 / 2 probabilities,
-# 400 MB of float64 at this cap.
+# 400 MB of float64 at this cap.  The first sampler call from start n keeps
+# a cumulative copy of the rows of states <= n on the spec, as much again at
+# n_max.
 _MAX_CHAIN_STATES = 10_000
 
 
@@ -290,15 +301,20 @@ def sieve_chain_spec(wlaw, n_max: int) -> ChainSpec:
         wlaw.mixed_moment(0, 1)
     except NotImplementedError as exc:
         raise ValueError(f"{wlaw!r} provides no exact mixed moments") from exc
-    rows = {}
+    # the rows are views into one buffer: rows kept between the recurrence's
+    # temporaries would fragment the heap, to about twice their size at the cap
+    flat = np.empty((n_max + 1) * (n_max + 2) // 2 - 1)
+    rows, a = {}, 0
     for i in range(1, n_max + 1):
         head = wlaw.mixed_moment(0, i)
         if head == 0.0:
             raise ValueError(f"E(1-W)^{i} underflows; reduce n_max for {wlaw!r}")
         j = np.arange(1, i + 1)
+        row, a = flat[a:a + i + 1], a + i + 1
+        row[0] = head
         # s_{i,j} / s_{i,j-1} = C(i,j)/C(i,j-1) * moment ratio, C ratio (i-j+1)/j
-        steps = (i - j + 1) / j * wlaw.moment_ratios(i)
-        row = np.cumprod(np.concatenate(([head], steps)))
+        row[1:] = (i - j + 1) / j * wlaw.moment_ratios(i)
+        np.cumprod(row, out=row)
         drift = row.sum() - 1.0
         if abs(drift) > 1e-9:
             raise ValueError(f"row for state {i} sums to 1{drift:+.2e}; moment evaluator is off")

@@ -11,8 +11,9 @@ engine computes in bulk:
   ``sievesim.sieve.sample_occupancy(method="uniform")``;
 * ``per_start_dp``: the zero-decrement DP for one start state, the oracle of
   the multi-start ``sievesim.chains.exact_zero_decrement_pmfs``;
-* ``mask_grouped_direct`` and ``mask_grouped_georep``: the chain samplers
-  grouped by ``np.unique`` and one mask per state, the oracles of
+* ``mask_grouped_direct``, the direct chain sampler grouped by ``np.unique``
+  and one mask per state, and ``mask_grouped_georep``, the embedded
+  representation one replicate at a time: the oracles of
   ``sievesim.chains.sample_zero_decrements`` and ``sample_geometric_rep``;
 * ``kanter_sine_form``: Kanter's construction from three sines, the oracle
   of the tan half-angle form in ``sievesim.randkit._kanter_stable``;
@@ -218,7 +219,7 @@ def per_start_dp(spec, n):
 
 def mask_grouped_direct(spec, n, size, rng):
     """Direct simulation grouped by ``np.unique`` and one mask per state:
-    the reference for the argsort-grouped sampler."""
+    the reference for the table-and-bisection sampler."""
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
@@ -237,23 +238,20 @@ def mask_grouped_direct(spec, n, size, rng):
 
 
 def mask_grouped_georep(spec, n, size, rng):
-    """The embedded representation grouped by ``np.unique`` and one mask
-    per state: the reference for the argsort-grouped sampler."""
+    """The embedded representation one replicate at a time: each round
+    draws the live replicates' stay counts as one geometric array and then
+    one uniform array u, in index order, and each replicate's next position
+    is ``np.searchsorted`` of u (1 - s_{i,i}) on its row's strict cumsum.
+    The reference for the table-and-bisection sampler."""
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
     while active.size:
-        cur = states[active]
-        for s in np.unique(cur):
-            sel = active[cur == s]
-            row = spec.row(int(s))
-            stay = row[-1]
-            if stay > 0.0:
-                counts[sel] += rng.geometric(1.0 - stay, size=sel.size) - 1
-            cum = np.cumsum(row[:-1] / (1.0 - stay))
-            pos = np.minimum(np.searchsorted(cum, rng.random(sel.size), side="right"),
-                             cum.size - 1)
-            states[sel] = spec.floor + pos
+        leave = 1.0 - np.array([spec.stay_prob(int(s)) for s in states[active]])
+        counts[active] += rng.geometric(leave) - 1
+        for r, x in zip(active, rng.random(active.size) * leave):
+            cum = np.cumsum(spec.row(int(states[r]))[:-1])
+            states[r] = spec.floor + min(np.searchsorted(cum, x, side="right"), cum.size - 1)
         active = active[states[active] > spec.floor]
     return counts
 

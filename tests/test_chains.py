@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import mask_grouped_direct, mask_grouped_georep, per_start_dp
+from sievesim import chains
 from sievesim.chains import (
     _MAX_CHAIN_STATES,
     DEFICIT_CAP,
@@ -102,10 +103,28 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             ChainSpec(floor=0, rows={2: np.array([1.0, 0.0, 0.0])})  # s_(2,1) = 0
 
+    @pytest.mark.parametrize("row", [[0.5, np.nan, 0.5], [1e-17, 1.0]], ids=["nan", "sticky"])
+    def test_rejects_nan_and_a_stay_that_rounds_to_one(self, row):
+        # NaN passes the sum check (abs(nan - 1) > tol is False); 1e-17 + 1.0
+        # sums to 1 exactly, and 1 - s_(1,1) = 0 is no geometric success rate
+        with pytest.raises(ValueError, match="non-finite|never leaves"):
+            ChainSpec(floor=0, rows={len(row) - 1: np.array(row)})
+
     def test_missing_row_detected(self):
         spec = ChainSpec(floor=0, rows={1: np.array([0.5, 0.5])})
         with pytest.raises(ValueError):
             exact_zero_decrement_pmf(spec, 2)
+
+    @pytest.mark.parametrize("wlaw", [UniformW(), BetaW(2, 3), ConstantW(0.3)], ids=repr)
+    def test_sieve_rows_match_one_array_per_row(self, wlaw):
+        # the builder writes its rows into one buffer; the values are those of
+        # the recurrence run on a fresh array per row
+        spec = sieve_chain_spec(wlaw, 80)
+        for i in range(1, 81):
+            j = np.arange(1, i + 1)
+            row = np.cumprod(np.concatenate(([wlaw.mixed_moment(0, i)],
+                                             (i - j + 1) / j * wlaw.moment_ratios(i))))
+            assert spec.row(i).tobytes() == (row / row.sum()).tobytes()
 
     def test_row_access(self):
         spec = sieve_chain_spec(UniformW(), 5)
@@ -304,9 +323,112 @@ class TestSamplers:
         assert sample_zero_decrements(spec, 1, 1, RngStream(2, 3).generator()).tolist() == [0]
 
 
+class _CountingGenerator:
+    """A ``Generator`` that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestTableAndBisection:
+    @staticmethod
+    def assert_bisection_matches(spec, n, seed):
+        cum, start, stay = chains._cum_table(spec, n)
+        states = range(spec.floor + 1, n + 1)
+        rows = [cum[a:a + i - spec.floor + 1] for i, a in zip(states, start)]
+        for i, row, s in zip(states, rows, stay):
+            assert row.tobytes() == np.cumsum(spec.row(i)).tobytes()
+            assert s == spec.row(i)[-1]
+        # probes per row: every cumulative value (ties where the row has zero
+        # entries), 0, a value just above the last and 2, plus uniforms
+        rng = np.random.default_rng(seed)
+        probes = [np.concatenate([row, [0.0, np.nextafter(row[-1], 2.0), 2.0],
+                                  rng.random(4)]) for row in rows]
+        k = np.repeat(np.arange(len(rows)), [p.size for p in probes])
+        u = np.concatenate(probes)
+        order = rng.permutation(u.size)  # rows interleaved, as replicates are
+        k, u = k[order], u[order]
+        for strict in (0, 1):
+            top = k + 1 - strict  # the last position of the full row, or of its strict part
+            got = chains._bisect(cum, start[k], top, u)
+            want = [min(np.searchsorted(rows[r][:m + 1], x, side="right"), m)
+                    for r, m, x in zip(k, top, u)]
+            assert got.tolist() == want
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.2, max_value=5.0),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_sieve_rows(self, a, b, n_max, seed):
+        self.assert_bisection_matches(sieve_chain_spec(BetaW(a, b), n_max), n_max, seed)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+                    max_size=12),
+           st.floats(min_value=0.01, max_value=1.0), st.integers(min_value=2, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(weights=[0.0, 0.0, 0.5], p1=0.5, n_max=10, seed=1)  # zero entries: ties
+    @example(weights=[], p1=1.0, n_max=12, seed=2)  # unit steps: no stay, rows of zeros and one 1
+    def test_barrier_rows(self, weights, p1, n_max, seed):
+        p = np.array([p1] + weights)
+        self.assert_bisection_matches(barrier_chain_spec(p / p.sum(), n_max), n_max, seed)
+
+    @pytest.mark.parametrize("sampler,per_round", [(sample_zero_decrements, 1),
+                                                   (sample_geometric_rep, 2)])
+    def test_generator_calls_per_round(self, sampler, per_round, monkeypatch):
+        # the dyadic barrier spreads 500 replicates over many states at once
+        rounds, bisect = [], chains._bisect
+
+        def counting_bisect(*args):
+            rounds.append(args[-1].size)
+            return bisect(*args)
+
+        monkeypatch.setattr(chains, "_bisect", counting_bisect)
+        spec = barrier_chain_spec(2.0 ** -np.arange(1, 201), 200)
+        rng = _CountingGenerator(RngStream(7, 0).generator())
+        sampler(spec, 200, 500, rng)
+        assert rounds[0] == 500 and len(rounds) > 1
+        assert rng.calls == per_round * len(rounds)
+
+    @pytest.mark.parametrize("sampler", [sample_zero_decrements, sample_geometric_rep])
+    def test_no_table_without_a_live_replicate(self, sampler, monkeypatch):
+        def refusing(spec, n):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(chains, "_cum_table", refusing)
+        spec = barrier_chain_spec([0.5, 0.5], 10)
+        rng = RngStream(7, 1).generator()
+        assert sampler(spec, 10, 0, rng).size == 0  # the chunk runner's payload check
+        assert sampler(spec, 1, 3, rng).tolist() == [0, 0, 0]  # start at the floor
+
+    def test_one_table_per_spec(self):
+        # both samplers, and every chunk drawn in one process, share the table
+        spec = barrier_chain_spec([0.5, 0.5], 20)
+        rng = RngStream(7, 2).generator()
+        sample_zero_decrements(spec, 10, 5, rng)
+        table = spec._table
+        for sampler, n in [(sample_geometric_rep, 10), (sample_zero_decrements, 4),
+                           (sample_geometric_rep, 10)]:
+            sampler(spec, n, 5, rng)
+            assert spec._table is table
+        sample_zero_decrements(spec, 20, 5, rng)  # a start above the table's rebuilds it
+        assert spec._table[1].size == 20 - spec.floor
+
+
 class TestSamplerGrouping:
-    """The argsort-grouped samplers draw exactly what the mask-grouped ones
-    draw: states in ascending order, each state's replicates in index order."""
+    """The table-and-bisection samplers draw exactly what their oracles draw:
+    the direct one what the mask-grouped loop draws (states ascending, each
+    state's replicates in index order), the embedded one what the
+    per-replicate loop draws (a geometric array, then a uniform array, both
+    over the live replicates in index order)."""
 
     @staticmethod
     def assert_both_match(spec, n, size, seed):

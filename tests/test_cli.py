@@ -630,6 +630,21 @@ class TestMarkovCommand:
         assert err.startswith("error: malformed chain spec: ") and err.count("\n") == 1
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("rows,n", [({"1": ["0.5", "0.5"], "2": ["0.5", "nan", "0.5"]}, 2),
+                                        ({"1": ["1e-17", "1.0"]}, 1)],
+                             ids=["nan-entry", "stay-rounds-to-one"])
+    def test_bad_row_exits_two(self, rows, n, tmp_path, capsys):
+        # a NaN entry used to pass and run the DP to its count budget (exit 3)
+        spec_path, out = tmp_path / "chain.json", tmp_path / "out"
+        spec_path.write_text(json.dumps({"floor": 0, "rows": rows}))
+        code = run_cli("markov", "--spec-json", spec_path, "--n", n, "--reps", "2000",
+                       "--seed", "1", "--jobs", "1", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("non-finite" in err) != ("never leaves" in err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("chain", ["barrier:dyadic:junk", "barrier:dyadic:7", "barrier:geom",
                                        "barrier:geom:"])
     def test_bad_barrier_descriptor_exits_two(self, chain, tmp_path, capsys):

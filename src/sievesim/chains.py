@@ -12,20 +12,21 @@ Three routes to the law are implemented and cross-checked: an exact DP over
 (state, count), direct chain simulation, and the embedded-chain
 representation (strictly decreasing positions plus independent geometric
 stay counts, success probability 1 - s_{j,j}).  Both samplers run their
-replicates in lockstep; a single draw is a ``size=1`` call.  They share one
-table, kept on the spec, of the cumulative sums of the rows laid end to end,
-and each round moves every live replicate by one vectorised bisection over
-its own row of that table.  The direct sampler draws one uniform per live
-replicate, handed out in a stable sort by state; the embedded one draws an
-array of geometric stay counts and then an array of uniforms, both over the
-live replicates in index order.  When every row has s_{j,floor} = s_{j,j},
-the law is geometric with success 1/2 for every n, an exactness anchor the
-DP is tested against at 1e-10.
+replicates in lockstep; a single draw is a ``size=1`` call.  A ``ChainSpec``
+holds its rows end to end in one array, and beside it, built once, each
+row's cumulative sums, which both samplers and every chunk read: each round
+moves every live replicate by one vectorised bisection over its own row of
+them.  The direct sampler draws one uniform per live replicate, handed out
+in a stable sort by state; the embedded one draws an array of geometric stay
+counts and then an array of uniforms, both over the live replicates in index
+order.  When every row has s_{j,floor} = s_{j,j}, the law is geometric with
+success 1/2 for every n, an exactness anchor the DP is tested against at 1e-10.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,55 +97,56 @@ def geometric_pmf(success: float, width: int) -> Pmf:
 class ChainSpec:
     """Transition rows of a nonincreasing chain with absorbing floor.
 
-    ``rows[i]`` holds the probabilities (s_{i,floor}, ..., s_{i,i}) for every
-    state floor+1 <= i <= n_max.  Rows must hold finite entries, sum to 1
+    ``probs`` holds the rows (s_{i,floor}, ..., s_{i,i}) of the states
+    floor+1, ..., n_max laid end to end, so n_max follows from its length;
+    ``row(i)`` is a view into it.  Rows must hold finite entries, sum to 1
     within 1e-12 and carry s_{i,i-1} > 0 so absorption is certain; s_{i,i}
     must stay below 1 after rounding, as the embedded chain divides by
-    1 - s_{i,i}.
+    1 - s_{i,i}.  The constructor also builds what the samplers read, each
+    indexed by state - floor - 1: ``start``, each row's offset into
+    ``probs``; ``stay``, each s_{i,i}; and ``cum``, laid out as ``probs``,
+    each row's ``np.cumsum``.
     """
 
-    def __init__(self, floor: int, rows: dict[int, np.ndarray]):
+    def __init__(self, floor: int, probs):
         if floor < 0:
             raise ValueError(f"floor must be nonnegative, got {floor}")
         self.floor = int(floor)
-        self.rows: dict[int, np.ndarray] = {}
-        for i, row in sorted(rows.items()):
-            i = int(i)
-            row = np.asarray(row, dtype=float)
-            if i <= floor:
-                raise ValueError(f"row given for state {i} at or below the floor {floor}")
-            if row.size != i - floor + 1:
-                raise ValueError(
-                    f"row for state {i} must have {i - floor + 1} entries, got {row.size}"
-                )
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"row for state {i} has non-finite entries")
-            if np.any(row < 0.0):
-                raise ValueError(f"row for state {i} has negative entries")
-            if abs(row.sum() - 1.0) > _ROW_SUM_TOL:
-                raise ValueError(f"row for state {i} sums to {row.sum()!r}, not 1")
-            if not row[-2] > 0.0:
-                raise ValueError(f"state {i} has s_(i,i-1) = 0; absorption is not certain")
-            if not row[-1] < 1.0:
-                raise ValueError(f"state {i} has s_(i,i) = {row[-1]!r}; the chain never leaves it")
-            self.rows[i] = row
-        self._table = None  # the samplers' cumulative table, see _cum_table
+        self.probs = probs = np.asarray(probs, dtype=float)
+        m = (math.isqrt(9 + 8 * probs.size) - 3) // 2  # rows of 2, 3, ..., m + 1 entries
+        if probs.ndim != 1 or (m + 1) * (m + 2) // 2 - 1 != probs.size:
+            raise ValueError(f"{probs.size} probabilities fill no whole number of rows")
+        self.n_max = self.floor + m
+        lengths = np.arange(2, m + 2)
+        ends = np.cumsum(lengths)
+        self.start, self.stay = ends - lengths, probs[ends - 1]
+        self.cum = np.empty_like(probs)
+        for a, b in zip(self.start.tolist(), ends.tolist()):
+            np.cumsum(probs[a:b], out=self.cum[a:b])
+        lo, hi, total = (f.reduceat(probs, self.start) for f in (np.minimum, np.maximum, np.add))
+        # each row's first failed check, in this order
+        checks = [
+            (~(np.isfinite(lo) & np.isfinite(hi)), "row for state {i} has non-finite entries"),
+            (lo < 0.0, "row for state {i} has negative entries"),
+            (np.abs(total - 1.0) > _ROW_SUM_TOL, "row for state {i} sums to {total}, not 1"),
+            (~(probs[ends - 2] > 0.0), "state {i} has s_(i,i-1) = 0; absorption is not certain"),
+            (~(self.stay < 1.0), "state {i} has s_(i,i) = {stay}; the chain never leaves it"),
+        ]
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            k = int(np.argmax(bad))
+            msg = next(msg for mask, msg in checks if mask[k])
+            raise ValueError(msg.format(i=self.floor + 1 + k, total=total[k], stay=self.stay[k]))
 
     def row(self, i: int) -> np.ndarray:
-        try:
-            return self.rows[i]
-        except KeyError:
-            raise ValueError(f"no transition row for state {i}") from None
-
-    def stay_prob(self, i: int) -> float:
-        return float(self.row(i)[-1])
+        if not self.floor < i <= self.n_max:
+            raise ValueError(f"no transition row for state {i}")
+        a = int(self.start[i - self.floor - 1])
+        return self.probs[a:a + i - self.floor + 1]
 
     def _require_range(self, n: int):
-        if n < self.floor:
-            raise ValueError(f"start state {n} below floor {self.floor}")
-        for i in range(self.floor + 1, n + 1):
-            if i not in self.rows:
-                raise ValueError(f"no transition row for state {i}")
+        if not self.floor <= n <= self.n_max:
+            raise ValueError(f"start state {n} outside the states {self.floor}..{self.n_max}")
 
 
 _DP_COUNT_LIMIT = 10_000
@@ -175,7 +177,7 @@ def exact_zero_decrement_pmfs(spec: ChainSpec, starts) -> list[Pmf]:
         spec._require_range(n)
     width = max(starts) - spec.floor + 1  # states floor..max(starts)
     strict = [spec.row(i)[:-1] for i in range(spec.floor + 1, width + spec.floor)]
-    diag = np.array([spec.stay_prob(i) for i in range(spec.floor + 1, width + spec.floor)])
+    diag = spec.stay[:width - 1]
     columns = []
     cum = dict.fromkeys(starts, 0.0)
     cut: dict[int, int] = {}  # start -> number of columns in its law
@@ -191,8 +193,7 @@ def exact_zero_decrement_pmfs(spec: ChainSpec, starts) -> list[Pmf]:
             if 1.0 - cum[n] <= DEFICIT_CAP:
                 cut[n] = j + 1
         if len(cut) == len(cum):
-            table = np.array(columns)
-            return [Pmf(masses=table[:cut[n], n - spec.floor].copy(),
+            return [Pmf(masses=np.array([c[n - spec.floor] for c in columns[:cut[n]]]),
                         tail_deficit=max(0.0, 1.0 - cum[n])) for n in starts]
         prev = col
     n = next(n for n in starts if n not in cut)
@@ -200,24 +201,6 @@ def exact_zero_decrement_pmfs(spec: ChainSpec, starts) -> list[Pmf]:
         f"start state {n}: deficit {1.0 - cum[n]:.3e} not reached within "
         f"{_DP_COUNT_LIMIT} counts"
     )
-
-
-def _cum_table(spec: ChainSpec, n: int):
-    """The cumulative sums of the rows of states floor+1..m, m >= n, each row's
-    ``np.cumsum`` laid end to end, with each row's offset into them and each
-    state's stay probability, both indexed by state - floor - 1.  Kept on
-    ``spec`` for the largest n asked, so both samplers share one table."""
-    if spec._table is None or spec._table[1].size < n - spec.floor:
-        spec._table = None  # free the smaller table before building
-        states = range(spec.floor + 1, n + 1)
-        lengths = np.arange(2, n - spec.floor + 2)  # row i has i - floor + 1 entries
-        ends = np.cumsum(lengths)
-        start = ends - lengths
-        cum = np.empty(ends[-1])
-        for i, a, b in zip(states, start.tolist(), ends.tolist()):
-            np.cumsum(spec.rows[i], out=cum[a:b])
-        spec._table = cum, start, np.array([spec.rows[i][-1] for i in states])
-    return spec._table
 
 
 def _bisect(cum, start, top, u):
@@ -240,15 +223,12 @@ def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarra
     per live replicate out in a stable sort by current state."""
     spec._require_range(n)
     counts = np.zeros(size, dtype=np.int64)
-    if n == spec.floor or size == 0:
-        return counts
-    cum, start, _ = _cum_table(spec, n)
     states = np.full(size, n, dtype=np.int64)
-    active = np.arange(size)
+    active = np.arange(size if n > spec.floor else 0)
     while active.size:
         sel = active[np.argsort(states[active], kind="stable")]
         top = states[sel] - spec.floor  # position of the stay, the row's last entry
-        pos = _bisect(cum, start[top - 1], top, rng.random(sel.size))
+        pos = _bisect(spec.cum, spec.start[top - 1], top, rng.random(sel.size))
         counts[sel] += pos == top
         states[sel] = spec.floor + pos
         active = active[states[active] > spec.floor]
@@ -261,25 +241,21 @@ def sample_geometric_rep(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
     then uniforms u, each placed at u (1 - s_{i,i}) in its strict row's cumsum."""
     spec._require_range(n)
     counts = np.zeros(size, dtype=np.int64)
-    if n == spec.floor or size == 0:
-        return counts
-    cum, start, stay = _cum_table(spec, n)
     states = np.full(size, n, dtype=np.int64)
-    active = np.arange(size)
+    active = np.arange(size if n > spec.floor else 0)
     while active.size:
         k = states[active] - spec.floor - 1
-        leave = 1.0 - stay[k]
+        leave = 1.0 - spec.stay[k]
         counts[active] += rng.geometric(leave) - 1
         u = rng.random(active.size) * leave
-        states[active] = spec.floor + _bisect(cum, start[k], k, u)
+        states[active] = spec.floor + _bisect(spec.cum, spec.start[k], k, u)
         active = active[states[active] > spec.floor]
     return counts
 
 
 # The chain builders' largest state: the rows hold n_max^2 / 2 probabilities,
-# 400 MB of float64 at this cap.  The first sampler call from start n keeps
-# a cumulative copy of the rows of states <= n on the spec, as much again at
-# n_max.
+# 400 MB of float64 at this cap, and the spec builds their cumulative copy at
+# construction, 800 MB in all.
 _MAX_CHAIN_STATES = 10_000
 
 
@@ -293,24 +269,23 @@ def sieve_chain_spec(wlaw, n_max: int) -> ChainSpec:
 
     Rows are built by exact-ratio recurrence from s_{i,0} = E (1-W)^i, one
     cumulative product per row, which keeps the relative error at a few ulps
-    per step; this needs a law with a closed-form ``mixed_moment`` (the beta
-    and constant families).
+    per step; this needs a law with a closed-form ``mixed_moment`` (the
+    uniform, beta and constant families).
     """
     _check_n_max(n_max, 1)
     try:
         wlaw.mixed_moment(0, 1)
     except NotImplementedError as exc:
         raise ValueError(f"{wlaw!r} provides no exact mixed moments") from exc
-    # the rows are views into one buffer: rows kept between the recurrence's
+    # the rows go into the spec's one buffer: rows kept between the recurrence's
     # temporaries would fragment the heap, to about twice their size at the cap
     flat = np.empty((n_max + 1) * (n_max + 2) // 2 - 1)
-    rows, a = {}, 0
     for i in range(1, n_max + 1):
         head = wlaw.mixed_moment(0, i)
         if head == 0.0:
             raise ValueError(f"E(1-W)^{i} underflows; reduce n_max for {wlaw!r}")
         j = np.arange(1, i + 1)
-        row, a = flat[a:a + i + 1], a + i + 1
+        row = flat[i * (i + 1) // 2 - 1:(i + 1) * (i + 2) // 2 - 1]  # after rows 1..i-1
         row[0] = head
         # s_{i,j} / s_{i,j-1} = C(i,j)/C(i,j-1) * moment ratio, C ratio (i-j+1)/j
         row[1:] = (i - j + 1) / j * wlaw.moment_ratios(i)
@@ -319,8 +294,7 @@ def sieve_chain_spec(wlaw, n_max: int) -> ChainSpec:
         if abs(drift) > 1e-9:
             raise ValueError(f"row for state {i} sums to 1{drift:+.2e}; moment evaluator is off")
         row /= row.sum()  # remove the few-ulp-per-step recurrence drift
-        rows[i] = row
-    return ChainSpec(floor=0, rows=rows)
+    return ChainSpec(floor=0, probs=flat)
 
 
 def barrier_chain_spec(step_pmf, n_max: int) -> ChainSpec:
@@ -338,15 +312,14 @@ def barrier_chain_spec(step_pmf, n_max: int) -> ChainSpec:
         raise ValueError("step probabilities must be nonnegative and sum to at most 1")
     _check_n_max(n_max, 2)
     partial = np.concatenate([[0.0], np.cumsum(p)])
-    rows = {}
+    flat = np.zeros(n_max * (n_max + 1) // 2 - 1)
     for i in range(2, n_max + 1):
-        row = np.zeros(i)  # states 1..i
+        row = flat[i * (i - 1) // 2 - 1:i * (i + 1) // 2 - 1]  # states 1..i, after rows 2..i-1
         k = min(i - 1, p.size)  # steps 1..k land above the barrier, at states i-1..i-k
         row[i - 1 - k:i - 1] = p[k - 1::-1]
         # a step law summing to 1 can overshoot it by an ulp in the partial sum
         row[i - 1] = max(0.0, 1.0 - float(partial[k]))
-        rows[i] = row
-    return ChainSpec(floor=1, rows=rows)
+    return ChainSpec(floor=1, probs=flat)
 
 
 @dataclass(frozen=True)
@@ -449,18 +422,24 @@ def mixed_poisson_diagnostic(pmf_or_samples) -> MixedPoissonReport:
 
 def chain_to_json(spec: ChainSpec) -> str:
     """Serialize with probabilities as decimal strings (repr round-trips floats)."""
-    payload = {
-        "floor": spec.floor,
-        "rows": {str(i): [repr(float(x)) for x in row] for i, row in spec.rows.items()},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    rows = {str(i): [repr(x) for x in spec.row(i).tolist()]
+            for i in range(spec.floor + 1, spec.n_max + 1)}
+    return json.dumps({"floor": spec.floor, "rows": rows}, sort_keys=True, indent=2)
 
 
 def chain_from_json(text: str) -> ChainSpec:
+    """The spec ``chain_to_json`` wrote; one whose rows are not those of the states
+    floor+1..n_max, each of its length, is refused before any array is built."""
     payload = json.loads(text)
     try:
-        rows = {int(i): np.array([float(x) for x in row]) for i, row in payload["rows"].items()}
+        rows = {int(i): row for i, row in payload["rows"].items()}
         floor = int(payload["floor"])
+        states = range(floor + 1, floor + 1 + len(rows))
+        i = next((i for i in states if len(rows.get(i, ())) != i - floor + 1), None)
+        if i is not None:
+            raise ValueError(f"state {i} has no row of {i - floor + 1} entries; a chain spec "
+                             f"has one for each state {floor + 1}..n_max, without gaps")
+        probs = np.fromiter((float(x) for i in states for x in rows[i]), dtype=float)
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed chain spec: {exc}") from None
-    return ChainSpec(floor=floor, rows=rows)
+    return ChainSpec(floor=floor, probs=probs)

@@ -88,8 +88,17 @@ def _chunk_plan(total: int):
     return [(cid, min(CHUNK, total - cid * CHUNK)) for cid in range((total + CHUNK - 1) // CHUNK)]
 
 
+_run = None  # (worker, payload, layout, reduce) of the chunks this process draws
+
+
+def _serve(*run):
+    global _run
+    _run = run or None  # a call with no argument clears it
+
+
 def _call_chunk(task):
-    worker, stream, start, count, payload, layout, reduce = task
+    stream, start, count = task
+    worker, payload, layout, reduce = _run
     result = worker(stream.generator(), count, *payload)
     text = None
     if layout is not None:
@@ -116,14 +125,18 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
     With a ``Detail``, the parent enters it, and the process that draws a
     chunk also formats its rows (the replicate index, then the columns of its
     array, a tuple result's first item); the parent writes them to ``detail``
-    as each chunk arrives.  Then it applies ``reduce`` (module-level, to
-    reach pool workers), so the parent holds one chunk's text and the chunk
-    reductions, not the sample.
+    as each chunk arrives.  Then it applies ``reduce``, so the parent holds
+    one chunk's text and the chunk reductions, not the sample.
+
+    A task carries only its chunk's stream, first index and count: each
+    process gets ``(worker, payload, layout, reduce)`` once from ``_serve``,
+    a pool's initializer (under fork nothing is pickled) or, at ``jobs`` 1,
+    a call in the parent, and it is cleared when the run ends.
     """
     worker(np.random.default_rng(0), 0, *payload)
-    layout = None if detail is None else detail.layout
-    tasks = [(worker, RngStream(seed, (stream << 32) | cid), cid * CHUNK, count, payload, layout,
-              reduce) for cid, count in _chunk_plan(total)]
+    run = (worker, payload, None if detail is None else detail.layout, reduce)
+    tasks = [(RngStream(seed, (stream << 32) | cid), cid * CHUNK, count)
+             for cid, count in _chunk_plan(total)]
 
     def gather(done):
         parts = []
@@ -133,13 +146,18 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
             parts.append(result)
         return parts
 
-    with nullcontext() if detail is None else detail:
-        if jobs <= 1 or len(tasks) == 1:
-            return gather(map(_call_chunk, tasks))
-        # a fork pool starts every worker at the first submit, so ask for no
-        # more workers than there are chunks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return gather(pool.map(_call_chunk, tasks))
+    try:
+        with nullcontext() if detail is None else detail:
+            if jobs <= 1 or len(tasks) == 1:
+                _serve(*run)
+                return gather(map(_call_chunk, tasks))
+            # a fork pool starts every worker at the first submit, so ask for
+            # no more workers than there are chunks
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_serve,
+                                     initargs=run) as pool:
+                return gather(pool.map(_call_chunk, tasks))
+    finally:
+        _serve()
 
 
 def _join(parts):

@@ -14,7 +14,9 @@ engine computes in bulk:
 * ``mask_grouped_direct``, the direct chain sampler grouped by ``np.unique``
   and one mask per state, and ``mask_grouped_georep``, the embedded
   representation one replicate at a time: the oracles of
-  ``sievesim.chains.sample_zero_decrements`` and ``sample_geometric_rep``;
+  ``sievesim.chains.sample_zero_decrements`` and ``sample_geometric_rep``.
+  The chain oracles read a spec only through ``spec.row(i)`` and take
+  their own ``np.cumsum``, never the spec's ``cum`` or ``stay``;
 * ``kanter_sine_form``: Kanter's construction from three sines, the oracle
   of the tan half-angle form in ``sievesim.randkit._kanter_stable``;
 * ``levy_density``: the Levy density of the subordinator Y, the quadrature
@@ -201,7 +203,7 @@ def per_start_dp(spec, n):
         return Pmf(masses=np.array([1.0]))
     width = n - spec.floor + 1
     strict = [spec.row(i)[:-1] for i in range(spec.floor + 1, n + 1)]
-    diag = np.array([spec.stay_prob(i) for i in range(spec.floor + 1, n + 1)])
+    diag = np.array([spec.row(i)[-1] for i in range(spec.floor + 1, n + 1)])
     columns = []
     prev = np.zeros(width)
     cum_n = 0.0
@@ -247,7 +249,7 @@ def mask_grouped_georep(spec, n, size, rng):
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
     while active.size:
-        leave = 1.0 - np.array([spec.stay_prob(int(s)) for s in states[active]])
+        leave = 1.0 - np.array([spec.row(int(s))[-1] for s in states[active]])
         counts[active] += rng.geometric(leave) - 1
         for r, x in zip(active, rng.random(active.size) * leave):
             cum = np.cumsum(spec.row(int(states[r]))[:-1])

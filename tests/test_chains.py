@@ -96,22 +96,36 @@ class TestPmfBookkeeping:
 
 class TestChainSpec:
     def test_row_length_and_sum_checks(self):
-        with pytest.raises(ValueError):
-            ChainSpec(floor=0, rows={1: np.array([0.5, 0.25])})
-        with pytest.raises(ValueError):
-            ChainSpec(floor=0, rows={1: np.array([0.3, 0.3])})
-        with pytest.raises(ValueError):
-            ChainSpec(floor=0, rows={2: np.array([1.0, 0.0, 0.0])})  # s_(2,1) = 0
+        with pytest.raises(ValueError, match="^row for state 1 sums to 0.75, not 1$"):
+            ChainSpec(floor=0, probs=[0.5, 0.25])
+        with pytest.raises(ValueError, match="^row for state 1 sums to "):
+            ChainSpec(floor=0, probs=[0.3, 0.3])
+        with pytest.raises(ValueError, match="^state 2 has s_\\(i,i-1\\) = 0"):
+            ChainSpec(floor=0, probs=[0.5, 0.5, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^3 probabilities fill no whole number of rows$"):
+            ChainSpec(floor=0, probs=[0.5, 0.5, 1.0])
 
-    @pytest.mark.parametrize("row", [[0.5, np.nan, 0.5], [1e-17, 1.0]], ids=["nan", "sticky"])
-    def test_rejects_nan_and_a_stay_that_rounds_to_one(self, row):
+    @pytest.mark.parametrize("probs", [[0.5, 0.5, 0.5, np.nan, 0.5], [1e-17, 1.0]],
+                             ids=["nan", "sticky"])
+    def test_rejects_nan_and_a_stay_that_rounds_to_one(self, probs):
         # NaN passes the sum check (abs(nan - 1) > tol is False); 1e-17 + 1.0
         # sums to 1 exactly, and 1 - s_(1,1) = 0 is no geometric success rate
         with pytest.raises(ValueError, match="non-finite|never leaves"):
-            ChainSpec(floor=0, rows={len(row) - 1: np.array(row)})
+            ChainSpec(floor=0, probs=np.array(probs))
+
+    @pytest.mark.parametrize("entry,message", [(np.inf, "has non-finite entries"),
+                                               (-0.1, "has negative entries"),
+                                               (0.9, "sums to 1.5666666666666667, not 1")])
+    def test_names_the_first_bad_state(self, entry, message):
+        # uniform rows of states 1..4, state 2 spoiled and state 3 given a NaN:
+        # each row's checks run before the next row's
+        rows = [np.full(i + 1, 1.0 / (i + 1)) for i in range(1, 5)]
+        rows[1][0], rows[2][0] = entry, np.nan
+        with pytest.raises(ValueError, match=f"^row for state 2 {message}"):
+            ChainSpec(floor=0, probs=np.concatenate(rows))
 
     def test_missing_row_detected(self):
-        spec = ChainSpec(floor=0, rows={1: np.array([0.5, 0.5])})
+        spec = ChainSpec(floor=0, probs=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             exact_zero_decrement_pmf(spec, 2)
 
@@ -128,8 +142,13 @@ class TestChainSpec:
 
     def test_row_access(self):
         spec = sieve_chain_spec(UniformW(), 5)
+        assert spec.n_max == 5
         assert np.allclose(spec.row(3), 0.25)
-        assert spec.stay_prob(4) == pytest.approx(0.2)
+        assert spec.row(4)[-1] == pytest.approx(0.2)
+        assert np.shares_memory(spec.row(3), spec.probs)  # a view, not a copy
+        for i in (0, 6):
+            with pytest.raises(ValueError, match=f"^no transition row for state {i}$"):
+                spec.row(i)
 
 
 class TestExactDp:
@@ -165,7 +184,7 @@ class TestExactDp:
 
     def test_unreachable_deficit_is_an_error(self):
         # stay probability 1 - 1e-7 needs ~10^8 counts to exhaust the mass
-        spec = ChainSpec(floor=0, rows={1: np.array([1e-7, 1.0 - 1e-7])})
+        spec = ChainSpec(floor=0, probs=np.array([1e-7, 1.0 - 1e-7]))
         with pytest.raises(RuntimeError):
             exact_zero_decrement_pmf(spec, 1)
 
@@ -195,11 +214,11 @@ class TestMultiStartDp:
 
     def test_error_names_the_first_unfinished_start(self):
         slow = 1.0 - 1e-7  # about 10^8 counts to exhaust the mass
-        spec = ChainSpec(floor=0, rows={
-            1: np.array([0.5, 0.5]),
-            2: np.array([0.0, 1.0 - slow, slow]),
-            3: np.array([0.0, 0.0, 1.0 - slow, slow]),
-        })
+        spec = ChainSpec(floor=0, probs=np.concatenate([
+            [0.5, 0.5],
+            [0.0, 1.0 - slow, slow],
+            [0.0, 0.0, 1.0 - slow, slow],
+        ]))
         with pytest.raises(RuntimeError, match="^start state 3: "):
             exact_zero_decrement_pmfs(spec, [1, 3, 2])
         with pytest.raises(RuntimeError, match="^start state 2: "):
@@ -222,8 +241,8 @@ class TestSieveChainSpec:
     def test_rows_sum_to_one(self):
         for wlaw in (BetaW(2, 3), BetaW(0.5, 1.5), ConstantW(0.3)):
             spec = sieve_chain_spec(wlaw, 80)
-            for row in spec.rows.values():
-                assert abs(row.sum() - 1.0) <= 1e-12
+            for i in range(1, 81):
+                assert abs(spec.row(i).sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("wlaw", [UniformW(), BetaW(2, 3), BetaW(0.5, 1.5), ConstantW(0.3)])
     def test_moment_ratios_match_mixed_moments(self, wlaw):
@@ -321,6 +340,7 @@ class TestSamplers:
     def test_floor_start(self):
         spec = barrier_chain_spec([0.5, 0.5], 10)
         assert sample_zero_decrements(spec, 1, 1, RngStream(2, 3).generator()).tolist() == [0]
+        assert sample_geometric_rep(spec, 1, 3, RngStream(2, 3).generator()).tolist() == [0] * 3
 
 
 class _CountingGenerator:
@@ -342,7 +362,7 @@ class _CountingGenerator:
 class TestTableAndBisection:
     @staticmethod
     def assert_bisection_matches(spec, n, seed):
-        cum, start, stay = chains._cum_table(spec, n)
+        cum, start, stay = spec.cum, spec.start, spec.stay
         states = range(spec.floor + 1, n + 1)
         rows = [cum[a:a + i - spec.floor + 1] for i, a in zip(states, start)]
         for i, row, s in zip(states, rows, stay):
@@ -397,30 +417,6 @@ class TestTableAndBisection:
         sampler(spec, 200, 500, rng)
         assert rounds[0] == 500 and len(rounds) > 1
         assert rng.calls == per_round * len(rounds)
-
-    @pytest.mark.parametrize("sampler", [sample_zero_decrements, sample_geometric_rep])
-    def test_no_table_without_a_live_replicate(self, sampler, monkeypatch):
-        def refusing(spec, n):
-            raise AssertionError("the table was built")
-
-        monkeypatch.setattr(chains, "_cum_table", refusing)
-        spec = barrier_chain_spec([0.5, 0.5], 10)
-        rng = RngStream(7, 1).generator()
-        assert sampler(spec, 10, 0, rng).size == 0  # the chunk runner's payload check
-        assert sampler(spec, 1, 3, rng).tolist() == [0, 0, 0]  # start at the floor
-
-    def test_one_table_per_spec(self):
-        # both samplers, and every chunk drawn in one process, share the table
-        spec = barrier_chain_spec([0.5, 0.5], 20)
-        rng = RngStream(7, 2).generator()
-        sample_zero_decrements(spec, 10, 5, rng)
-        table = spec._table
-        for sampler, n in [(sample_geometric_rep, 10), (sample_zero_decrements, 4),
-                           (sample_geometric_rep, 10)]:
-            sampler(spec, n, 5, rng)
-            assert spec._table is table
-        sample_zero_decrements(spec, 20, 5, rng)  # a start above the table's rebuilds it
-        assert spec._table[1].size == 20 - spec.floor
 
 
 class TestSamplerGrouping:
@@ -505,10 +501,8 @@ class TestMixedPoissonDiagnostic:
 
 def assert_round_trip(spec):
     clone = chain_from_json(chain_to_json(spec))
-    assert clone.floor == spec.floor
-    assert set(clone.rows) == set(spec.rows)
-    for i in spec.rows:
-        assert np.array_equal(clone.rows[i], spec.rows[i])
+    assert (clone.floor, clone.n_max) == (spec.floor, spec.n_max)
+    assert clone.probs.tobytes() == spec.probs.tobytes()
 
 
 class TestJsonRoundTrip:
@@ -539,3 +533,13 @@ class TestJsonRoundTrip:
     def test_invalid_payload_rejected(self):
         with pytest.raises(ValueError):
             chain_from_json(json.dumps({"floor": 0, "rows": {"1": ["0.5", "0.4"]}}))
+
+    @pytest.mark.parametrize("rows,state", [({"1": ["0.5", "0.5"], "3": ["0.5"] * 4 + ["0"]}, 2),
+                                            ({"2": ["0.5"] * 3}, 1),
+                                            ({"1": ["0.5", "0.5"], "2": ["0.5", "0.5"]}, 2)],
+                             ids=["gap", "no-first-row", "short-row"])
+    def test_rows_of_other_states_or_lengths_are_refused(self, rows, state, monkeypatch):
+        # refused before the spec is built
+        monkeypatch.setattr(chains, "ChainSpec", None)
+        with pytest.raises(ValueError, match=f"^state {state} has no row of {state + 1} entries"):
+            chain_from_json(json.dumps({"floor": 0, "rows": rows}))

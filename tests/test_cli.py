@@ -105,13 +105,16 @@ class TestChunkPlan:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and maps in this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records the pool size asked for,
+    calls the pool's initializer and maps in this process, so no worker is
+    started."""
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -120,6 +123,15 @@ class _RecordingPool:
         return False
 
     map = staticmethod(map)
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("this payload must not be pickled")
+
+
+def _draw_with(rng, count, unpicklable, width):
+    return rng.random((count, width))
 
 
 class TestJobs:
@@ -138,6 +150,27 @@ class TestJobs:
         assert cli._run_chunks(chunk_size, 1, 2 * CHUNK, 1, ()) == [CHUNK, CHUNK]
         assert cli._run_chunks(chunk_size, 1, CHUNK, 8, ()) == [CHUNK]
         assert _RecordingPool.sizes == []
+
+    def test_payload_reaches_each_worker_once_and_unpickled(self):
+        # under fork the pool workers inherit the payload: a payload that
+        # cannot be pickled is drawn from at --jobs 2 exactly as at --jobs 1
+        payload = (_Unpicklable(), 3)
+        want = cli._run_chunks(_draw_with, 4, 3 * CHUNK, 1, payload, reduce=np.sum)
+        assert cli._run_chunks(_draw_with, 4, 3 * CHUNK, 2, payload, reduce=np.sum) == want
+        assert len(want) == 3 and cli._run is None  # no run outlives its call
+
+    def test_run_is_cleared_after_a_failed_chunk(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+
+        def failing(rng, count):
+            if count:
+                raise RuntimeError("chunk failed")
+            return np.zeros(0)
+
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                cli._run_chunks(failing, 1, 2 * CHUNK, jobs, ())
+            assert cli._run is None
 
     def test_each_flag_is_parsed_once(self, tmp_path, monkeypatch):
         # the parent parses each law flag and hands every chunk the object
@@ -643,6 +676,19 @@ class TestMarkovCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("non-finite" in err) != ("never leaves" in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [{"1": ["0.5", "0.5"], "3": ["0.25"] * 4}, {"1": ["1.0"]}],
+                             ids=["gap", "short-row"])
+    def test_rows_not_of_states_floor_to_n_max_exit_two(self, rows, tmp_path, capsys):
+        # the gap spec used to run at an --n below the gap
+        spec_path, out = tmp_path / "chain.json", tmp_path / "out"
+        spec_path.write_text(json.dumps({"floor": 0, "rows": rows}))
+        code = run_cli("markov", "--spec-json", spec_path, "--n", "1", "--reps", "2000",
+                       "--seed", "1", "--jobs", "1", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("chain", ["barrier:dyadic:junk", "barrier:dyadic:7", "barrier:geom",

@@ -209,8 +209,21 @@ def _z_draws(alpha: float, beta: float, seed: int, jobs: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# the criteria: each check returns (passed, details, metrics)
 
-def crit_01_exact_dp_geometric(seed: int, jobs: int) -> CriterionResult:
+_CRITERIA: dict = {}  # number -> (name, check)
+
+
+def _criterion(number: int, name: str):
+    """Register ``check(seed, jobs)`` as criterion ``number``, reported as ``name``."""
+    def register(check):
+        _CRITERIA[number] = (name, check)
+        return check
+    return register
+
+
+@_criterion(1, "exact geometric law from the zero-decrement DP")
+def _exact_dp_geometric(seed: int, jobs: int):
     """Every chain with s_{j,floor} = s_{j,j} has the geometric(1/2) law."""
     specs = {
         "uniform sieve": chains.sieve_chain_spec(sieve.UniformW(), 60),
@@ -225,27 +238,25 @@ def crit_01_exact_dp_geometric(seed: int, jobs: int) -> CriterionResult:
             target = chains.geometric_pmf(0.5, m_top + 1).masses
             worst = max(worst, float(np.abs(pmf.masses[: m_top + 1] - target).max()))
     passed = worst <= EXACT_TOL
-    return CriterionResult(
-        1, "exact geometric law from the zero-decrement DP", passed,
-        f"max |pmf(m) - 2^-(m+1)| = {worst:.2e} over n <= 60, m <= 40 (tol {EXACT_TOL:g})",
-        {"max_abs_err": worst},
-    )
+    return (passed,
+            f"max |pmf(m) - 2^-(m+1)| = {worst:.2e} over n <= 60, m <= 40 (tol {EXACT_TOL:g})",
+            {"max_abs_err": worst})
 
 
-def crit_02_moment_identities(seed: int, jobs: int) -> CriterionResult:
+@_criterion(2, "moment-formula identities")
+def _moment_identities(seed: int, jobs: int):
     worst = 0.0
     for alpha in np.arange(0.1, 0.95, 0.1):
         alpha = round(float(alpha), 10)
         worst = max(worst, *(max(e) for e in moment_identity_errors(alpha, range(1, 7))))
     passed = worst <= EXACT_TOL
-    return CriterionResult(
-        2, "moment-formula identities", passed,
-        f"max relative error {worst:.2e} over alpha grid, n <= 6 (tol {EXACT_TOL:g})",
-        {"max_rel_err": worst},
-    )
+    return (passed,
+            f"max relative error {worst:.2e} over alpha grid, n <= 6 (tol {EXACT_TOL:g})",
+            {"max_rel_err": worst})
 
 
-def crit_03_pathint_moments(seed: int, jobs: int) -> CriterionResult:
+@_criterion(3, "path-integral sampler moments")
+def _pathint_moments(seed: int, jobs: int):
     combos = [(0.5, 0.0), (0.5, 0.25), (0.75, 0.5), (0.5, 0.5)]
     fails, details = [], []
     for alpha, beta in combos:
@@ -257,14 +268,13 @@ def crit_03_pathint_moments(seed: int, jobs: int) -> CriterionResult:
                 fails.append((alpha, beta, order))
             details.append(f"({alpha},{beta}) m{order} {est.mean:.4f}~{target:.4f}")
     passed = not fails
-    return CriterionResult(
-        3, "path-integral sampler moments", passed,
-        f"grid 1e-4, 1e5 draws; {'all within 3SE+2%' if passed else f'failures: {fails}'}",
-        {"summary": details},
-    )
+    return (passed,
+            f"grid 1e-4, 1e5 draws; {'all within 3SE+2%' if passed else f'failures: {fails}'}",
+            {"summary": details})
 
 
-def crit_04_special_case_laws(seed: int, jobs: int) -> CriterionResult:
+@_criterion(4, "special-case laws (exponential and Mittag-Leffler)")
+def _special_case_laws(seed: int, jobs: int):
     z_aa = _z_draws(0.5, 0.5, seed, jobs)[:10_000]
     d_exp = stats.ks_one_sample(z_aa, lambda x: -np.expm1(-np.maximum(x, 0.0)))
     z_a0 = _z_draws(0.5, 0.0, seed, jobs)[:10_000]
@@ -272,27 +282,26 @@ def crit_04_special_case_laws(seed: int, jobs: int) -> CriterionResult:
     ml = limitlaw.sample_mittag_leffler(0.5, rng, size=10_000)
     d_ml = stats.ks_two_sample(z_a0, ml)
     passed = d_exp <= 0.02 and d_ml <= 0.025
-    return CriterionResult(
-        4, "special-case laws (exponential and Mittag-Leffler)", passed,
-        f"KS vs Exp(1) {d_exp:.4f} (tol 0.02); KS path-integral vs direct ML {d_ml:.4f} (tol 0.025)",
-        {"ks_exponential": d_exp, "ks_mittag_leffler": d_ml},
-    )
+    return (passed,
+            f"KS vs Exp(1) {d_exp:.4f} (tol 0.02); "
+            f"KS path-integral vs direct ML {d_ml:.4f} (tol 0.025)",
+            {"ks_exponential": d_exp, "ks_mittag_leffler": d_ml})
 
 
-def crit_05_expfunctional_agreement(seed: int, jobs: int) -> CriterionResult:
+@_criterion(5, "exponential-functional sampler agreement")
+def _expfunctional_agreement(seed: int, jobs: int):
     rng = RngStream(seed, 50).generator()
     z_ef = limitlaw.sample_z_expfunctional(limitlaw.AlphaBeta(0.5, 0.25), 1e-4, rng, size=10_000)
     z_pi = _z_draws(0.5, 0.25, seed, jobs)[:10_000]
     d = stats.ks_two_sample(z_ef, z_pi)
     passed = d <= 0.03
-    return CriterionResult(
-        5, "exponential-functional sampler agreement", passed,
-        f"KS vs path integral at (0.5, 0.25), eps 1e-4: {d:.4f} (tol 0.03)",
-        {"ks": d},
-    )
+    return (passed,
+            f"KS vs path integral at (0.5, 0.25), eps 1e-4: {d:.4f} (tol 0.03)",
+            {"ks": d})
 
 
-def crit_06_laplace_exponent(seed: int, jobs: int) -> CriterionResult:
+@_criterion(6, "truncated-jump Laplace exponent")
+def _laplace_exponent(seed: int, jobs: int):
     rng = RngStream(seed, 60).generator()
     eps, reps = 1e-3, 200_000
     fails, worst = [], 0.0
@@ -308,15 +317,14 @@ def crit_06_laplace_exponent(seed: int, jobs: int) -> CriterionResult:
             if gap > tol:
                 fails.append((alpha, x))
     passed = not fails
-    return CriterionResult(
-        6, "truncated-jump Laplace exponent", passed,
-        f"eps 1e-3 with small-jump mean drift; worst relative gap {worst:.2%}"
-        + ("" if passed else f"; failures {fails}"),
-        {"worst_rel_gap": worst},
-    )
+    return (passed,
+            f"eps 1e-3 with small-jump mean drift; worst relative gap {worst:.2%}"
+            + ("" if passed else f"; failures {fails}"),
+            {"worst_rel_gap": worst})
 
 
-def crit_07_chain_sampler_agreement(seed: int, jobs: int) -> CriterionResult:
+@_criterion(7, "chain sampler three-way agreement")
+def _chain_sampler_agreement(seed: int, jobs: int):
     n, reps = 30, 100_000
     worst = 0.0
     lines = []
@@ -331,40 +339,37 @@ def crit_07_chain_sampler_agreement(seed: int, jobs: int) -> CriterionResult:
         worst = max(worst, *tvs)
         lines.append(f"{label}: {max(tvs):.4f}")
     passed = worst <= TV_TOL
-    return CriterionResult(
-        7, "chain sampler three-way agreement", passed,
-        f"worst pairwise TV at n=30, 1e5 reps: {worst:.4f} (tol {TV_TOL}; {'; '.join(lines)})",
-        {"worst_tv": worst},
-    )
+    return (passed,
+            f"worst pairwise TV at n=30, 1e5 reps: {worst:.4f} (tol {TV_TOL}; {'; '.join(lines)})",
+            {"worst_tv": worst})
 
 
-def crit_08_symmetric_geometric(seed: int, jobs: int) -> CriterionResult:
+@_criterion(8, "symmetric-W geometric empty-box law")
+def _symmetric_geometric(seed: int, jobs: int):
     empty, truncated = _sample(8, seed, jobs)
     worst = max(geometric_half_check(chains.empirical_pmf(column))[0] for column in empty.T)
     passed = worst <= TV_TOL and truncated == 0
-    return CriterionResult(
-        8, "symmetric-W geometric empty-box law", passed,
-        f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} "
-        f"(tol {TV_TOL})"
-        + (f"; {truncated} replicates truncated" if truncated else ""),
-        {"worst_tv": worst, "truncated": truncated},
-    )
+    return (passed,
+            f"worst TV vs geometric(1/2) over uniform/beta(2,2), n in {{5,50,500}}: {worst:.4f} "
+            f"(tol {TV_TOL})"
+            + (f"; {truncated} replicates truncated" if truncated else ""),
+            {"worst_tv": worst, "truncated": truncated})
 
 
-def crit_09_chain_vs_sieve(seed: int, jobs: int) -> CriterionResult:
+@_criterion(9, "chain DP vs sieve occupancy")
+def _chain_vs_sieve(seed: int, jobs: int):
     (balls,) = SAMPLES[9][3]
     dp = chains.exact_zero_decrement_pmf(chains.sieve_chain_spec(sieve.UniformW(), balls), balls)
     emp = chains.empirical_pmf(_sample(9, seed, jobs), width=dp.masses.size)
     tv = stats.tv_distance(emp, dp)
     passed = tv <= TV_TOL
-    return CriterionResult(
-        9, "chain DP vs sieve occupancy", passed,
-        f"TV between DP law and interval-allocation sample at n=100: {tv:.4f} (tol {TV_TOL})",
-        {"tv": tv},
-    )
+    return (passed,
+            f"TV between DP law and interval-allocation sample at n=100: {tv:.4f} (tol {TV_TOL})",
+            {"tv": tv})
 
 
-def crit_10_conditional_formulas(seed: int, jobs: int) -> CriterionResult:
+@_criterion(10, "conditional mean/variance formulas")
+def _conditional_formulas(seed: int, jobs: int):
     t = 100.0
     freqs = sieve.FrequencySeq(sieve.UniformW(), RngStream(seed, 100).generator())
     mean_formula = sieve.mean_empty_given_freqs(freqs, t)
@@ -379,28 +384,27 @@ def crit_10_conditional_formulas(seed: int, jobs: int) -> CriterionResult:
     var_rel = abs(var_emp - var_formula) / var_formula
     var_ok = var_rel <= 0.05
     passed = mean_ok and var_ok
-    return CriterionResult(
-        10, "conditional mean/variance formulas", passed,
-        f"mean {est.mean:.4f} vs {mean_formula:.4f} (3SE {3*est.stderr:.4f}); "
-        f"variance {var_emp:.4f} vs {var_formula:.4f} (rel {var_rel:.2%}, tol 5%)",
-        {"mean_gap": abs(est.mean - mean_formula), "var_rel": var_rel},
-    )
+    return (passed,
+            f"mean {est.mean:.4f} vs {mean_formula:.4f} (3SE {3*est.stderr:.4f}); "
+            f"variance {var_emp:.4f} vs {var_formula:.4f} (rel {var_rel:.2%}, tol 5%)",
+            {"mean_gap": abs(est.mean - mean_formula), "var_rel": var_rel})
 
 
-def crit_11_window_statistic_trend(seed: int, jobs: int) -> CriterionResult:
+@_criterion(11, "weighted-window statistic mean trend")
+def _window_statistic_trend(seed: int, jobs: int):
     target = limitlaw.z_moment(limitlaw.AlphaBeta(0.5, 0.25), 1)
     rel_errs = np.abs(_sample(11, seed, jobs).mean(axis=0) - target) / target
     monotone = bool(rel_errs[0] > rel_errs[1] > rel_errs[2])
     passed = rel_errs[2] <= 0.15 and monotone
-    return CriterionResult(
-        11, "weighted-window statistic mean trend", passed,
-        f"relative errors at t=1e2/1e3/1e4: {rel_errs[0]:.2%}/{rel_errs[1]:.2%}/{rel_errs[2]:.2%} "
-        f"(final tol 15%, monotone decrease {'yes' if monotone else 'NO'})",
-        {"rel_errs": [float(x) for x in rel_errs]},
-    )
+    return (passed,
+            f"relative errors at t=1e2/1e3/1e4: "
+            f"{rel_errs[0]:.2%}/{rel_errs[1]:.2%}/{rel_errs[2]:.2%} "
+            f"(final tol 15%, monotone decrease {'yes' if monotone else 'NO'})",
+            {"rel_errs": [float(x) for x in rel_errs]})
 
 
-def crit_12_walk_functionals_vs_limit(seed: int, jobs: int) -> CriterionResult:
+@_criterion(12, "walk functionals vs limit law at log t = 1e4")
+def _walk_functionals_vs_limit(seed: int, jobs: int):
     law, (x,), _, _ = SAMPLES[12][3]
     ratio = cli._prw_scale(law, x, "busy")  # P{xi > x} / P{eta > x}
     t_vals, r_vals = _sample(12, seed, jobs).T
@@ -410,16 +414,15 @@ def crit_12_walk_functionals_vs_limit(seed: int, jobs: int) -> CriterionResult:
     atoms = np.bincount(np.round(r_vals / ratio).astype(int))
     max_atom = float(atoms.max() / atoms.sum())
     passed = d_t <= 0.05 and d_r <= 0.05
-    return CriterionResult(
-        12, "walk functionals vs limit law at log t = 1e4", passed,
-        f"KS T {d_t:.4f}, KS R {d_r:.4f} (tol 0.05); the normalized laws sit on a "
-        f"lattice of step {ratio:.3g} whose largest atom is {max_atom:.3f}, which floors "
-        f"the KS distance near that value at this scale",
-        {"ks_T": d_t, "ks_R": d_r, "lattice_step": ratio, "max_atom": max_atom},
-    )
+    return (passed,
+            f"KS T {d_t:.4f}, KS R {d_r:.4f} (tol 0.05); the normalized laws sit on a "
+            f"lattice of step {ratio:.3g} whose largest atom is {max_atom:.3f}, which floors "
+            f"the KS distance near that value at this scale",
+            {"ks_T": d_t, "ks_R": d_r, "lattice_step": ratio, "max_atom": max_atom})
 
 
-def crit_13_mixture_growth_trend(seed: int, jobs: int) -> CriterionResult:
+@_criterion(13, "empty-box growth trend for the logarithmic mixture")
+def _mixture_growth_trend(seed: int, jobs: int):
     wlaw = sieve.LogParetoMixtureW(0.6, 0.3, 0.5)
     rng = RngStream(seed, 130).generator()
     z = _z_draws(0.6, 0.3, seed, jobs)
@@ -438,16 +441,15 @@ def crit_13_mixture_growth_trend(seed: int, jobs: int) -> CriterionResult:
     slope_note = "" if slope_ok else (
         ", OUTSIDE: the slowly varying prefactor still decays over this n range"
     )
-    return CriterionResult(
-        13, "empty-box growth trend for the logarithmic mixture", passed,
-        f"slope {slope:.3f} (band 0.3 +- 0.1{slope_note}); KS sequence "
-        + "/".join(f"{d:.3f}" for d in ks_seq)
-        + (" non-increasing" if ks_monotone else " NOT non-increasing"),
-        {"slope": slope, "ks_sequence": ks_seq},
-    )
+    return (passed,
+            f"slope {slope:.3f} (band 0.3 +- 0.1{slope_note}); KS sequence "
+            + "/".join(f"{d:.3f}" for d in ks_seq)
+            + (" non-increasing" if ks_monotone else " NOT non-increasing"),
+            {"slope": slope, "ks_sequence": ks_seq})
 
 
-def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
+@_criterion(14, "mixed-Poisson diagnostics")
+def _mixed_poisson_diagnostics(seed: int, jobs: int):
     rng = RngStream(seed, 140).generator()
     problems = []
     # constructed mixed-Poisson inputs must pass
@@ -479,15 +481,15 @@ def crit_14_mixed_poisson_diagnostics(seed: int, jobs: int) -> CriterionResult:
     if tv > 0.02:
         problems.append(f"TV vs mixed-Poisson limit {tv:.4f} > 0.02")
     passed = not problems
-    return CriterionResult(
-        14, "mixed-Poisson diagnostics", passed,
-        f"constructed inputs pass; sieve sample passes; TV vs mixed-Poisson limit {tv:.4f} (tol 0.02)"
-        if passed else "; ".join(problems),
-        {"tv_vs_limit": tv, "truncated": truncated},
-    )
+    return (passed,
+            f"constructed inputs pass; sieve sample passes; "
+            f"TV vs mixed-Poisson limit {tv:.4f} (tol 0.02)"
+            if passed else "; ".join(problems),
+            {"tv_vs_limit": tv, "truncated": truncated})
 
 
-def crit_15_determinism(seed: int, jobs: int) -> CriterionResult:
+@_criterion(15, "seeded determinism and parallelism independence")
+def _determinism(seed: int, jobs: int):
     argv_base = [
         "sieve", "--wlaw", "uniform", "--balls", "50",
         "--reps", "12000", "--seed", str(seed), "--format", "csv",
@@ -498,8 +500,7 @@ def crit_15_determinism(seed: int, jobs: int) -> CriterionResult:
         with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
             code = cli.main(argv_base + ["--out", tmp, "--jobs", str(run_jobs)])
             if code != 0:
-                return CriterionResult(15, "seeded determinism and parallelism independence",
-                                       False, f"CLI exited {code}", {})
+                return False, f"CLI exited {code}", {}
             files = sorted(Path(tmp).iterdir())
             blobs.append({f.name: f.read_bytes() for f in files})
     identical = blobs[0] == blobs[1]
@@ -509,36 +510,15 @@ def crit_15_determinism(seed: int, jobs: int) -> CriterionResult:
     c = RngStream(seed, 8).generator().random(64)
     stream_ok = bool(np.array_equal(a, b) and not np.array_equal(a, c))
     passed = identical and stream_ok
-    return CriterionResult(
-        15, "seeded determinism and parallelism independence", passed,
-        f"outputs byte-identical across --jobs 1/2: {identical}; "
-        f"stream reproducibility and separation: {stream_ok}",
-        {"byte_identical": identical, "stream_ok": stream_ok},
-    )
-
-
-_CRITERIA = {
-    1: crit_01_exact_dp_geometric,
-    2: crit_02_moment_identities,
-    3: crit_03_pathint_moments,
-    4: crit_04_special_case_laws,
-    5: crit_05_expfunctional_agreement,
-    6: crit_06_laplace_exponent,
-    7: crit_07_chain_sampler_agreement,
-    8: crit_08_symmetric_geometric,
-    9: crit_09_chain_vs_sieve,
-    10: crit_10_conditional_formulas,
-    11: crit_11_window_statistic_trend,
-    12: crit_12_walk_functionals_vs_limit,
-    13: crit_13_mixture_growth_trend,
-    14: crit_14_mixed_poisson_diagnostics,
-    15: crit_15_determinism,
-}
+    return (passed,
+            f"outputs byte-identical across --jobs 1/2: {identical}; "
+            f"stream reproducibility and separation: {stream_ok}",
+            {"byte_identical": identical, "stream_ok": stream_ok})
 
 
 def run_criterion(number: int, seed: int = DEFAULT_SEED, *, jobs: int) -> CriterionResult:
     try:
-        fn = _CRITERIA[number]
+        name, check = _CRITERIA[number]
     except KeyError:
         raise ValueError(f"no criterion {number}") from None
-    return fn(seed, jobs)
+    return CriterionResult(number, name, *check(seed, jobs))

@@ -16,11 +16,11 @@ replicates in lockstep; a single draw is a ``size=1`` call.  A ``ChainSpec``
 holds its rows end to end in one array, and beside it, built once, each
 row's cumulative sums, which both samplers and every chunk read: each round
 moves every live replicate by one vectorised bisection over its own row of
-them.  The direct sampler draws one uniform per live replicate, handed out
-in a stable sort by state; the embedded one draws an array of geometric stay
-counts and then an array of uniforms, both over the live replicates in index
-order.  When every row has s_{j,floor} = s_{j,j}, the law is geometric with
-success 1/2 for every n, an exactness anchor the DP is tested against at 1e-10.
+them.  Both draw over the live replicates in index order: the direct
+sampler one array of uniforms per round, the embedded one an array of
+geometric stay counts and then an array of uniforms.  When every row has
+s_{j,floor} = s_{j,j}, the law is geometric with success 1/2 for every n, an
+exactness anchor the DP is tested against at 1e-10.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -102,10 +103,11 @@ class ChainSpec:
     ``row(i)`` is a view into it.  Rows must hold finite entries, sum to 1
     within 1e-12 and carry s_{i,i-1} > 0 so absorption is certain; s_{i,i}
     must stay below 1 after rounding, as the embedded chain divides by
-    1 - s_{i,i}.  The constructor also builds what the samplers read, each
-    indexed by state - floor - 1: ``start``, each row's offset into
-    ``probs``; ``stay``, each s_{i,i}; and ``cum``, laid out as ``probs``,
-    each row's ``np.cumsum``.
+    1 - s_{i,i}; n_max must fit the samplers' int64 states.  The
+    constructor also builds what the samplers read, each indexed by
+    state - floor - 1: ``start``, each row's offset into ``probs``;
+    ``stay``, each s_{i,i}; and ``cum``, laid out as ``probs``, each row's
+    ``np.cumsum``.
     """
 
     def __init__(self, floor: int, probs):
@@ -117,6 +119,8 @@ class ChainSpec:
         if probs.ndim != 1 or (m + 1) * (m + 2) // 2 - 1 != probs.size:
             raise ValueError(f"{probs.size} probabilities fill no whole number of rows")
         self.n_max = self.floor + m
+        if self.n_max > _INT64_MAX:
+            raise ValueError(f"n_max {self.n_max} exceeds 2^63 - 1, the samplers' int64 states")
         lengths = np.arange(2, m + 2)
         ends = np.cumsum(lengths)
         self.start, self.stay = ends - lengths, probs[ends - 1]
@@ -219,18 +223,18 @@ def _bisect(cum, start, top, u):
 
 
 def sample_zero_decrements(spec: ChainSpec, n: int, size: int, rng) -> np.ndarray:
-    """Replicated direct simulation in lockstep: each round hands one uniform
-    per live replicate out in a stable sort by current state."""
+    """Replicated direct simulation in lockstep: each round draws an array of
+    uniforms u over the live replicates in index order, each placed at u in
+    its full row's cumsum."""
     spec._require_range(n)
     counts = np.zeros(size, dtype=np.int64)
     states = np.full(size, n, dtype=np.int64)
     active = np.arange(size if n > spec.floor else 0)
     while active.size:
-        sel = active[np.argsort(states[active], kind="stable")]
-        top = states[sel] - spec.floor  # position of the stay, the row's last entry
-        pos = _bisect(spec.cum, spec.start[top - 1], top, rng.random(sel.size))
-        counts[sel] += pos == top
-        states[sel] = spec.floor + pos
+        top = states[active] - spec.floor  # position of the stay, the row's last entry
+        pos = _bisect(spec.cum, spec.start[top - 1], top, rng.random(active.size))
+        counts[active] += pos == top
+        states[active] = spec.floor + pos
         active = active[states[active] > spec.floor]
     return counts
 
@@ -428,12 +432,15 @@ def chain_to_json(spec: ChainSpec) -> str:
 
 
 def chain_from_json(text: str) -> ChainSpec:
-    """The spec ``chain_to_json`` wrote; one whose rows are not those of the states
-    floor+1..n_max, each of its length, is refused before any array is built."""
+    """The spec ``chain_to_json`` wrote; one whose floor is not a JSON integer,
+    or whose rows are not those of the states floor+1..n_max, each of its
+    length, is refused before any array is built."""
     payload = json.loads(text)
     try:
         rows = {int(i): row for i, row in payload["rows"].items()}
-        floor = int(payload["floor"])
+        floor = payload["floor"]
+        if type(floor) is not int:
+            raise ValueError(f"floor must be a JSON integer, got {floor!r}")
         states = range(floor + 1, floor + 1 + len(rows))
         i = next((i for i in states if len(rows.get(i, ())) != i - floor + 1), None)
         if i is not None:

@@ -230,10 +230,8 @@ def _reduce_prw(values):
     return stats.mc_accumulate(values[:, 0])
 
 
-def _chunk_markov(rng, count, spec: chains.ChainSpec, n, method):
-    if method == "direct":
-        return chains.sample_zero_decrements(spec, n, count, rng)
-    return chains.sample_geometric_rep(spec, n, count, rng)
+def _chunk_markov(rng, count, spec: chains.ChainSpec, n, sample):
+    return sample(spec, n, count, rng)
 
 
 # ----------------------------------------------------------------------
@@ -533,8 +531,9 @@ def cmd_markov(args) -> int:
     params = {"chain": chain, "n": args.n, "reps": args.reps}
     dp = chains.exact_zero_decrement_pmf(spec, args.n)
     sim, rep = (_run_chunks(_chunk_markov, args.seed, args.reps, args.jobs,
-                            (spec, args.n, method), stream=stream, reduce=np.bincount)
-                for stream, method in enumerate(("direct", "georep")))
+                            (spec, args.n, sample), stream=stream, reduce=np.bincount)
+                for stream, sample in enumerate((chains.sample_zero_decrements,
+                                                 chains.sample_geometric_rep)))
     sim_pmf, rep_pmf, tv_sim, tv_rep, passed = acceptance.chain_sampler_check(dp, sim, rep)
     width = sim_pmf.masses.size
     # an exact sampler's mean TV at these reps, as E|p_hat - p| ~ sqrt(2 p (1 - p) /

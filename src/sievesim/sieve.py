@@ -104,8 +104,8 @@ class BetaW(WLaw):
     """W ~ Beta(a, b); mixed moments are beta-function ratios."""
 
     def __init__(self, a: float, b: float):
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"beta parameters must be positive, got ({a}, {b})")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"beta parameters must be positive and finite, got ({a}, {b})")
         self.a = float(a)
         self.b = float(b)
         self.symmetric = a == b

@@ -11,9 +11,9 @@ engine computes in bulk:
   ``sievesim.sieve.sample_occupancy(method="uniform")``;
 * ``per_start_dp``: the zero-decrement DP for one start state, the oracle of
   the multi-start ``sievesim.chains.exact_zero_decrement_pmfs``;
-* ``mask_grouped_direct``, the direct chain sampler grouped by ``np.unique``
-  and one mask per state, and ``mask_grouped_georep``, the embedded
-  representation one replicate at a time: the oracles of
+* ``per_replicate_direct`` and ``per_replicate_georep``, the direct chain
+  sampler and the embedded representation one replicate at a time, each
+  round's draws over the live replicates in index order: the oracles of
   ``sievesim.chains.sample_zero_decrements`` and ``sample_geometric_rep``.
   The chain oracles read a spec only through ``spec.row(i)`` and take
   their own ``np.cumsum``, never the spec's ``cum`` or ``stay``;
@@ -219,27 +219,25 @@ def per_start_dp(spec, n):
         prev = col
 
 
-def mask_grouped_direct(spec, n, size, rng):
-    """Direct simulation grouped by ``np.unique`` and one mask per state:
-    the reference for the table-and-bisection sampler."""
+def per_replicate_direct(spec, n, size, rng):
+    """Direct simulation one replicate at a time: each round draws one
+    uniform array u over the live replicates in index order, and each
+    replicate's next position is ``np.searchsorted`` of u on its full row's
+    cumsum.  The reference for the table-and-bisection sampler."""
     states = np.full(size, n, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
     active = np.flatnonzero(states > spec.floor)
     while active.size:
-        cur = states[active]
-        for s in np.unique(cur):
-            sel = active[cur == s]
-            cum = np.cumsum(spec.row(int(s)))
-            pos = np.minimum(np.searchsorted(cum, rng.random(sel.size), side="right"),
-                             cum.size - 1)
-            nxt = spec.floor + pos
-            counts[sel] += nxt == s
-            states[sel] = nxt
+        for r, x in zip(active, rng.random(active.size)):
+            cum = np.cumsum(spec.row(int(states[r])))
+            pos = min(np.searchsorted(cum, x, side="right"), cum.size - 1)
+            counts[r] += spec.floor + pos == states[r]
+            states[r] = spec.floor + pos
         active = active[states[active] > spec.floor]
     return counts
 
 
-def mask_grouped_georep(spec, n, size, rng):
+def per_replicate_georep(spec, n, size, rng):
     """The embedded representation one replicate at a time: each round
     draws the live replicates' stay counts as one geometric array and then
     one uniform array u, in index order, and each replicate's next position

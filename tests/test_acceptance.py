@@ -24,7 +24,16 @@ SEED = acceptance.DEFAULT_SEED
 def test_criterion(number):
     result = acceptance.run_criterion(number, seed=SEED, jobs=os.cpu_count() or 1)
     print(result.report_line(), file=sys.__stdout__)
+    assert result.number == number
     assert result.passed, result.report_line()
+
+
+def test_each_criterion_is_registered_under_one_number():
+    assert sorted(acceptance._CRITERIA) == list(acceptance.SUITES["all"])
+    names = [name for name, _ in acceptance._CRITERIA.values()]
+    assert len(set(names)) == len(names)
+    with pytest.raises(ValueError, match="no criterion 16"):
+        acceptance.run_criterion(16, jobs=1)
 
 
 # ----------------------------------------------------------------------

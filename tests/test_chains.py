@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import mask_grouped_direct, mask_grouped_georep, per_start_dp
+from oracles import per_replicate_direct, per_replicate_georep, per_start_dp
 from sievesim import chains
 from sievesim.chains import (
     _MAX_CHAIN_STATES,
@@ -123,6 +123,15 @@ class TestChainSpec:
         rows[1][0], rows[2][0] = entry, np.nan
         with pytest.raises(ValueError, match=f"^row for state 2 {message}"):
             ChainSpec(floor=0, probs=np.concatenate(rows))
+
+    def test_n_max_fits_the_samplers_int64_states(self):
+        top = int(np.iinfo(np.int64).max)
+        spec = ChainSpec(top - 1, [0.5, 0.5])
+        assert spec.n_max == top
+        for sample in (sample_zero_decrements, sample_geometric_rep):
+            assert sample(spec, top, 3, RngStream(2, 4).generator()).min() >= 0
+        with pytest.raises(ValueError, match=r"n_max 9223372036854775808 exceeds 2\^63 - 1"):
+            ChainSpec(top, [0.5, 0.5])
 
     def test_missing_row_detected(self):
         spec = ChainSpec(floor=0, probs=np.array([0.5, 0.5]))
@@ -420,16 +429,15 @@ class TestTableAndBisection:
 
 
 class TestSamplerGrouping:
-    """The table-and-bisection samplers draw exactly what their oracles draw:
-    the direct one what the mask-grouped loop draws (states ascending, each
-    state's replicates in index order), the embedded one what the
-    per-replicate loop draws (a geometric array, then a uniform array, both
-    over the live replicates in index order)."""
+    """The table-and-bisection samplers draw exactly what their per-replicate
+    oracles draw, each round over the live replicates in index order: the
+    direct one a uniform array, the embedded one a geometric array and then
+    a uniform array."""
 
     @staticmethod
     def assert_both_match(spec, n, size, seed):
-        for fast, slow in ((sample_zero_decrements, mask_grouped_direct),
-                           (sample_geometric_rep, mask_grouped_georep)):
+        for fast, slow in ((sample_zero_decrements, per_replicate_direct),
+                           (sample_geometric_rep, per_replicate_georep)):
             got_rng, want_rng = RngStream(seed, 0).generator(), RngStream(seed, 0).generator()
             got = fast(spec, n, size, got_rng)
             assert got.tobytes() == slow(spec, n, size, want_rng).tobytes()

@@ -335,9 +335,9 @@ _PAYLOADS = {
     **{cmd: (worker, payload) for cmd, (_, worker, payload, _) in _STREAMED.items()},
     "sample-z-expfunc": (cli._chunk_sample_z,
                          (limitlaw.AlphaBeta(0.5, 0.25), "expfunc", 1e-4, 1e-4)),
-    **{f"markov-{method}": (cli._chunk_markov,
-                            (chains.sieve_chain_spec(UniformW(), 8), 8, method))
-       for method in ("direct", "georep")},
+    **{f"markov-{name}": (cli._chunk_markov, (chains.sieve_chain_spec(UniformW(), 8), 8, sample))
+       for name, sample in (("direct", chains.sample_zero_decrements),
+                            ("georep", chains.sample_geometric_rep))},
 }
 
 
@@ -492,6 +492,19 @@ class TestMomentsCommand:
         csv_files = list(Path(tmp_path).glob("moments_*.csv"))
         header = csv_files[0].read_text().splitlines()[0]
         assert header.split(",")[:3] == ["config_hash", "seed", "order"]
+
+    @pytest.mark.parametrize("beta,check,column", [("0.5", "z_equals_factorial", 1),
+                                                   ("0", "z_equals_mittag_leffler", 2)])
+    def test_special_case_check_runs_at_its_beta(self, beta, check, column, tmp_path):
+        # beta = alpha and beta = 0 each add the identity that holds there
+        code = run_cli("moments", "--alpha", "0.5", "--beta", beta, "--seed", "3",
+                       "--out", tmp_path)
+        assert code == 0
+        payload = json.loads(next(tmp_path.glob("moments_*.summary.json")).read_text())
+        assert sorted(payload["checks"]) == sorted(["phi_product_identity", check])
+        errors = acceptance.moment_identity_errors(0.5, range(1, 7))
+        assert payload["checks"][check]["value"] == max(e[column] for e in errors)
+        assert payload["checks"][check]["passed"] is True
 
 
 class TestSampleZCommand:
@@ -649,6 +662,17 @@ class TestSieveCommand:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("wlaw", ["beta:inf,1", "beta:1,inf", "beta:nan,1"])
+    def test_non_finite_beta_law_exits_two(self, wlaw, tmp_path, capsys):
+        # an infinite parameter used to start the chunks and exit 3 once the
+        # redraws of endpoint values ran out
+        code = run_cli("sieve", "--wlaw", wlaw, "--balls", "10", "--reps", "10",
+                       "--jobs", "1", "--seed", "1", "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta parameters must be positive and finite")
+        assert err.count("\n") == 1 and not any(tmp_path.iterdir())
+
 
 class TestMarkovCommand:
     @pytest.mark.parametrize("spec", ['{"floor": 0, "rows": [1]}', "[1, 2]"],
@@ -689,6 +713,24 @@ class TestMarkovCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: state ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("floor,n,message", [
+        ("Infinity", "1", "error: floor must be a JSON integer, got inf"),
+        ("2.7", "3", "error: floor must be a JSON integer, got 2.7"),
+        ("10000000000000000000", "10000000000000000001",
+         "error: n_max 10000000000000000001 exceeds 2^63 - 1"),
+    ], ids=["infinite-floor", "fractional-floor", "n-max-past-int64"])
+    def test_floor_not_an_int64_state_exits_two(self, floor, n, message, tmp_path, capsys):
+        # the infinite floor and the n_max past int64 ended in an OverflowError
+        # (exit 1); the fractional floor ran as floor 2
+        spec_path, out = tmp_path / "chain.json", tmp_path / "out"
+        spec_path.write_text(f'{{"floor": {floor}, "rows": {{"{n}": ["0.5", "0.5"]}}}}')
+        code = run_cli("markov", "--spec-json", spec_path, "--n", n, "--reps", "2000",
+                       "--seed", "1", "--jobs", "1", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("chain", ["barrier:dyadic:junk", "barrier:dyadic:7", "barrier:geom",
@@ -759,16 +801,31 @@ class TestMarkovCommand:
         assert {seed for seed, _ in keys} == {5}
         assert sorted(stream for _, stream in keys) == [0, 1, 2] + [1 << 32 | c for c in range(3)]
 
+    def test_each_sample_is_its_sampler_on_its_stream(self, tmp_path):
+        # one chunk each: the direct sample on stream 0, the georep one on stream 1
+        assert run_cli("markov", "--chain", "sieve:uniform", "--n", "8", "--reps", "1000",
+                       "--seed", "5", "--jobs", "1", "--out", tmp_path) in (0, 1)
+        spec = chains.sieve_chain_spec(UniformW(), 8)
+        draws = [sample(spec, 8, 1000, RngStream(5, stream << 32).generator())
+                 for stream, sample in enumerate((chains.sample_zero_decrements,
+                                                  chains.sample_geometric_rep))]
+        sim, rep, *_ = acceptance.chain_sampler_check(
+            chains.exact_zero_decrement_pmf(spec, 8), *([np.bincount(d)] for d in draws))
+        with open(next(tmp_path.glob("markov_*.csv")), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["sim_freq"]) for r in rows] == sim.masses.tolist()
+        assert [float(r["georep_freq"]) for r in rows] == rep.masses.tolist()
+
     def test_sampling_noise_is_reported_beside_the_tolerance(self, tmp_path, capsys):
-        # at 2e4 reps the TV of an exact sampler is about 0.006 on average,
-        # so the fixed tolerance 0.01 fails this correct run
-        code = run_cli("markov", "--chain", "sieve:uniform", "--n", "30", "--reps", "20000",
+        # at 5e3 reps the TV of an exact sampler is about 0.012 on average,
+        # above the fixed tolerance 0.01, so this correct run fails
+        code = run_cli("markov", "--chain", "sieve:uniform", "--n", "30", "--reps", "5000",
                        "--seed", "20260811", "--jobs", "1", "--out", tmp_path)
         assert code == 1
-        summary = json.loads(next(tmp_path.glob("markov_*.summary.json")).read_text())
-        noise = summary["metrics"]["expected_sampling_tv"]
-        assert noise == pytest.approx(0.00594, abs=1e-5)
-        assert summary["metrics"]["tv_sim_vs_dp"] > summary["metrics"]["tv_tolerance"]
+        metrics = json.loads(next(tmp_path.glob("markov_*.summary.json")).read_text())["metrics"]
+        noise = metrics["expected_sampling_tv"]
+        assert noise == pytest.approx(0.01188, abs=1e-5) and noise > metrics["tv_tolerance"]
+        assert max(metrics["tv_sim_vs_dp"], metrics["tv_georep_vs_dp"]) > metrics["tv_tolerance"]
         assert f"expected sampling TV {noise:.5f}" in capsys.readouterr().out
 
     def test_loaded_specs_are_told_apart(self, tmp_path):
@@ -800,6 +857,19 @@ class TestPrwCommand:
         payload = json.loads(next(Path(tmp_path).glob("prw_*.summary.json")).read_text())
         # normalized renewal count has the Mittag-Leffler mean 2/pi in the limit
         assert payload["metrics"]["mean"] == pytest.approx(0.6366, abs=0.08)
+
+    def test_coupled_multiplier(self, tmp_path):
+        # eta = 2 xi; one chunk's summary mean is that of the chunk worker on
+        # chunk 0's stream
+        code = run_cli("prw", "--xi", "pareto:0.5", "--coupled-multiplier", "2", "--stat", "busy",
+                       "--t", "100", "--reps", "500", "--seed", "13", "--jobs", "1",
+                       "--out", tmp_path)
+        assert code == 0
+        payload = json.loads(next(tmp_path.glob("prw_*.summary.json")).read_text())
+        law = walks.PrwLaw.coupled(ParetoLaw(0.5), 2.0)
+        values = _chunk_prw(RngStream(13, 0).generator(), 500, law, (100.0,), ("busy",), 0.25)
+        assert payload["metrics"]["mean"] == float(values[:, 0].mean())
+        assert payload["params"]["coupled_multiplier"] == 2.0
 
     @pytest.mark.parametrize("stat", ["empty", "busy"])
     def test_zero_eta_tail_is_config_error(self, stat, tmp_path, capsys):

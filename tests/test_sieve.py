@@ -83,6 +83,9 @@ class TestWLaws:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             BetaW(0.0, 1.0)
+        for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                BetaW(a, b)
         with pytest.raises(ValueError):
             ConstantW(1.0)
         with pytest.raises(ValueError):
@@ -323,6 +326,20 @@ class TestConditionalFormulas:
         est = mc_accumulate(replay)
         assert abs(est.mean - mean_f) <= 3.0 * est.stderr
         assert abs(np.var(replay, ddof=1) - var_f) / var_f <= 0.05
+
+    def test_replay_extends_a_fresh_sequence(self):
+        # the multinomial replay draws the residuals it reaches from the
+        # sequence's own stream, so it places the balls a replay on the same
+        # sequence drawn deep beforehand places
+        fresh = FrequencySeq(UniformW(), RngStream(4, 6).generator())
+        deep = FrequencySeq(UniformW(), RngStream(4, 6).generator())
+        deep.extend_below(1e-300)
+        got, want = (sample_occupancy(UniformW(), 100, 2_000, RngStream(4, 7).generator(),
+                                      freqs=freqs, poissonized=True) for freqs in (fresh, deep))
+        assert 1 < fresh.q.size < deep.q.size
+        assert np.array_equal(fresh.q, deep.q[:fresh.q.size])
+        for name in ("occupied", "last_occupied", "empty_in_range"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_poissonization_consistency(self):
         # unconditional mean of L equals the frequency-average of the formula

@@ -100,17 +100,20 @@ class ChainSpec:
 
     ``probs`` holds the rows (s_{i,floor}, ..., s_{i,i}) of the states
     floor+1, ..., n_max laid end to end, so n_max follows from its length;
-    ``row(i)`` is a view into it.  Rows must hold finite entries, sum to 1
-    within 1e-12 and carry s_{i,i-1} > 0 so absorption is certain; s_{i,i}
-    must stay below 1 after rounding, as the embedded chain divides by
-    1 - s_{i,i}; n_max must fit the samplers' int64 states.  The
-    constructor also builds what the samplers read, each indexed by
-    state - floor - 1: ``start``, each row's offset into ``probs``;
-    ``stay``, each s_{i,i}; and ``cum``, laid out as ``probs``, each row's
-    ``np.cumsum``.
+    ``row(i)`` is a view into it.  ``floor`` must be a nonnegative integer
+    (a Python or numpy int, not a bool).  Rows must hold finite entries,
+    sum to 1 within 1e-12 and carry s_{i,i-1} > 0 so absorption is
+    certain; s_{i,i} must stay below 1 after rounding, as the embedded
+    chain divides by 1 - s_{i,i}; n_max must fit the samplers' int64
+    states.  The constructor also builds what the samplers read, each
+    indexed by state - floor - 1: ``start``, each row's offset into
+    ``probs``; ``stay``, each s_{i,i}; and ``cum``, laid out as ``probs``,
+    each row's ``np.cumsum``.
     """
 
     def __init__(self, floor: int, probs):
+        if isinstance(floor, bool) or not isinstance(floor, (int, np.integer)):
+            raise ValueError(f"floor must be an integer, got {floor!r}")
         if floor < 0:
             raise ValueError(f"floor must be nonnegative, got {floor}")
         self.floor = int(floor)

@@ -6,9 +6,11 @@ Three routes to the same distribution are implemented and cross-checked:
 * analytic moments (``z_moment``, with ``mittag_leffler_moment`` as the
   beta = 0 special case and the standard exponential at beta = alpha);
 * a path-integral sampler driven by a grid-discretized stable subordinator
-  (exact increments from ``randkit._standard_stable``: Levy draws 1/(2*N^2)
-  at alpha = 1/2, Kanter's construction otherwise); at beta = 0 its draw is
-  the grid first-passage time of level 1, so no separate path object is kept;
+  (exact increments from ``randkit._standard_stable``: at alpha = 1/2 Levy
+  draws in pairs, 1/(4E cos^2(pi U/2)) and 1/(4E sin^2(pi U/2)) from one
+  uniform U and one exponential E, Kanter's construction otherwise); at
+  beta = 0 its draw is the grid first-passage time of level 1, so no
+  separate path object is kept;
 * an exponential-functional sampler ``integral_0^T exp(-c*Y(t)) dt`` with
   c = (alpha-beta)/alpha, T standard exponential, and Y the subordinator
   whose Laplace exponent is ``phi_alpha``.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randkit import _standard_stable, sample_uniform01
+from .randkit import _stable_buffer, _standard_stable, sample_uniform01
 
 __all__ = [
     "AlphaBeta",
@@ -174,8 +176,11 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n):
     """Lockstep path-integral draws: all paths advance through shared
     increment blocks; finished paths drop out of the active set.  Each path
     draws at most ``_MAX_PATH_STEPS`` increments, read at call time: the last
-    block is clipped to it."""
+    block is clipped to it.  One set of flat buffers, sized for the first
+    (n, _PATH_BLOCK) block, serves every block."""
     max_steps = _MAX_PATH_STEPS
+    buf = _stable_buffer(n * _PATH_BLOCK)
+    mask = np.empty(n * _PATH_BLOCK, dtype=bool)
     z = np.zeros(n)
     x = np.zeros(n)
     active = np.arange(n)
@@ -187,20 +192,22 @@ def _pathint_block(alpha, beta, grid_step, scale, rng, n):
             raise RuntimeError(f"path-integral sampler exceeded the step budget of {max_steps} "
                                f"({active.size} of {n} paths)")
         width = min(_PATH_BLOCK, max_steps - steps)
-        inc = _standard_stable(alpha, rng, size=(active.size, width))
+        shape = (active.size, width)
+        inc = _standard_stable(alpha, rng, shape, buf)
         inc *= scale
         cum = np.cumsum(inc, axis=1, out=inc)
         cum += x[active, None]
-        below = cum < 1.0
-        if beta != 0.0:
-            # the weight is evaluated only below the level: 1 - cum > 0 there
-            weight = np.power(1.0 - cum, -beta, out=np.zeros_like(cum), where=below)
-            z[active] += grid_step * weight.sum(axis=1)
-        else:
-            z[active] += grid_step * below.sum(axis=1)
-        alive = below[:, -1]
+        crossed = np.greater_equal(cum, 1.0, out=mask[:inc.size].reshape(shape))
         x[active] = cum[:, -1]
-        active = active[alive]
+        if beta != 0.0:
+            # a crossed grid value becomes +inf, whose weight (+inf)^(-beta)
+            # is +0.0, so the singular integrand is never evaluated at 0
+            w = np.subtract(1.0, cum, out=cum)
+            np.copyto(w, np.inf, where=crossed)
+            z[active] += grid_step * np.power(w, -beta, out=w).sum(axis=1)
+        else:
+            z[active] += grid_step * (width - np.count_nonzero(crossed, axis=1))
+        active = active[~crossed[:, -1]]
         steps += width
     return z
 

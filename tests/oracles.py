@@ -19,6 +19,10 @@ engine computes in bulk:
   their own ``np.cumsum``, never the spec's ``cum`` or ``stay``;
 * ``kanter_sine_form``: Kanter's construction from three sines, the oracle
   of the tan half-angle form in ``sievesim.randkit._kanter_stable``;
+* ``levy_pair_form``: the two Levy draws of one (U, E) pair from plain
+  ``np.cos`` and ``np.sin``, and ``levy_pair_draws``, a whole call's draws
+  from it: the oracles of the alpha = 1/2 route of
+  ``sievesim.randkit._standard_stable``;
 * ``levy_density``: the Levy density of the subordinator Y, the quadrature
   oracle of ``sievesim.limitlaw.levy_tail_mass`` and ``sample_levy_jump``.
 """
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sievesim.chains import DEFICIT_CAP, Pmf
+from sievesim.randkit import sample_uniform01
 from sievesim.sieve import FrequencySeq, WLaw, _check_balls
 from sievesim.walks import _MARGIN, _MAX_WALK_STEPS, PrwLaw, _double_exp
 
@@ -271,6 +276,24 @@ def kanter_sine_form(alpha, u, e):
         - (1.0 + frac) * np.log(np.sin(pu))
     )
     return np.exp((log_a - np.log(e)) * (1.0 / frac))
+
+
+def levy_pair_form(u, e):
+    """Kanter's formula at alpha = 1/2, 1/(4E cos^2(pi U/2)), at U and at
+    1 - U: the two Levy draws of one (U, E) pair, as arrays of u's shape."""
+    theta = 0.5 * np.pi * u
+    return 0.25 / (e * np.cos(theta) ** 2), 0.25 / (e * np.sin(theta) ** 2)
+
+
+def levy_pair_draws(rng, size):
+    """The alpha = 1/2 draws of a size-``size`` call from ``levy_pair_form``:
+    ceil(k/2) uniforms, then as many exponentials, both halves end to end,
+    trimmed to k."""
+    k = int(np.prod(size))
+    half = k - k // 2
+    u = sample_uniform01(rng, half)
+    s1, s2 = levy_pair_form(u, rng.standard_exponential(half))
+    return np.concatenate([s1, s2])[:k].reshape(size)
 
 
 def levy_density(alpha, t):

@@ -124,6 +124,15 @@ class TestChainSpec:
         with pytest.raises(ValueError, match=f"^row for state 2 {message}"):
             ChainSpec(floor=0, probs=np.concatenate(rows))
 
+    @pytest.mark.parametrize("floor", [2.7, 2.0, True, False, "1", None])
+    def test_floor_must_be_an_integer(self, floor):
+        with pytest.raises(ValueError, match="^floor must be an integer, got "):
+            ChainSpec(floor, [0.5, 0.5])
+
+    def test_numpy_integer_floor(self):
+        spec = ChainSpec(np.int64(2), [0.5, 0.5])
+        assert (spec.floor, spec.n_max) == (2, 3)
+
     def test_n_max_fits_the_samplers_int64_states(self):
         top = int(np.iinfo(np.int64).max)
         spec = ChainSpec(top - 1, [0.5, 0.5])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from oracles import kanter_sine_form, levy_density
+from oracles import kanter_sine_form, levy_density, levy_pair_draws
 from sievesim import limitlaw
 from sievesim.limitlaw import (
     AlphaBeta,
@@ -22,7 +22,7 @@ from sievesim.limitlaw import (
     small_jump_mean,
     z_moment,
 )
-from sievesim.randkit import RngStream, _standard_stable, sample_uniform01
+from sievesim.randkit import RngStream, sample_uniform01
 from sievesim.stats import ks_one_sample, mc_accumulate
 
 
@@ -204,20 +204,13 @@ class TestZSamplers:
         assert np.all(draws > 0.0)
 
 
-class _UnitNormal:
-    """Generator stand-in whose normal draws are all exactly 1.0."""
-
-    def standard_normal(self, size):
-        return np.ones(size)
-
-
 def _replayed_pathint(alpha, beta, h, scale, rng):
     """Plain reference for one path-integral draw: replay the engine's
     (1, 64) increment blocks and add h * (1 - X)^(-beta) over the grid
     values X < 1 before the first X >= 1, starting with X(0) = 0."""
     total, x = h, 0.0
     while True:
-        grid = x + np.cumsum(scale * _standard_stable(alpha, rng, size=(1, 64))[0])
+        grid = x + np.cumsum(scale * limitlaw._standard_stable(alpha, rng, size=(1, 64))[0])
         for value in map(float, grid):
             if not value < 1.0:
                 return total
@@ -237,19 +230,21 @@ class TestPathintReplay:
         assert draw[0] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.0, 0.25])
-    def test_grid_value_at_one_counts_as_crossed(self, beta):
-        # unit normals at alpha = 1/2 and scale 1 give increments of exactly
-        # 0.5: the grid runs 0, 0.5, 1.0, and 1.0 is the crossing, so the
-        # infinite weight (1 - 1.0)^(-beta) never enters the sum
+    def test_grid_value_at_one_counts_as_crossed(self, beta, monkeypatch):
+        # increments of exactly 0.5 at scale 1 make the grid run 0, 0.5,
+        # 1.0, and 1.0 is the crossing, so the infinite weight
+        # (1 - 1.0)^(-beta) never enters the sum
+        monkeypatch.setattr(limitlaw, "_standard_stable",
+                            lambda alpha, rng, size, buf=None: np.full(size, 0.5))
         h = 0.1
         expected = h + h * 0.5**-beta
-        assert _replayed_pathint(0.5, beta, h, 1.0, _UnitNormal()) == expected
-        z = _pathint_block(0.5, beta, h, 1.0, _UnitNormal(), 3)
+        assert _replayed_pathint(0.5, beta, h, 1.0, None) == expected
+        z = _pathint_block(0.5, beta, h, 1.0, None, 3)
         np.testing.assert_allclose(z, expected, rtol=1e-15, atol=0.0)
 
 
-def _levy_increments(alpha, rng, size):
-    return 0.5 / np.square(rng.standard_normal(size=size))
+def _pair_form_increments(alpha, rng, size):
+    return levy_pair_draws(rng, size)
 
 
 def _sine_kanter_increments(alpha, rng, size):
@@ -276,16 +271,16 @@ def _out_of_place_pathint(alpha, beta, h, scale, rng, n, increments):
     return z
 
 
-class _RecordingNormals(np.random.Generator):
-    """Philox generator that records the shape of every normal block."""
+class _RecordingUniforms(np.random.Generator):
+    """Philox generator that records the size of every uniform block."""
 
     def __init__(self, seed):
         super().__init__(np.random.Philox(seed))
         self.sizes = []
 
-    def standard_normal(self, size=None, **kwargs):
+    def random(self, size=None, dtype=np.float64, out=None):
         self.sizes.append(size)
-        return super().standard_normal(size=size, **kwargs)
+        return super().random(size=size, dtype=dtype, out=out)
 
 
 class TestPathintEngine:
@@ -295,8 +290,10 @@ class TestPathintEngine:
         scale = (math.gamma(0.5) * h) ** 2.0
         z = _pathint_block(0.5, beta, h, scale, RngStream(41, 0).generator(), n)
         ref = _out_of_place_pathint(0.5, beta, h, scale, RngStream(41, 0).generator(), n,
-                                    _levy_increments)
-        assert np.array_equal(z, ref)
+                                    _pair_form_increments)
+        # equal up to the rounding of tan against cos and sin, which
+        # (1 - X)^(-beta) amplifies near the level
+        np.testing.assert_allclose(z, ref, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("alpha,beta", [(0.6, 0.0), (0.6, 0.3), (0.75, 0.5)])
     def test_kanter_draws_match_the_sine_form_loop(self, alpha, beta):
@@ -318,12 +315,14 @@ class TestPathintEngine:
         return int(re.search(r"\((\d+) of", str(info.value))[1])
 
     def test_budget_clips_the_last_block(self, monkeypatch):
-        rng = _RecordingNormals(43)
+        rng = _RecordingUniforms(43)
         k = self._exhaust(monkeypatch, 0.25, 100, rng)
-        assert 0 < k < 64
-        # every live path drew exactly the budget: a full block, then one clipped to it
-        assert [size[1] for size in rng.sizes] == [64, 36]
-        assert rng.sizes[0][0] == 64 and 64 > rng.sizes[1][0] >= k
+        # the same stream under a budget of one block: the paths live after it
+        m = self._exhaust(monkeypatch, 0.25, 64, _RecordingUniforms(43))
+        assert 0 < k <= m < 64
+        # every live path drew exactly the budget: a full block, then one
+        # clipped to it, each from half as many uniforms as increments
+        assert rng.sizes == [64 * 64 // 2, m * 36 // 2]
 
     def test_budget_counts_the_paths_below_the_level(self, monkeypatch):
         # a budget of two whole blocks leaves the stream as in an unbudgeted

@@ -3,9 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erf, erfc
 
-from oracles import kanter_sine_form
+from oracles import kanter_sine_form, levy_pair_draws, levy_pair_form
 from sievesim.randkit import (
     RngStream,
     _kanter_stable,
@@ -38,6 +38,12 @@ class TestStreams:
         assert np.array_equal(u, np.minimum((k + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
         assert sample_uniform01(g, size=1)[0] == (h.integers(0, 1 << 53) + 0.5) * 2.0**-53
         assert g.random() == h.random()
+
+    def test_uniforms_into_a_given_array(self):
+        out = np.empty((4, 25))
+        u = sample_uniform01(RngStream(9, 0).generator(), size=(4, 25), out=out)
+        assert u is out
+        assert np.array_equal(u, sample_uniform01(RngStream(9, 0).generator(), size=(4, 25)))
 
     def test_lattice_ends_stay_inside_and_others_are_unmoved(self):
         # k = 2**53 - 1 gives k + 0.5 == 2**53 in float64 (ties to even)
@@ -94,29 +100,31 @@ class TestStableSampler:
 class _Fixed(np.random.Generator):
     """Generator whose ``random`` returns the 53-bit lattice points k 2^-53
     of the given integers and whose ``standard_exponential`` returns the
-    given floats, reshaped to the size asked for."""
+    given floats, reshaped to the size asked for or written into ``out``."""
 
     def __init__(self, ks, es):
         super().__init__(np.random.Philox(0))
         self.ks, self.es = np.asarray(ks), np.asarray(es, dtype=float)
 
-    def random(self, size=None, **kwargs):
-        return (self.ks * 2.0**-53).reshape(size)
+    @staticmethod
+    def _give(values, size, out):
+        if out is None:
+            return values.reshape(size)
+        out[...] = values.reshape(out.shape)
+        return out
 
-    def standard_exponential(self, size=None, **kwargs):
-        return self.es.reshape(size)
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self._give(self.ks * 2.0**-53, size, out)
 
-
-class _ZeroNormal:
-    """Generator stand-in whose normal draws are all exactly 0.0."""
-
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        return self._give(self.es, size, out)
 
 
 class TestLevyRoute:
-    """At alpha = 1/2 the sampler draws 1/(2*N^2); Kanter's construction,
-    kept callable at every alpha, is its independent reference."""
+    """At alpha = 1/2 the sampler draws two Levy values per (U, E) pair,
+    1/(4E cos^2(pi U/2)) and 1/(4E sin^2(pi U/2)); Kanter's construction,
+    kept callable at every alpha, is its independent reference.  Every KS
+    tolerance is the 1% point of the KS law, 1.63/sqrt(n)."""
 
     def test_exact_levy_cdf(self):
         # P{S <= x} = P{|N| >= 1/sqrt(2x)} = erfc(1/(2*sqrt(x)))
@@ -125,17 +133,53 @@ class TestLevyRoute:
         d = ks_one_sample(draws, lambda x: erfc(0.5 / np.sqrt(x)))
         assert d <= 1.63 / math.sqrt(n)  # 1% critical value
 
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_each_half_is_levy(self, half):
+        n = 200_000
+        draws = _standard_stable(0.5, RngStream(35, 0).generator(), size=2 * n)
+        d = ks_one_sample(draws[half * n:(half + 1) * n], lambda x: erfc(0.5 / np.sqrt(x)))
+        assert d <= 1.63 / math.sqrt(n)
+
+    def test_minimum_of_a_pair_has_the_independent_law(self):
+        # two independent Levy draws: P{min > x} = erf(1/(2*sqrt(x)))^2
+        n = 200_000
+        draws = _standard_stable(0.5, RngStream(36, 0).generator(), size=2 * n)
+        low = np.minimum(draws[:n], draws[n:])
+        d = ks_one_sample(low, lambda x: 1.0 - erf(0.5 / np.sqrt(x)) ** 2)
+        assert d <= 1.63 / math.sqrt(n)
+
     def test_matches_kanter_at_one_half(self):
         n = 100_000
         levy = _standard_stable(0.5, RngStream(31, 0).generator(), size=n)
         kanter = _kanter_stable(0.5, RngStream(31, 1).generator(), size=n)
         assert ks_two_sample(levy, kanter) <= 1.63 * math.sqrt(2.0 / n)
 
+    @pytest.mark.parametrize("size", [1, 5, 7, 64, (2, 3), (3, 5)])
+    def test_pair_form_from_the_same_stream(self, size):
+        # a size-k call consumes ceil(k/2) uniforms, then ceil(k/2) exponentials
+        g = RngStream(37, 0).generator()
+        ref = levy_pair_draws(g, size)
+        rng = RngStream(37, 0).generator()
+        s = _standard_stable(0.5, rng, size=size)
+        assert s.shape == np.empty(size).shape
+        np.testing.assert_allclose(s, ref, rtol=1e-12, atol=0.0)
+        assert rng.random() == g.random()
+
+    def test_pair_form_at_the_lattice_ends(self):
+        ks = np.array([0, 2**53 - 1, round(1e-12 * 2.0**53), 1, 2**52, 2**53 - 2])
+        es = np.array([1.0, 1.0, 1.0, 1e-3, 0.5, 30.0])
+        s = _standard_stable(0.5, _Fixed(ks, es), size=2 * ks.size)
+        u = sample_uniform01(_Fixed(ks, es), size=ks.size)
+        assert np.all(np.isfinite(s) & (s > 0.0))
+        np.testing.assert_allclose(s, np.concatenate(levy_pair_form(u, es)), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("size", [5, 1, (2, 3)])
-    def test_zero_normal_is_an_infinite_increment(self, size):
+    def test_zero_exponential_is_an_infinite_increment(self, size):
+        k = int(np.prod(size))
+        half = k - k // 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = _standard_stable(0.5, _ZeroNormal(), size=size)
+            s = _standard_stable(0.5, _Fixed([2**52] * half, [0.0] * half), size=size)
         assert s.shape == np.empty(size).shape
         assert np.all(np.isposinf(s))
 

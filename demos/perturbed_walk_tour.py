@@ -13,7 +13,7 @@ from sievesim import (
     ParetoLaw,
     PrwLaw,
     RngStream,
-    renewal_function_estimate,
+    mc_accumulate,
     walk_functionals,
     z_moment,
 )
@@ -24,8 +24,11 @@ print("=" * 72)
 print("1. Renewal function estimates")
 print("=" * 72)
 poisson_law = PrwLaw.independent(ExponentialLaw(1.0), ConstantLaw(0.0))
-for t, mean, se in renewal_function_estimate(poisson_law, [1.0, 5.0, 10.0], 2000, rng):
-    print(f"  exponential steps, U({t:4.1f}) = {mean:6.3f} +- {se:.3f}   (exact {t + 1:.1f})")
+t_grid = [1.0, 5.0, 10.0]
+renewals = walk_functionals(poisson_law, t_grid, 2000, rng)["renewals"]
+for t, est in zip(t_grid, map(mc_accumulate, renewals.T)):
+    print(f"  exponential steps, U({t:4.1f}) = {est.mean:6.3f} +- {est.stderr:.3f}   "
+          f"(exact {t + 1:.1f})")
 
 print()
 print("=" * 72)

@@ -46,11 +46,9 @@ from .sieve import (
     FrequencySeq,
     LogParetoMixtureW,
     UniformW,
-    mean_empty_given_freqs,
-    var_empty_given_freqs,
+    empty_moments_given_freqs,
     normalization_ratio,
     sample_occupancy,
-    limit_trend_experiment,
 )
 from .stats import (
     McEstimate,
@@ -66,7 +64,6 @@ from .walks import (
     LogDecayLaw,
     ParetoLaw,
     PrwLaw,
-    renewal_function_estimate,
     walk_functionals,
 )
 

@@ -21,8 +21,12 @@ tolerance (it reads FAIL; the details carry the analysis), and number
 The gaps are the finite-scale remainder of the limit theorems, not
 sampler error.
 
-Two verdicts depend on the seed at their pinned sizes:
+Three verdicts depend on the seed at their pinned sizes:
 
+* criterion 10's variance clause: the replay's sample variance of 10^4
+  Poissonized counts is held to 5% of the exact conditional variance; at
+  seed 1 it reads 5.94% and fails, at seeds 2-12 and the default seed it
+  passes;
 * criterion 11's monotone clause: the relative errors it orders have Monte
   Carlo standard errors of about 0.25%, and at seed 4 they read
   2.84%/0.32%/0.40%, so the clause fails there;
@@ -161,9 +165,9 @@ def _chunk_sieve_empty(rng, count, cases):
     """
     empty, truncated = np.empty((count, len(cases)), dtype=np.int32), 0
     for k, (wlaw, balls) in enumerate(cases):
-        table, dumped = cli._chunk_sieve(rng, count, wlaw, balls)
-        empty[:, k] = table[:, 2]
-        truncated += dumped
+        batch = sieve.sample_occupancy(wlaw, balls, count, rng)
+        empty[:, k] = batch.empty_in_range
+        truncated += batch.truncated
     return empty, truncated
 
 
@@ -372,8 +376,7 @@ def _chain_vs_sieve(seed: int, jobs: int):
 def _conditional_formulas(seed: int, jobs: int):
     t = 100.0
     freqs = sieve.FrequencySeq(sieve.UniformW(), RngStream(seed, 100).generator())
-    mean_formula = sieve.mean_empty_given_freqs(freqs, t)
-    var_formula = sieve.var_empty_given_freqs(freqs, t)
+    mean_formula, var_formula = sieve.empty_moments_given_freqs(freqs, t)
     rng = RngStream(seed, 101).generator()
     replay = sieve.sample_occupancy(
         sieve.UniformW(), 100, 10_000, rng, freqs=freqs, poissonized=True
@@ -426,15 +429,14 @@ def _mixture_growth_trend(seed: int, jobs: int):
     wlaw = sieve.LogParetoMixtureW(0.6, 0.3, 0.5)
     rng = RngStream(seed, 130).generator()
     z = _z_draws(0.6, 0.3, seed, jobs)
-    rows = sieve.limit_trend_experiment(
-        wlaw, [10**3, 10**4, 10**5, 10**6], 20_000, rng, z_draws=z
-    )
-    log_means = [
-        math.log(r.mean_normalized / sieve.normalization_ratio(wlaw, r.balls)) for r in rows
-    ]
-    log_logs = [math.log(math.log(r.balls)) for r in rows]
-    slope = float(np.polyfit(log_logs, log_means, 1)[0])
-    ks_seq = [r.ks_vs_limit for r in rows]
+    balls = [10**3, 10**4, 10**5, 10**6]
+    log_means, ks_seq = [], []
+    for n in balls:
+        ratio = sieve.normalization_ratio(wlaw, n)
+        normalized = ratio * sieve.sample_occupancy(wlaw, n, 20_000, rng).empty_in_range
+        log_means.append(math.log(stats.mc_accumulate(normalized).mean / ratio))
+        ks_seq.append(stats.ks_two_sample(normalized, z))
+    slope = float(np.polyfit([math.log(math.log(n)) for n in balls], log_means, 1)[0])
     ks_monotone = all(ks_seq[i] >= ks_seq[i + 1] for i in range(len(ks_seq) - 1))
     slope_ok = abs(slope - 0.3) <= 0.1
     passed = slope_ok and ks_monotone

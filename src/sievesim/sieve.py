@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .randkit import sample_uniform01
-from .stats import ks_two_sample, mc_accumulate
 from .walks import LogDecayLaw, ParetoLaw
 
 __all__ = [
@@ -41,11 +40,8 @@ __all__ = [
     "FrequencySeq",
     "OccupancyBatch",
     "sample_occupancy",
-    "mean_empty_given_freqs",
-    "var_empty_given_freqs",
+    "empty_moments_given_freqs",
     "normalization_ratio",
-    "limit_trend_experiment",
-    "TrendPoint",
 ]
 
 
@@ -238,24 +234,21 @@ _FREQ_CHUNK = 32  # factors drawn per extension step
 class FrequencySeq:
     """Residuals Q_0 = 1 > Q_1 > ... of the stick-breaking process with
     factors W drawn from ``wlaw``; the sequence is drawn from ``rng`` lazily,
-    as deeper residuals are asked for.
+    as deeper residuals are asked for.  ``q`` holds the residuals drawn so
+    far; growing it binds a new array, so an earlier read stays as it was.
     """
 
     def __init__(self, wlaw: WLaw, rng):
-        self._q = [1.0]
+        self.q = np.ones(1)
         self._wlaw = wlaw
         self._rng = rng
 
-    @property
-    def q(self) -> np.ndarray:
-        return np.asarray(self._q)
-
     def extend_below(self, threshold: float) -> None:
         """Grow the sequence until the last residual drops below ``threshold``."""
-        while self._q[-1] >= threshold:
-            tail = self._q[-1] * np.cumprod(self._wlaw.sample(self._rng, size=_FREQ_CHUNK))
-            self._q.extend(tail.tolist())
-            if len(self._q) > _MAX_FREQ_DEPTH:
+        while self.q[-1] >= threshold:
+            tail = self.q[-1] * np.cumprod(self._wlaw.sample(self._rng, size=_FREQ_CHUNK))
+            self.q = np.concatenate([self.q, tail])
+            if self.q.size > _MAX_FREQ_DEPTH:
                 raise RuntimeError("frequency sequence failed to shrink within the depth budget")
 
 
@@ -341,14 +334,12 @@ def sample_occupancy(
     truncated = 0
     active = np.flatnonzero(remaining > 0)
     k = 0
-    q_fixed = freqs.q if freqs is not None else None
     while active.size:
         k += 1
-        if q_fixed is not None:
-            if k >= q_fixed.size:
-                freqs.extend_below(q_fixed[-1] * 0.5**32)
-                q_fixed = freqs.q
-            hit_prob = np.full(active.size, 1.0 - q_fixed[k] / q_fixed[k - 1])
+        if freqs is not None:
+            if k >= freqs.q.size:
+                freqs.extend_below(freqs.q[-1] * 0.5**32)
+            hit_prob = np.full(active.size, 1.0 - freqs.q[k] / freqs.q[k - 1])
         else:
             hit_prob = 1.0 - wlaw.sample(rng, size=active.size)
         c = remaining[active]
@@ -365,47 +356,33 @@ def sample_occupancy(
     return OccupancyBatch(occupied, last, last - occupied, truncated=truncated)
 
 
-def mean_empty_given_freqs(freqs: FrequencySeq, t: float) -> float:
-    """Conditional mean of the empty-box count under Poisson(t) balls:
-    the sum of exp(-t*P_k) - exp(-t*(1-P_1-...-P_{k-1})) over the boxes.
+def empty_moments_given_freqs(freqs: FrequencySeq, t: float) -> tuple[float, float]:
+    """Conditional mean and variance of the empty-box count under Poisson(t)
+    balls.  Box k is empty inside the range with probability
+    a_k = exp(-t*P_k) - exp(-t*Q_{k-1}); the mean is the sum of the a_k and
+    the variance is the exact three-sum decomposition y1 + y2 + 2*y3
+    (box variances split into y1 and the stay-empty cross term y2, and the
+    i<j covariances exp(-t*Q_{i-1}) * a_j).
 
-    The sequence must reach residual < exp(-40)/t; the dropped tail is then
-    below exp(-40) in total.
+    The sequence is drawn until its residual is below exp(-40)/t; the dropped
+    tail is then below exp(-40) in total.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0.0:
-        return 0.0
+        return 0.0, 0.0
     freqs.extend_below(math.exp(-40.0) / t)
-    q = freqs.q
-    q_prev = q[:-1]
-    p = q_prev - q[1:]
-    return float((np.exp(-t * p) - np.exp(-t * q_prev)).sum())
-
-
-def var_empty_given_freqs(freqs: FrequencySeq, t: float) -> float:
-    """Conditional variance of the empty-box count under Poisson(t) balls,
-    via the exact three-sum decomposition
-    y1 + y2 + 2*y3 (box-variance, stay-empty cross term, i<j covariances).
-
-    Truncated where the residual terms drop below 1e-14.
-    """
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return 0.0
-    freqs.extend_below(min(1e-14 / t, math.exp(-40.0) / t))
     q = freqs.q
     q_prev = q[:-1]
     p = q_prev - q[1:]
     e_p = np.exp(-t * p)
     e_q = np.exp(-t * q_prev)
+    a = e_p - e_q
     y1 = (e_p - e_p**2).sum()
     y2 = (e_q * (2.0 * e_p - e_q - 1.0)).sum()
-    a = e_p - e_q
     suffix = np.concatenate([np.cumsum(a[::-1])[::-1][1:], [0.0]])
     y3 = (e_q * suffix).sum()
-    return max(0.0, float(y1 + y2 + 2.0 * y3))
+    return float(a.sum()), max(0.0, float(y1 + y2 + 2.0 * y3))
 
 
 def normalization_ratio(wlaw: WLaw, n) -> float:
@@ -417,37 +394,3 @@ def normalization_ratio(wlaw: WLaw, n) -> float:
     if den == 0.0:
         raise ValueError("P{1-W <= 1/n} vanishes; the law violates the tail conditions")
     return num / den
-
-
-@dataclass(frozen=True)
-class TrendPoint:
-    balls: int
-    mean_normalized: float
-    stderr: float
-    ks_vs_limit: float
-
-
-def limit_trend_experiment(wlaw: WLaw, n_grid, replicates: int, rng,
-                           z_draws) -> list[TrendPoint]:
-    """Normalized empty-box trend against the limit law.
-
-    For each ball count n: the empirical mean/SE of the ratio-normalized
-    empty-box count and the two-sample KS distance to the limit-law draws
-    ``z_draws``.
-    """
-    rows = []
-    for n in n_grid:
-        n = _check_balls(n)
-        ratio = normalization_ratio(wlaw, n)
-        batch = sample_occupancy(wlaw, n, replicates, rng, method="multinomial")
-        normalized = ratio * batch.empty_in_range
-        est = mc_accumulate(normalized)
-        rows.append(
-            TrendPoint(
-                balls=n,
-                mean_normalized=est.mean,
-                stderr=est.stderr,
-                ks_vs_limit=ks_two_sample(normalized, z_draws),
-            )
-        )
-    return rows

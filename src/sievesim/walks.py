@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .randkit import sample_uniform01
-from .stats import mc_accumulate
 
 __all__ = [
     "ParetoLaw",
@@ -34,7 +33,6 @@ __all__ = [
     "ConstantLaw",
     "LogDecayLaw",
     "PrwLaw",
-    "renewal_function_estimate",
     "walk_functionals",
 ]
 
@@ -238,14 +236,4 @@ def walk_functionals(law: PrwLaw, t_values, replicates: int, rng, functionals=("
     if "window" in sums:
         sums["window"] *= law.xi_tail(t_values) / q(t_values)
     return sums
-
-
-def renewal_function_estimate(law: PrwLaw, t_grid, replicates: int, rng):
-    """Monte Carlo renewal function: rows (t, U_hat(t), stderr)."""
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    counts = walk_functionals(law, t_grid, replicates, rng)["renewals"]
-    return [(float(t), est.mean, est.stderr)
-            for t, est in zip(t_grid, map(mc_accumulate, counts.T))]
 

@@ -9,6 +9,9 @@ engine computes in bulk:
 * ``OccupancyResult`` and ``allocate_uniform``: one sieve realization by
   interval allocation, the oracle of
   ``sievesim.sieve.sample_occupancy(method="uniform")``;
+* ``empty_moments_by_box``: the Poissonized empty-box mean and variance
+  summed box by box and pair by pair, the oracle of
+  ``sievesim.sieve.empty_moments_given_freqs``;
 * ``per_start_dp``: the zero-decrement DP for one start state, the oracle of
   the multi-start ``sievesim.chains.exact_zero_decrement_pmfs``;
 * ``per_replicate_direct`` and ``per_replicate_georep``, the direct chain
@@ -197,8 +200,22 @@ def allocate_uniform(wlaw: WLaw, n, rng, freqs: FrequencySeq | None = None) -> O
     return OccupancyResult(balls=n, occupied=k, last_occupied=m, empty_in_range=m - k)
 
 
-# ----------------------------------------------------------------------
-# zero-decrement chains
+def empty_moments_by_box(q, t: float):
+    """Mean and variance of the empty-box count given the residuals ``q``
+    under Poisson(t) balls, from the indicators I_k of box k being empty
+    below the last occupied box.  Box counts are independent Poisson(t*P_k),
+    so E I_k = exp(-t*P_k) - exp(-t*Q_{k-1}) and, for i < j,
+    E I_i I_j = exp(-t*(P_i + P_j)) * (1 - exp(-t*Q_j)).
+    """
+    q = [float(x) for x in q]
+    p = [q[k - 1] - q[k] for k in range(1, len(q))]
+    mean_k = [math.exp(-t * p[k]) - math.exp(-t * q[k]) for k in range(len(p))]
+    terms = [m - m * m for m in mean_k]
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            joint = math.exp(-t * (p[i] + p[j])) * -math.expm1(-t * q[j + 1])
+            terms.append(2.0 * (joint - mean_k[i] * mean_k[j]))
+    return math.fsum(mean_k), math.fsum(terms)
 
 
 def per_start_dp(spec, n):

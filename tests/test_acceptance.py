@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from sievesim import acceptance, cli
+from sievesim import acceptance, cli, sieve
 from sievesim.randkit import RngStream
 
 SEED = acceptance.DEFAULT_SEED
@@ -121,15 +121,16 @@ class TestChunkedSamples:
 
     @pytest.mark.parametrize("number,calls", [(8, 25 * 6), (14, 25)])
     def test_truncated_replicates_fail_the_criterion(self, number, calls, monkeypatch):
-        # every chunk call reports one truncated replicate and draws as before,
+        # every sieve call reports one truncated replicate and draws as before,
         # so the criterion's other checks still pass at its canonical size
-        chunk_sieve = cli._chunk_sieve
+        sample_occupancy = sieve.sample_occupancy
 
-        def one_truncated(*args):
-            table, truncated = chunk_sieve(*args)
-            return table, truncated + 1
+        def one_truncated(*args, **kwargs):
+            batch = sample_occupancy(*args, **kwargs)
+            batch.truncated += 1
+            return batch
 
-        monkeypatch.setattr(cli, "_chunk_sieve", one_truncated)
+        monkeypatch.setattr(sieve, "sample_occupancy", one_truncated)
         result = acceptance.run_criterion(number, seed=SEED, jobs=1)
         assert not result.passed
         assert result.metrics["truncated"] == calls

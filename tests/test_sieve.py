@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as scipy_beta
 
-from oracles import OccupancyResult, allocate_uniform
+from oracles import OccupancyResult, allocate_uniform, empty_moments_by_box
 from sievesim.chains import empirical_pmf, geometric_pmf
 from sievesim.randkit import RngStream
 from sievesim.sieve import (
@@ -14,11 +14,9 @@ from sievesim.sieve import (
     FrequencySeq,
     LogParetoMixtureW,
     UniformW,
-    mean_empty_given_freqs,
-    var_empty_given_freqs,
+    empty_moments_given_freqs,
     normalization_ratio,
     sample_occupancy,
-    limit_trend_experiment,
 )
 from sievesim.stats import ks_two_sample, mc_accumulate, tv_distance
 
@@ -292,8 +290,23 @@ class TestIntervalLockstep:
 class TestConditionalFormulas:
     def test_zero_time(self):
         fs = FrequencySeq(UniformW(), RngStream(4, 0).generator())
-        assert mean_empty_given_freqs(fs, 0.0) == 0.0
-        assert var_empty_given_freqs(fs, 0.0) == 0.0
+        assert empty_moments_given_freqs(fs, 0.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_rejects_infinite_nan_and_negative_time(self, t):
+        fs = FrequencySeq(UniformW(), RngStream(4, 0).generator())
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            empty_moments_given_freqs(fs, t)
+        assert fs.q.size == 1  # rejected before any factor is drawn
+
+    @pytest.mark.parametrize("wlaw,t", [(ConstantW(0.5), 1.0), (ConstantW(0.5), 50.0),
+                                        (BetaW(2, 1), 10.0), (UniformW(), 100.0)])
+    def test_moments_match_the_per_box_oracle(self, wlaw, t):
+        fs = FrequencySeq(wlaw, RngStream(4, 8).generator())
+        mean, var = empty_moments_given_freqs(fs, t)
+        mean_o, var_o = empty_moments_by_box(fs.q, t)
+        assert mean == pytest.approx(mean_o, rel=1e-12)
+        assert var == pytest.approx(var_o, rel=1e-12)
 
     def test_single_term_hand_check(self):
         # W = 1/2 makes the residuals exactly 2^-k; the hand sum runs past
@@ -304,7 +317,7 @@ class TestConditionalFormulas:
         manual = sum(
             math.exp(-t * (q[k - 1] - q[k])) - math.exp(-t * q[k - 1]) for k in range(1, len(q))
         )
-        assert mean_empty_given_freqs(fs, t) == pytest.approx(manual, rel=1e-12)
+        assert empty_moments_given_freqs(fs, t)[0] == pytest.approx(manual, rel=1e-12)
         assert np.array_equal(fs.q, q[:fs.q.size])
         first_term = math.exp(-t * 0.5) - math.exp(-t)
         assert manual >= first_term
@@ -313,13 +326,12 @@ class TestConditionalFormulas:
         rng = RngStream(4, 1).generator()
         for t in (0.5, 10.0, 300.0):
             fs = FrequencySeq(BetaW(2, 1), rng)
-            assert var_empty_given_freqs(fs, t) >= 0.0
+            assert empty_moments_given_freqs(fs, t)[1] >= 0.0
 
     def test_formulas_match_replay_moments(self):
         freqs = FrequencySeq(UniformW(), RngStream(4, 2).generator())
         t = 100.0
-        mean_f = mean_empty_given_freqs(freqs, t)
-        var_f = var_empty_given_freqs(freqs, t)
+        mean_f, var_f = empty_moments_given_freqs(freqs, t)
         replay = sample_occupancy(
             UniformW(), 100, 10_000, RngStream(4, 3).generator(), freqs=freqs, poissonized=True
         ).empty_in_range
@@ -347,7 +359,7 @@ class TestConditionalFormulas:
         formula_vals = np.empty(2000)
         for r in range(2000):
             fs = FrequencySeq(UniformW(), rng)
-            formula_vals[r] = mean_empty_given_freqs(fs, 100.0)
+            formula_vals[r] = empty_moments_given_freqs(fs, 100.0)[0]
         emp = sample_occupancy(UniformW(), 100, 20_000, rng, poissonized=True).empty_in_range
         e1, e2 = mc_accumulate(formula_vals), mc_accumulate(emp.astype(float))
         assert abs(e1.mean - e2.mean) <= 3.0 * (e1.stderr + e2.stderr)
@@ -373,15 +385,3 @@ class TestNormalizationRatio:
         with pytest.raises(ValueError):
             normalization_ratio(ConstantW(0.5), 10)
 
-
-class TestTrendExperiment:
-    def test_rows_and_ranges(self):
-        w = LogParetoMixtureW(0.6, 0.3, p=0.5)
-        rng = RngStream(5, 0).generator()
-        z = rng.exponential(size=2000)  # placeholder comparison sample
-        rows = limit_trend_experiment(w, [100, 1000], 2000, rng, z_draws=z)
-        assert [r.balls for r in rows] == [100, 1000]
-        for r in rows:
-            assert r.mean_normalized > 0.0
-            assert 0.0 <= r.ks_vs_limit <= 1.0
-            assert r.stderr > 0.0

@@ -22,7 +22,6 @@ from sievesim.walks import (
     LogDecayLaw,
     ParetoLaw,
     PrwLaw,
-    renewal_function_estimate,
     walk_functionals,
 )
 
@@ -137,26 +136,21 @@ class TestPathAndRho:
 
 class TestRenewalFunction:
     def test_unit_step_exact(self):
-        rows = renewal_function_estimate(UNIT_STEP, [0.5, 2.5, 7.9], 100, RngStream(8, 0).generator())
-        for (t, mean, se) in rows:
-            assert mean == math.floor(t) + 1
-            assert se == 0.0
+        t_grid = [0.5, 2.5, 7.9]
+        counts = walk_functionals(UNIT_STEP, t_grid, 100, RngStream(8, 0).generator())["renewals"]
+        assert np.array_equal(counts, np.tile(np.floor(t_grid) + 1.0, (100, 1)))
 
     def test_poisson_process_renewal(self):
         law = PrwLaw.independent(ExponentialLaw(1.0), ConstantLaw(0.0))
-        rows = renewal_function_estimate(law, [1.0, 10.0], 3000, RngStream(8, 1).generator())
-        for (t, mean, se) in rows:
-            assert abs(mean - (t + 1.0)) <= 3.0 * se
+        t_grid = [1.0, 10.0]
+        counts = walk_functionals(law, t_grid, 3000, RngStream(8, 1).generator())["renewals"]
+        for t, est in zip(t_grid, map(mc_accumulate, counts.T)):
+            assert abs(est.mean - (t + 1.0)) <= 3.0 * est.stderr
 
     def test_monotone_estimates(self):
         law = PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0))
-        rows = renewal_function_estimate(law, [1.0, 5.0, 25.0], 500, RngStream(8, 2).generator())
-        means = [m for _, m, _ in rows]
-        assert means == sorted(means)
-
-    def test_replicate_floor(self):
-        with pytest.raises(ValueError):
-            renewal_function_estimate(UNIT_STEP, [1.0], 50, RngStream(8, 3).generator())
+        counts = walk_functionals(law, [1.0, 5.0, 25.0], 500, RngStream(8, 2).generator())
+        assert np.all(np.diff(counts["renewals"].mean(axis=0)) >= 0.0)
 
 
 class TestFunctionalT:

@@ -19,6 +19,7 @@ from .chains import (
     exact_zero_decrement_pmf,
     exact_zero_decrement_pmfs,
     geometric_pmf,
+    mixed_poisson_counts_diagnostic,
     mixed_poisson_diagnostic,
     sample_geometric_rep,
     sample_zero_decrements,

@@ -41,6 +41,7 @@ __all__ = [
     "sieve_chain_spec",
     "barrier_chain_spec",
     "mixed_poisson_diagnostic",
+    "mixed_poisson_counts_diagnostic",
     "MixedPoissonReport",
     "empirical_pmf",
     "counts_pmf",
@@ -78,11 +79,17 @@ def empirical_pmf(samples, width: int = 0) -> Pmf:
     return counts_pmf([np.bincount(samples)], width)
 
 
+def _pooled_counts(parts, width: int = 0) -> np.ndarray:
+    """The value counts, on at least ``width`` values, of the union of
+    samples given by their value counts (``np.bincount`` of each)."""
+    width = max(width, *(c.size for c in parts))
+    return sum(np.pad(c, (0, width - c.size)) for c in parts)
+
+
 def counts_pmf(parts, width: int = 0) -> Pmf:
     """Empirical pmf, on at least ``width`` masses, of the union of samples
     given by their value counts (``np.bincount`` of each)."""
-    width = max(width, *(c.size for c in parts))
-    counts = sum(np.pad(c, (0, width - c.size)) for c in parts)
+    counts = _pooled_counts(parts, width)
     return Pmf(masses=counts / counts.sum())
 
 
@@ -379,32 +386,50 @@ def _hankel3_grad(phi) -> np.ndarray:
 
 
 def mixed_poisson_diagnostic(pmf_or_samples) -> MixedPoissonReport:
-    """Run the mixed-Poisson moment diagnostics on a Pmf or an integer sample."""
-    if isinstance(pmf_or_samples, Pmf):
-        pmf = pmf_or_samples
-        if pmf.tail_deficit > 1e-6:
-            raise ValueError(f"tail deficit {pmf.tail_deficit:.2e} too large for moments")
-        m = np.arange(pmf.masses.size, dtype=float)
-        ff = _falling_factorials(m)
-        phi = pmf.masses @ ff
-        mean = float(phi[0])
-        variance = float(phi[1] + phi[0] - phi[0] ** 2)
-        scale = max(1.0, float(np.abs(phi).max()))
-        h2_tol = 1e-9 * scale**2
-        h3_tol = 1e-9 * scale**3
-    else:
+    """Run the mixed-Poisson moment diagnostics on a Pmf, or on an integer
+    sample through its value counts (``mixed_poisson_counts_diagnostic``)."""
+    if not isinstance(pmf_or_samples, Pmf):
         samples = np.asarray(pmf_or_samples, dtype=np.int64)
         if samples.size < 2 or np.any(samples < 0):
             raise ValueError("need at least two nonnegative integer samples")
-        ff = _falling_factorials(samples.astype(float))
-        phi = ff.mean(axis=0)
-        cov = np.cov(ff, rowvar=False) / samples.size
-        mean = float(samples.mean())
-        variance = float(samples.var(ddof=1))
-        g2 = np.array([-2.0 * phi[0], 1.0, 0.0, 0.0])
-        h2_tol = 5.0 * float(np.sqrt(g2 @ cov @ g2))
-        g3 = _hankel3_grad(phi)
-        h3_tol = 5.0 * float(np.sqrt(g3 @ cov @ g3))
+        return mixed_poisson_counts_diagnostic([np.bincount(samples)])
+    pmf = pmf_or_samples
+    if pmf.tail_deficit > 1e-6:
+        raise ValueError(f"tail deficit {pmf.tail_deficit:.2e} too large for moments")
+    phi = pmf.masses @ _falling_factorials(np.arange(pmf.masses.size, dtype=float))
+    scale = max(1.0, float(np.abs(phi).max()))
+    return _mixed_poisson_report(phi, float(phi[0]), float(phi[1] + phi[0] - phi[0] ** 2),
+                                 1e-9 * scale**2, 1e-9 * scale**3)
+
+
+def mixed_poisson_counts_diagnostic(parts) -> MixedPoissonReport:
+    """The diagnostics of the union of integer samples given by their value
+    counts (``np.bincount`` of each), as ``counts_pmf`` takes them.
+
+    Each phi_r is the sum of the sample's falling factorials of order r over
+    its size: while those sums stay below 2^53 they are exact, so phi has the
+    bits of the mean of the per-sample falling factorials, and the mean those
+    of the sample mean.  The variance and the falling factorials' covariance
+    are frequency-weighted (``np.cov`` with ``fweights``); tolerances are
+    the delta method's at 5 standard errors.
+    """
+    counts = _pooled_counts(parts)
+    size = int(counts.sum())
+    if size < 2 or np.any(counts < 0):
+        raise ValueError("need the value counts of at least two nonnegative integer samples")
+    values = np.arange(counts.size, dtype=float)
+    ff = _falling_factorials(values)
+    phi = counts @ ff / size
+    mean = float(phi[0])
+    variance = float(counts @ (values - mean) ** 2 / (size - 1))
+    cov = np.cov(ff, rowvar=False, fweights=counts) / size
+    g2 = np.array([-2.0 * phi[0], 1.0, 0.0, 0.0])
+    g3 = _hankel3_grad(phi)
+    return _mixed_poisson_report(phi, mean, variance, 5.0 * float(np.sqrt(g2 @ cov @ g2)),
+                                 5.0 * float(np.sqrt(g3 @ cov @ g3)))
+
+
+def _mixed_poisson_report(phi, mean, variance, h2_tol, h3_tol) -> MixedPoissonReport:
     h2 = float(phi[1] - phi[0] ** 2)
     h3 = float(_hankel3(phi))
     violations = []

@@ -160,15 +160,6 @@ def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream
         _serve()
 
 
-def _join(parts):
-    """The chunk results of ``_run_chunks`` as one sample: arrays joined in
-    chunk order, and for a worker that returns (array, count) the arrays
-    joined and the counts summed."""
-    if isinstance(parts[0], tuple):
-        return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
-    return np.concatenate(parts)
-
-
 def _chunk_sample_z(rng, count, params: limitlaw.AlphaBeta, sampler, grid_step, eps):
     if sampler == "pathint":
         return limitlaw.sample_z_pathint(params, grid_step, rng, size=count)
@@ -552,10 +543,25 @@ def cmd_markov(args) -> int:
                    f"tolerance {acceptance.TV_TOL})")
 
 
+def _peak_rss_mb():
+    """This process's peak resident set so far, in MB, or None where the
+    ``resource`` module is missing (Windows).  Linux reports ``ru_maxrss``
+    in KiB, macOS in bytes."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _verify_line(res, seconds: float) -> str:
-    """A criterion's report line with its wall time; stdout only, never
-    in ``--out``, so output files do not depend on timing."""
-    return f"{res.report_line()} [{seconds:.2f} s]"
+    """A criterion's report line with its wall time and the process's peak
+    RSS so far; stdout only, never in ``--out``, so output files do not
+    depend on timing or memory."""
+    peak = _peak_rss_mb()
+    cost = f"{seconds:.2f} s" + ("" if peak is None else f", peak {peak:.0f} MB")
+    return f"{res.report_line()} [{cost}]"
 
 
 def cmd_verify(args) -> int:

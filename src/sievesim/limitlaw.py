@@ -157,6 +157,12 @@ def sample_subordinator_marginal(alpha: float, t: float, eps: float, rng, size):
     """Y(t) from the eps-truncated jump process, plus the expected mass of
     the discarded sub-eps jumps as a drift, which shrinks the (one-sided)
     truncation bias of E exp(-x*Y(t)) from O(x*eps^(1-a)) to O(x^2*eps^(2-a)).
+
+    All the jumps of all ``size`` draws are held at once, about
+    lam * t * size of them for the Levy tail mass lam above eps
+    (``levy_tail_mass``): at alpha = 0.8 and eps = 1e-3, lam = 209, so
+    2*10^5 draws at t = 1 hold 4.2*10^7 jumps.  Draw large samples in
+    chunks.
     """
     lam = levy_tail_mass(alpha, eps)
     counts = rng.poisson(lam * t, size=size)

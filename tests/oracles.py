@@ -27,7 +27,10 @@ engine computes in bulk:
   from it: the oracles of the alpha = 1/2 route of
   ``sievesim.randkit._standard_stable``;
 * ``levy_density``: the Levy density of the subordinator Y, the quadrature
-  oracle of ``sievesim.limitlaw.levy_tail_mass`` and ``sample_levy_jump``.
+  oracle of ``sievesim.limitlaw.levy_tail_mass`` and ``sample_levy_jump``;
+* ``falling_factorial_moments``: the mixed-Poisson diagnostic's moments
+  from one row of falling factorials per sample value, the oracle of the
+  value-count form ``sievesim.chains.mixed_poisson_counts_diagnostic``.
 """
 
 from __future__ import annotations
@@ -317,3 +320,16 @@ def levy_density(alpha, t):
     """Levy density of Y, exp(-t/a) * (1-exp(-t/a))^(-(a+1)) on (0, inf):
     the quadrature oracle for the closed-form tail and the jump sampler."""
     return math.exp(-t / alpha) * (-math.expm1(-t / alpha)) ** -(alpha + 1.0)
+
+
+def falling_factorial_moments(samples):
+    """The mixed-Poisson diagnostic's moments of an integer sample, from the
+    (size x 4) matrix of its falling factorials of orders 1 to 4: their
+    means phi, their covariance over the sample size (the covariance of phi),
+    the sample mean and the sample variance."""
+    samples = np.asarray(samples, dtype=np.int64)
+    values = samples.astype(float)
+    ff = np.stack([np.prod([values - j for j in range(r)], axis=0) for r in range(1, 5)],
+                  axis=1)
+    return (ff.mean(axis=0), np.cov(ff, rowvar=False) / samples.size,
+            float(samples.mean()), float(samples.var(ddof=1)))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import per_replicate_direct, per_replicate_georep, per_start_dp
+from oracles import (falling_factorial_moments, per_replicate_direct, per_replicate_georep,
+                     per_start_dp)
 from sievesim import chains
 from sievesim.chains import (
     _MAX_CHAIN_STATES,
@@ -19,6 +20,7 @@ from sievesim.chains import (
     exact_zero_decrement_pmf,
     exact_zero_decrement_pmfs,
     geometric_pmf,
+    mixed_poisson_counts_diagnostic,
     mixed_poisson_diagnostic,
     sample_geometric_rep,
     sample_zero_decrements,
@@ -514,6 +516,69 @@ class TestMixedPoissonDiagnostic:
     def test_rejects_heavy_deficit(self):
         with pytest.raises(ValueError):
             mixed_poisson_diagnostic(Pmf(masses=np.array([0.5]), tail_deficit=0.5))
+
+
+def _gradients(phi):
+    """The gradients of the 2x2 and 3x3 Hankel determinants in phi."""
+    return np.array([-2.0 * phi[0], 1.0, 0.0, 0.0]), chains._hankel3_grad(phi)
+
+
+class TestMixedPoissonCounts:
+    """The value-count form against the per-sample form of the oracle: phi
+    and the mean are sums of integers below 2^53 over the size, so they keep
+    their bits; the variance and the covariance behind the tolerances sum in
+    another order."""
+
+    def assert_matches_samples(self, samples, chunks=1, rel=1e-12):
+        """Each tolerance within ``rel`` of the oracle's; with ``rel`` None,
+        each squared tolerance within 1e-12 of the bound on its rounding,
+        25 |g| |cov| |g|, which cancellation in g cov g can dwarf."""
+        samples = np.asarray(samples)
+        phi, cov, mean, variance = falling_factorial_moments(samples)
+        forms = [g @ cov @ g for g in _gradients(phi)]
+        want = chains._mixed_poisson_report(phi, mean, variance,
+                                            *(5.0 * float(np.sqrt(q)) for q in forms))
+        bounds = [25.0 * (np.abs(g) @ np.abs(cov) @ np.abs(g)) for g in _gradients(phi)]
+        parts = [np.bincount(part) for part in np.array_split(samples, chunks)]
+        for got in (mixed_poisson_diagnostic(samples), mixed_poisson_counts_diagnostic(parts)):
+            assert got.factorial_moments == want.factorial_moments
+            assert (got.mean, got.hankel2, got.hankel3) == (want.mean, want.hankel2, want.hankel3)
+            assert got.variance == pytest.approx(want.variance, rel=1e-12)
+            tols = (got.hankel2_tol, got.hankel3_tol)
+            for tol, want_tol, form, bound in zip(tols, (want.hankel2_tol, want.hankel3_tol),
+                                                  forms, bounds):
+                if rel is None:
+                    assert abs(tol**2 - 25.0 * form) <= 1e-12 * bound
+                else:
+                    assert tol == pytest.approx(want_tol, rel=rel, abs=1e-300)
+            assert got.passed == want.passed
+
+    def test_poisson_sample(self):
+        self.assert_matches_samples(RngStream(4, 0).generator().poisson(3.0, size=100_000), 7)
+
+    def test_geometric_sample(self):
+        self.assert_matches_samples(RngStream(4, 1).generator().geometric(0.5, size=100_000) - 1, 7)
+
+    def test_pinned_sieve_sample(self):
+        # criterion 14's beta(2,1) sieve sample at its pinned size, chunk by chunk
+        from sievesim import acceptance, cli
+
+        stream, total, worker, payload, _ = acceptance.SAMPLES[14]
+        parts = cli._run_chunks(worker, acceptance.DEFAULT_SEED, total, 2, payload, stream)
+        empty = np.concatenate([table[:, 0] for table, _ in parts])
+        self.assert_matches_samples(empty, len(parts))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 40), min_size=2, max_size=300), st.integers(1, 4))
+    @example(samples=[0, 9, 24, 2, 14], chunks=1)  # the 3x3 tolerances differ by 1.1e-12 rel
+    def test_small_integer_samples(self, samples, chunks):
+        self.assert_matches_samples(samples, min(chunks, len(samples)), rel=None)
+
+    @pytest.mark.parametrize("parts", [[np.array([0, 1])], [np.zeros(3, dtype=np.int64)]],
+                             ids=["one-sample", "no-sample"])
+    def test_needs_two_samples(self, parts):
+        with pytest.raises(ValueError, match="at least two"):
+            mixed_poisson_counts_diagnostic(parts)
 
 
 def assert_round_trip(spec):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -331,7 +332,7 @@ _STREAMED = {
 # acceptance.SAMPLES, the streamed commands' and both of markov's.
 _PAYLOADS = {
     **{f"SAMPLES-{'-'.join(map(str, name)) if isinstance(name, tuple) else name}":
-       (worker, payload) for name, (_, _, worker, payload) in acceptance.SAMPLES.items()},
+       (worker, payload) for name, (_, _, worker, payload, _) in acceptance.SAMPLES.items()},
     **{cmd: (worker, payload) for cmd, (_, worker, payload, _) in _STREAMED.items()},
     "sample-z-expfunc": (cli._chunk_sample_z,
                          (limitlaw.AlphaBeta(0.5, 0.25), "expfunc", 1e-4, 1e-4)),
@@ -955,13 +956,20 @@ class TestVerifyCommand:
         argv = ("verify", "--suite", "exact", "--seed", "20260811", "--jobs", "1")
         assert run_cli(*argv, "--out", tmp_path / "timed") == 0
         lines = capsys.readouterr().out.splitlines()
-        assert all(line.endswith(" s]") for line in lines[:2])
+        assert all(re.search(r" \[\d+\.\d\d s, peak \d+ MB\]$", line) for line in lines[:2])
         monkeypatch.setattr(cli, "_verify_line", lambda res, seconds: res.report_line())
         assert run_cli(*argv, "--out", tmp_path / "plain") == 0
-        assert "s]" not in capsys.readouterr().out
+        plain_out = capsys.readouterr().out
+        assert "s]" not in plain_out and "peak" not in plain_out
         timed = {f.name: f.read_bytes() for f in (tmp_path / "timed").iterdir()}
         plain = {f.name: f.read_bytes() for f in (tmp_path / "plain").iterdir()}
         assert len(timed) == 2 and timed == plain
+
+    def test_peak_is_left_out_without_resource(self, monkeypatch):
+        # Windows has no resource module: the line keeps its seconds only
+        monkeypatch.setitem(sys.modules, "resource", None)
+        res = acceptance.CriterionResult(2, "identities", True, "max error 0", {})
+        assert cli._verify_line(res, 1.5) == f"{res.report_line()} [1.50 s]"
 
 
 _SCHEMAS = json.loads((Path(cli.__file__).parent / "output_schemas.json").read_text())

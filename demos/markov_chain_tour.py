@@ -14,7 +14,7 @@ from sievesim import (
     chain_to_json,
     empirical_pmf,
     exact_zero_decrement_pmf,
-    mixed_poisson_diagnostic,
+    mixed_poisson_counts_diagnostic,
     sample_geometric_rep,
     sample_occupancy,
     sample_zero_decrements,
@@ -65,7 +65,7 @@ print("=" * 72)
 print("4. Mixed-Poisson diagnostics")
 print("=" * 72)
 batch = sample_occupancy(BetaW(2, 1), 100_000, 50_000, rng)
-report = mixed_poisson_diagnostic(batch.empty_in_range)
+report = mixed_poisson_counts_diagnostic([np.bincount(batch.empty_in_range)])
 print(f"  beta(2,1) sieve, n = 1e5: factorial moments "
       f"{['%.3f' % p for p in report.factorial_moments]}")
 print(f"  variance {report.variance:.3f} >= mean {report.mean:.3f}; "

@@ -7,7 +7,7 @@ reproduces its metrics exactly, regardless of what else ran.
 
 The large Monte Carlo samples are the rows of ``SAMPLES``: each names its
 stream id, size, chunk worker, payload of law objects and reducer, and
-``_sample`` draws it through ``cli._run_chunks``, spread over ``jobs``
+``_sample`` draws it through ``runner.run_chunks``, spread over ``jobs``
 processes.  That runner defines the chunk address (seed, sample's stream
 id, chunk), so the draws do not depend on ``jobs``.  The rows are:
 
@@ -66,7 +66,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chains, cli, limitlaw, sieve, stats, walks
+from . import chains, limitlaw, runner, sieve, stats, walks
+from .checks import (EXACT_TOL, TV_TOL, chain_sampler_check, geometric_half_check, moment_check,
+                     moment_identity_errors)
 from .randkit import RngStream
 
 DEFAULT_SEED = 20260811
@@ -104,69 +106,6 @@ def suite_criteria(suite: str):
 
 
 # ----------------------------------------------------------------------
-# checks that the CLI experiments run as well
-
-TV_TOL = 0.01
-EXACT_TOL = 1e-10  # for quantities that exact arithmetic would make equal
-
-
-def moment_check(est: stats.McEstimate, params: limitlaw.AlphaBeta, order: int):
-    """Criterion 3's test of one empirical moment, the estimate ``est`` of
-    the mean of Z**order, against ``z_moment``: |mean - target| <= 3 SE + 2%
-    of the target.
-
-    Returns the estimate, the target, the tolerance and the verdict.
-    """
-    target = limitlaw.z_moment(params, order)
-    tol = 3.0 * est.stderr + 0.02 * target
-    return est, target, tol, abs(est.mean - target) <= tol
-
-
-def moment_identity_errors(alpha: float, orders):
-    """Criterion 2's identities at one alpha: for each order n, the relative
-    errors of the phi-product against Gamma(1+n*alpha) * Gamma(1-alpha)^n,
-    of ``z_moment`` at beta = alpha against n!, and of ``z_moment`` at
-    beta = 0 against ``mittag_leffler_moment``.
-
-    Returns one (phi, factorial, Mittag-Leffler) triple per order.
-    """
-    errors = []
-    for n in orders:
-        prod = math.prod(limitlaw.phi_alpha(alpha, float(k)) + 1.0 for k in range(1, n + 1))
-        closed = math.gamma(1.0 + n * alpha) * math.gamma(1.0 - alpha) ** n
-        fact = math.factorial(n)
-        rel_fact = abs(limitlaw.z_moment(limitlaw.AlphaBeta(alpha, alpha), n) - fact) / fact
-        ml = limitlaw.mittag_leffler_moment(alpha, n)
-        rel_ml = abs(limitlaw.z_moment(limitlaw.AlphaBeta(alpha, 0.0), n) - ml) / ml
-        errors.append((abs(prod - closed) / closed, rel_fact, rel_ml))
-    return errors
-
-
-def geometric_half_check(emp: chains.Pmf):
-    """Criterion 8's test: TV between an empty-box pmf and geometric(1/2).
-
-    Returns the distance and the verdict.
-    """
-    tv = stats.tv_distance(emp, chains.geometric_pmf(0.5, emp.masses.size))
-    return tv, tv <= TV_TOL
-
-
-def chain_sampler_check(dp: chains.Pmf, sim, rep):
-    """Criterion 7's test: TV of the direct and the geometric-representation
-    samples, each given by the value counts of its chunks, against the DP law.
-
-    Returns both empirical pmfs (on one common support), both distances and
-    the verdict.
-    """
-    width = max(dp.masses.size, *(c.size for c in (*sim, *rep)))
-    sim_pmf = chains.counts_pmf(sim, width)
-    rep_pmf = chains.counts_pmf(rep, width)
-    tv_sim = stats.tv_distance(sim_pmf, dp)
-    tv_rep = stats.tv_distance(rep_pmf, dp)
-    return sim_pmf, rep_pmf, tv_sim, tv_rep, max(tv_sim, tv_rep) <= TV_TOL
-
-
-# ----------------------------------------------------------------------
 # the chunked samples
 
 def _chunk_sieve_empty(rng, count, cases, method):
@@ -184,10 +123,9 @@ def _chunk_sieve_empty(rng, count, cases, method):
 
 def _chunk_chains(rng, count, specs, n):
     """Zero-decrement counts of ``count`` chains from state ``n``: per spec
-    a direct and then a geometric-representation sample, each through
-    ``markov``'s chunk worker, drawn one after another from the chunk's
-    stream, one column each."""
-    return np.stack([cli._chunk_markov(rng, count, spec, n, sample) for spec in specs
+    a direct and then a geometric-representation sample, drawn one after
+    another from the chunk's stream, one column each."""
+    return np.stack([sample(spec, n, count, rng) for spec in specs
                      for sample in (chains.sample_zero_decrements, chains.sample_geometric_rep)],
                     axis=1)
 
@@ -224,7 +162,7 @@ _Z_GRID = 1e-4
 # reductions and never holds the sample.  Sizes are canonical, so results do
 # not depend on which criteria run together.
 SAMPLES = {
-    **{pair: (stream, size, cli._chunk_sample_z,
+    **{pair: (stream, size, runner.chunk_sample_z,
               (limitlaw.AlphaBeta(*pair), "pathint", _Z_GRID, None), None)
        for stream, pair, size in [(1000, (0.5, 0.0), 100_000), (1001, (0.5, 0.25), 100_000),
                                   (1002, (0.5, 0.5), 100_000), (1003, (0.6, 0.3), 20_000),
@@ -238,10 +176,10 @@ SAMPLES = {
                for balls in (5, 50, 500)), "multinomial"), _value_counts),
     9: (90, 100_000, _chunk_sieve_empty, (((sieve.UniformW(), 100),), "uniform"), _value_counts),
     # walks of Pareto(1/2) steps and Pareto(1/4) perturbations
-    11: (110, 100_000, cli._chunk_prw,
+    11: (110, 100_000, runner.chunk_prw,
          (walks.PrwLaw.independent(walks.ParetoLaw(0.5), walks.ParetoLaw(0.25)),
           (1e2, 1e3, 1e4), ("window",), 0.25), None),
-    12: (120, 10_000, cli._chunk_prw,
+    12: (120, 10_000, runner.chunk_prw,
          (walks.PrwLaw.independent(walks.ParetoLaw(0.5), walks.ParetoLaw(0.25)),
           (1e4,), ("empty", "busy"), 0.25), None),
     14: (140, 100_000, _chunk_sieve_empty, (((sieve.BetaW(2, 1), 100_000),), "multinomial"),
@@ -254,7 +192,7 @@ def _sample(name, seed: int, jobs: int):
     """The sample ``SAMPLES[name]`` at ``seed``: with a reducer, its chunks'
     reductions in chunk order; without one, its chunk arrays joined."""
     stream, total, worker, payload, reduce = SAMPLES[name]
-    parts = cli._run_chunks(worker, seed, total, jobs, payload, stream, reduce=reduce)
+    parts = runner.run_chunks(worker, seed, total, jobs, payload, stream, reduce=reduce)
     return parts if reduce is not None else np.concatenate(parts)
 
 
@@ -465,7 +403,7 @@ def _window_statistic_trend(seed: int, jobs: int):
 @_criterion(12, "walk functionals vs limit law at log t = 1e4")
 def _walk_functionals_vs_limit(seed: int, jobs: int):
     law, (x,), _, _ = SAMPLES[12][3]
-    ratio = cli._prw_scale(law, x, "busy")  # P{xi > x} / P{eta > x}
+    ratio = runner.prw_scale(law, x, "busy")  # P{xi > x} / P{eta > x}
     t_vals, r_vals = _sample(12, seed, jobs).T
     z = _z_draws(0.5, 0.25, seed, jobs)[:t_vals.size]
     d_t = stats.ks_two_sample(t_vals, z)
@@ -552,6 +490,8 @@ def _mixed_poisson_diagnostics(seed: int, jobs: int):
 
 @_criterion(15, "seeded determinism and parallelism independence")
 def _determinism(seed: int, jobs: int):
+    from . import cli
+
     argv_base = [
         "sieve", "--wlaw", "uniform", "--balls", "50",
         "--reps", "12000", "--seed", str(seed), "--format", "csv",

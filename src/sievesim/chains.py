@@ -385,15 +385,9 @@ def _hankel3_grad(phi) -> np.ndarray:
     )
 
 
-def mixed_poisson_diagnostic(pmf_or_samples) -> MixedPoissonReport:
-    """Run the mixed-Poisson moment diagnostics on a Pmf, or on an integer
-    sample through its value counts (``mixed_poisson_counts_diagnostic``)."""
-    if not isinstance(pmf_or_samples, Pmf):
-        samples = np.asarray(pmf_or_samples, dtype=np.int64)
-        if samples.size < 2 or np.any(samples < 0):
-            raise ValueError("need at least two nonnegative integer samples")
-        return mixed_poisson_counts_diagnostic([np.bincount(samples)])
-    pmf = pmf_or_samples
+def mixed_poisson_diagnostic(pmf: Pmf) -> MixedPoissonReport:
+    """Run the mixed-Poisson moment diagnostics on a Pmf; an integer sample
+    goes through its value counts (``mixed_poisson_counts_diagnostic``)."""
     if pmf.tail_deficit > 1e-6:
         raise ValueError(f"tail deficit {pmf.tail_deficit:.2e} too large for moments")
     phi = pmf.masses @ _falling_factorials(np.arange(pmf.masses.size, dtype=float))

@@ -1,19 +1,16 @@
 """Command-line front end: named experiments plus the verification suite.
 
-Replicates are partitioned into fixed-size chunks, one indexed RNG stream
-per chunk, and chunk results are taken in index order, so output files are
-byte-identical for a given config regardless of ``--jobs``.  A chunk worker
-checks its own payload, and the runner first draws a sample of size 0 in the
-parent, so a bad payload exits 2 before a file or a pool exists.  Every
-command writes its detail file through one ``Detail``, deleted if the run
-fails: the process that draws a chunk formats its rows and reduces its
-sample to what the summary needs (value counts, integer sums, mergeable
-moments), and the parent writes the rows and folds the reductions in chunk
-order as chunks arrive, so it never holds a whole sample; the small tables
-go in blocks of rows.  Output files carry no timestamps; metric rows carry
-the config hash and seed.  Exit codes: 0 all checks in scope passed, 1 a
-check failed, 2 invalid configuration, 3 a run could not finish because a
-step, depth or count budget ran out.
+Every chunked sample is drawn through ``runner.run_chunks``, so output files
+are byte-identical for a given config regardless of ``--jobs``, and a bad
+payload exits 2 before a file or a pool exists.  Every command writes its
+detail file through one ``Detail``, deleted if the run fails: the process
+that draws a chunk formats its rows and reduces its sample to what the
+summary needs, and the parent writes the rows and folds the reductions in
+chunk order as chunks arrive, so it never holds a whole sample; the small
+tables go in blocks of rows.  Output files carry no timestamps; metric rows
+carry the config hash and seed.  Exit codes: 0 all checks in scope passed,
+1 a check failed, 2 invalid configuration, 3 a run could not finish because
+a step, depth or count budget ran out.
 """
 
 from __future__ import annotations
@@ -25,18 +22,21 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import chains, limitlaw, sieve, stats, walks
-from .randkit import RngStream
+from .checks import (EXACT_TOL, TV_TOL, chain_sampler_check, geometric_half_check, moment_check,
+                     moment_identity_errors)
+from .runner import (chunk_markov, chunk_prw, chunk_sample_z, chunk_sieve, reduce_prw,
+                     reduce_sieve, reduce_z)
+# bound under the name perfbench/tracing.py wraps to count cli.chunks
+from .runner import run_chunks as _run_chunks
 
 SCHEMA_VERSION = 1
-CHUNK = 4096
 
 
 # ----------------------------------------------------------------------
@@ -82,157 +82,13 @@ def _config_hash(args, params: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# chunked replicate runner (order-stable, jobs-independent)
-
-def _chunk_plan(total: int):
-    return [(cid, min(CHUNK, total - cid * CHUNK)) for cid in range((total + CHUNK - 1) // CHUNK)]
-
-
-_run = None  # (worker, payload, layout, reduce) of the chunks this process draws
-
-
-def _serve(*run):
-    global _run
-    _run = run or None  # a call with no argument clears it
-
-
-def _call_chunk(task):
-    stream, start, count = task
-    worker, payload, layout, reduce = _run
-    result = worker(stream.generator(), count, *payload)
-    text = None
-    if layout is not None:
-        values = result[0] if isinstance(result, tuple) else result
-        text = layout.rows([range(start, start + count), *values.reshape(count, -1).T])
-    return result if reduce is None else reduce(result), count, text
-
-
-def _run_chunks(worker, seed: int, total: int, jobs: int, payload: tuple, stream: int = 0,
-                detail=None, reduce=None) -> list:
-    """``worker(rng, count, *payload)`` on each chunk of ``total`` replicates,
-    results (or with ``reduce``, each chunk's ``reduce(result)``) in chunk order.
-
-    First the parent calls ``worker(rng, 0, *payload)``: a draw of size 0
-    runs the worker's checks of its payload and takes nothing from ``rng``,
-    so a bad payload raises before ``detail`` is opened or a pool starts.
-
-    Chunk ``cid`` of the sample with stream id ``stream`` draws from
-    ``RngStream(seed, (stream << 32) | cid)``: the address is (seed, sample,
-    chunk), so results do not depend on ``jobs``.  The experiments use
-    stream 0, so their chunk ``cid`` draws from ``RngStream(seed, cid)``;
-    ``markov`` draws its second sample on stream 1.
-
-    With a ``Detail``, the parent enters it, and the process that draws a
-    chunk also formats its rows (the replicate index, then the columns of its
-    array, a tuple result's first item); the parent writes them to ``detail``
-    as each chunk arrives.  Then it applies ``reduce``, so the parent holds
-    one chunk's text and the chunk reductions, not the sample.
-
-    A task carries only its chunk's stream, first index and count: each
-    process gets ``(worker, payload, layout, reduce)`` once from ``_serve``,
-    a pool's initializer (under fork nothing is pickled) or, at ``jobs`` 1,
-    a call in the parent, and it is cleared when the run ends.
-    """
-    worker(np.random.default_rng(0), 0, *payload)
-    run = (worker, payload, None if detail is None else detail.layout, reduce)
-    tasks = [(RngStream(seed, (stream << 32) | cid), cid * CHUNK, count)
-             for cid, count in _chunk_plan(total)]
-
-    def gather(done):
-        parts = []
-        for result, count, text in done:
-            if text is not None:
-                detail.write(text, count)
-            parts.append(result)
-        return parts
-
-    try:
-        with nullcontext() if detail is None else detail:
-            if jobs <= 1 or len(tasks) == 1:
-                _serve(*run)
-                return gather(map(_call_chunk, tasks))
-            # a fork pool starts every worker at the first submit, so ask for
-            # no more workers than there are chunks
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_serve,
-                                     initargs=run) as pool:
-                return gather(pool.map(_call_chunk, tasks))
-    finally:
-        _serve()
-
-
-def _chunk_sample_z(rng, count, params: limitlaw.AlphaBeta, sampler, grid_step, eps):
-    if sampler == "pathint":
-        return limitlaw.sample_z_pathint(params, grid_step, rng, size=count)
-    if sampler == "expfunc":
-        return limitlaw.sample_z_expfunctional(params, eps, rng, size=count)
-    if params.beta != 0.0:
-        raise ValueError("the direct Mittag-Leffler sampler requires beta = 0")
-    return limitlaw.sample_mittag_leffler(params.alpha, rng, size=count)
-
-
-def _chunk_sieve(rng, count, wlaw: sieve.WLaw, balls):
-    batch = sieve.sample_occupancy(wlaw, balls, count, rng)
-    table = np.stack([batch.occupied, batch.last_occupied, batch.empty_in_range], axis=1)
-    return table, batch.truncated
-
-
-def _reduce_sieve(result):
-    """A sieve chunk's empty-box value counts, occupied and empty sums and truncations."""
-    table, truncated = result
-    return np.bincount(table[:, 2]), int(table[:, 0].sum()), int(table[:, 2].sum()), truncated
-
-
-def _reduce_z(draws):
-    return stats.mc_accumulate(draws), stats.mc_accumulate(draws**2)
-
-
-def _prw_scale(law: walks.PrwLaw, t: float, stat: str) -> float:
-    """The factor that normalises ``prw --stat`` at ``t``.
-
-    The empty-box and busy-server statistics are normalised by
-    P{xi > t} / P{eta > t}: a zero P{eta > t} raises ValueError.
-    """
-    if stat in ("empty", "busy"):
-        eta_tail = float(law.eta_tail(t))
-        if not eta_tail > 0.0:
-            raise ValueError(
-                f"--stat {stat} is normalised by P{{eta > t}}, which is 0 at t = {t}; "
-                "choose an eta law with mass above t"
-            )
-        return float(law.xi_tail(t)) / eta_tail
-    if stat == "renewals":
-        return float(law.xi_tail(t))
-    return 1.0  # the window statistic carries its own normalisation
-
-
-def _chunk_prw(rng, count, law: walks.PrwLaw, t_values, stats, q_exponent):
-    """Normalised walk functionals of ``count`` walks: column ``i * len(t_values) + j``
-    holds ``stats[i]`` at ``t_values[j]``, all from the same walks."""
-    # the window weight Q(x) = (1+x)^(-q) must be finite and nonincreasing
-    if not (math.isfinite(q_exponent) and q_exponent >= 0.0):
-        raise ValueError(f"q exponent must be finite nonnegative, got {q_exponent}")
-    q = lambda x: (1.0 + x) ** -q_exponent
-    values = walks.walk_functionals(law, t_values, count, rng, stats, q=q)
-    scales = [_prw_scale(law, t, stat) for stat in stats for t in t_values]
-    return np.hstack([values[stat] for stat in stats]) * scales
-
-
-def _reduce_prw(values):
-    return stats.mc_accumulate(values[:, 0])
-
-
-def _chunk_markov(rng, count, spec: chains.ChainSpec, n, sample):
-    return sample(spec, n, count, rng)
-
-
-# ----------------------------------------------------------------------
 # output plumbing
 
 _SCALAR = (str, int, float)
 
 
-# Rows the parent formats at a time; a chunk worker formats its CHUNK rows
-# at once.  Peak memory is set by these, not by the row count.
+# Rows the parent formats at a time; a chunk worker formats its
+# runner.CHUNK rows at once.  Peak memory is set by these, not by the row count.
 BLOCK = 4096
 
 
@@ -385,19 +241,16 @@ def _report(args, params: dict, detail: Detail, fields: dict, passed: bool,
 # experiments
 
 def cmd_moments(args) -> int:
-    from . import acceptance
-
     params = {"alpha": args.alpha, "beta": args.beta, "nmax": args.nmax}
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     orders = range(1, args.nmax + 1)
-    identity_err, factorial_err, ml_err = zip(
-        *acceptance.moment_identity_errors(args.alpha, orders))
+    identity_err, factorial_err, ml_err = zip(*moment_identity_errors(args.alpha, orders))
     worst = {"phi_product_identity": max(identity_err)}
     if args.beta == args.alpha:
         worst["z_equals_factorial"] = max(factorial_err)
     if args.beta == 0.0:
         worst["z_equals_mittag_leffler"] = max(ml_err)
-    tol = acceptance.EXACT_TOL
+    tol = EXACT_TOL
     checks = {name: {"value": value, "tolerance": tol, "passed": value <= tol}
               for name, value in worst.items()}
     passed = all(c["passed"] for c in checks.values())
@@ -413,18 +266,15 @@ def cmd_moments(args) -> int:
 
 
 def cmd_sample_z(args) -> int:
-    # acceptance is imported where used, so a CLI start does not load the suite
-    from . import acceptance
-
     params = {"alpha": args.alpha, "beta": args.beta, "n": args.n, "sampler": args.sampler,
               "grid_step": args.grid_step, "eps": args.eps}
     ab = limitlaw.AlphaBeta(args.alpha, args.beta)
     detail = _detail(args, params, ["replicate", "value"])
-    parts = _run_chunks(_chunk_sample_z, args.seed, args.n, args.jobs,
+    parts = _run_chunks(chunk_sample_z, args.seed, args.n, args.jobs,
                         (ab, args.sampler, args.grid_step, args.eps), detail=detail,
-                        reduce=_reduce_z)
-    est1, m1_t, tol1, ok1 = acceptance.moment_check(stats.mc_merge(p[0] for p in parts), ab, 1)
-    est2, m2_t, tol2, ok2 = acceptance.moment_check(stats.mc_merge(p[1] for p in parts), ab, 2)
+                        reduce=reduce_z)
+    est1, m1_t, tol1, ok1 = moment_check(stats.mc_merge(p[0] for p in parts), ab, 1)
+    est2, m2_t, tol2, ok2 = moment_check(stats.mc_merge(p[1] for p in parts), ab, 2)
     ok = ok1 and ok2
     metrics = {
         "mean": est1.mean, "mean_stderr": est1.stderr, "target_mean": m1_t,
@@ -437,13 +287,11 @@ def cmd_sample_z(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    from . import acceptance
-
     params = {"wlaw": args.wlaw, "balls": args.balls, "reps": args.reps}
     wlaw = parse_wlaw(args.wlaw)
     detail = _detail(args, params, ["replicate", "occupied", "last_occupied", "empty_in_range"])
-    parts = _run_chunks(_chunk_sieve, args.seed, args.reps, args.jobs, (wlaw, args.balls),
-                        detail=detail, reduce=_reduce_sieve)
+    parts = _run_chunks(chunk_sieve, args.seed, args.reps, args.jobs, (wlaw, args.balls),
+                        detail=detail, reduce=reduce_sieve)
     counts, occupied, empty, truncated = zip(*parts)
     emp, truncated = chains.counts_pmf(counts), sum(truncated)
     # exact integer sums over reps: the bits of np.mean of the joined columns
@@ -455,10 +303,10 @@ def cmd_sieve(args) -> int:
     }
     passed = truncated == 0
     if wlaw.symmetric:
-        tv, tv_ok = acceptance.geometric_half_check(emp)
+        tv, tv_ok = geometric_half_check(emp)
         passed = passed and tv_ok
         metrics["tv_vs_geometric_half"] = tv
-        metrics["tv_tolerance"] = acceptance.TV_TOL
+        metrics["tv_tolerance"] = TV_TOL
     msg = f"sieve: {'PASS' if passed else 'FAIL'} mean empty {metrics['mean_empty']:.4f}"
     if truncated:
         msg += f", {truncated} replicates truncated"
@@ -476,9 +324,9 @@ def cmd_prw(args) -> int:
     else:
         law = walks.PrwLaw.coupled(xi_law, args.coupled_multiplier)
     detail = _detail(args, params, ["replicate", "value"])
-    est = stats.mc_merge(_run_chunks(_chunk_prw, args.seed, args.reps, args.jobs,
+    est = stats.mc_merge(_run_chunks(chunk_prw, args.seed, args.reps, args.jobs,
                                      (law, (args.t,), (args.stat,), args.q_exponent),
-                                     detail=detail, reduce=_reduce_prw))
+                                     detail=detail, reduce=reduce_prw))
     # prw estimates a functional's mean and checks nothing: "passed" is true
     # because no check failed, and "checks" is empty to say that none ran
     return _report(args, params, detail,
@@ -507,8 +355,6 @@ def _build_chain(args) -> chains.ChainSpec:
 
 
 def cmd_markov(args) -> int:
-    from . import acceptance
-
     spec = _build_chain(args)
     # the JSON text grows as n^2: only these two flags read it
     spec_json = chains.chain_to_json(spec) if args.export_spec or args.spec_json else None
@@ -521,18 +367,18 @@ def cmd_markov(args) -> int:
         chain = f"spec-json:{hashlib.sha256(spec_json.encode()).hexdigest()}"
     params = {"chain": chain, "n": args.n, "reps": args.reps}
     dp = chains.exact_zero_decrement_pmf(spec, args.n)
-    sim, rep = (_run_chunks(_chunk_markov, args.seed, args.reps, args.jobs,
+    sim, rep = (_run_chunks(chunk_markov, args.seed, args.reps, args.jobs,
                             (spec, args.n, sample), stream=stream, reduce=np.bincount)
                 for stream, sample in enumerate((chains.sample_zero_decrements,
                                                  chains.sample_geometric_rep)))
-    sim_pmf, rep_pmf, tv_sim, tv_rep, passed = acceptance.chain_sampler_check(dp, sim, rep)
+    sim_pmf, rep_pmf, tv_sim, tv_rep, passed = chain_sampler_check(dp, sim, rep)
     width = sim_pmf.masses.size
     # an exact sampler's mean TV at these reps, as E|p_hat - p| ~ sqrt(2 p (1 - p) /
     # (pi reps)); the tolerance is fixed, so a correct sampler can fail at small reps
     p = dp.masses
     noise = float(0.5 * np.sqrt(2.0 * p * (1.0 - p) / (math.pi * args.reps)).sum())
     metrics = {"tv_sim_vs_dp": tv_sim, "tv_georep_vs_dp": tv_rep,
-               "tv_tolerance": acceptance.TV_TOL, "dp_tail_deficit": dp.tail_deficit,
+               "tv_tolerance": TV_TOL, "dp_tail_deficit": dp.tail_deficit,
                "expected_sampling_tv": noise}
     with _detail(args, params, ["m", "dp_mass", "sim_freq", "georep_freq"]) as detail:
         detail.write_columns([range(width), np.pad(dp.masses, (0, width - dp.masses.size)),
@@ -540,7 +386,7 @@ def cmd_markov(args) -> int:
     return _report(args, params, detail, {"metrics": metrics}, passed,
                    f"markov: {'PASS' if passed else 'FAIL'} TV sim {tv_sim:.5f}, "
                    f"TV georep {tv_rep:.5f} (expected sampling TV {noise:.5f}, "
-                   f"tolerance {acceptance.TV_TOL})")
+                   f"tolerance {TV_TOL})")
 
 
 def _peak_rss_mb():

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sievesim import acceptance, chains, cli, sieve, stats
+from sievesim import acceptance, chains, runner, sieve, stats
 from sievesim.randkit import RngStream
 
 SEED = acceptance.DEFAULT_SEED
@@ -40,7 +40,7 @@ def test_each_criterion_is_registered_under_one_number():
 # ----------------------------------------------------------------------
 # chunk-addressed samples
 
-SMALL = 2 * cli.CHUNK + 5  # three chunks, the last one partial
+SMALL = 2 * runner.CHUNK + 5  # three chunks, the last one partial
 PAIRS = sorted(name for name in acceptance.SAMPLES if isinstance(name, tuple))
 SIEVES = [name for name, (_, _, worker, _, _) in acceptance.SAMPLES.items()
           if worker is acceptance._chunk_sieve_empty]
@@ -56,7 +56,7 @@ def _process_keyed_chunk_z(rng, count, *payload):
     """A faulty worker: where it draws on its chunk's stream depends on the
     process that runs it, and so on how many jobs the chunks are spread over."""
     rng.bit_generator.advance(os.getpid())
-    return cli._chunk_sample_z(rng, count, *payload)
+    return runner.chunk_sample_z(rng, count, *payload)
 
 
 def _record_streams(monkeypatch):
@@ -67,7 +67,7 @@ def _record_streams(monkeypatch):
         used.append(stream_id)
         return RngStream(seed, stream_id)
 
-    monkeypatch.setattr(cli, "RngStream", recording_stream)
+    monkeypatch.setattr(runner, "RngStream", recording_stream)
     return used
 
 
@@ -75,7 +75,7 @@ def _small_payload(worker, payload):
     """A payload of ``worker`` that draws the same kind of sample fast: the
     limit-law pairs at grid 1e-2, the sieve cases at 1000 balls at most and
     the subordinator marginals at eps 1e-2."""
-    if worker is cli._chunk_sample_z:
+    if worker is runner.chunk_sample_z:
         params, sampler, _, eps = payload
         return params, sampler, 1e-2, eps
     if worker is acceptance._chunk_sieve_empty:
@@ -93,14 +93,14 @@ def small_samples(monkeypatch):
         monkeypatch.setitem(acceptance.SAMPLES, name,
                             (stream, SMALL, worker, _small_payload(worker, payload), reduce))
     monkeypatch.setattr(acceptance, "_Z_CACHE", {})
-    assert len(cli._chunk_plan(SMALL)) >= 3
+    assert len(runner._chunk_plan(SMALL)) >= 3
 
 
 def _raw(name):
     """The sample ``SAMPLES[name]`` at jobs 1 unreduced: its chunk arrays
     joined (a sieve chunk's table without its truncation count)."""
     stream, total, worker, payload, _ = acceptance.SAMPLES[name]
-    parts = cli._run_chunks(worker, SEED, total, 1, payload, stream)
+    parts = runner.run_chunks(worker, SEED, total, 1, payload, stream)
     return np.concatenate([p[0] if isinstance(p, tuple) else p for p in parts])
 
 
@@ -215,8 +215,8 @@ class TestChunkedSamples:
         assert len(set(streams)) == len(streams)
         chunks = 0
         for stream, total, *_ in acceptance.SAMPLES.values():
-            cli._run_chunks(lambda rng, count: count, SEED, total, 1, (), stream)
-            chunks += len(cli._chunk_plan(total))
+            runner.run_chunks(lambda rng, count: count, SEED, total, 1, (), stream)
+            chunks += len(runner._chunk_plan(total))
         # four limit-law pairs of 25 chunks and one of 5, criterion 6's 49,
         # the 25 each of criteria 7, 8, 9, 11 and 14, and criterion 12's 3
         assert chunks == 4 * 25 + 5 + 49 + 5 * 25 + 3
@@ -226,14 +226,14 @@ class TestChunkedSamples:
     def test_pairs_and_chunks_draw_different_values(self, small_samples):
         samples = [_raw(name) for name in acceptance.SAMPLES]
         heads = [s[start:start + 64].tobytes() for s in samples
-                 for start in range(0, SMALL, cli.CHUNK)]
+                 for start in range(0, SMALL, runner.CHUNK)]
         assert len(set(heads)) == len(heads) == 3 * len(samples)
 
 
 # Criteria whose samples reduce in their chunk workers, each with its base
 # replicate count: the parent's memory must not grow with it.
-_BASE_REPS = {6: 2 * cli.CHUNK, 7: 2 * cli.CHUNK, 8: 2 * cli.CHUNK, 9: 8 * cli.CHUNK,
-              14: 10 * cli.CHUNK}
+_BASE_REPS = {6: 2 * runner.CHUNK, 7: 2 * runner.CHUNK, 8: 2 * runner.CHUNK, 9: 8 * runner.CHUNK,
+              14: 10 * runner.CHUNK}
 
 
 @pytest.mark.parametrize("number", sorted(_BASE_REPS))

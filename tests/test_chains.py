@@ -501,7 +501,7 @@ class TestMixedPoissonDiagnostic:
     def test_overdispersed_sample_passes(self):
         rng = RngStream(3, 0).generator()
         lam = rng.exponential(size=50_000)
-        report = mixed_poisson_diagnostic(rng.poisson(lam))
+        report = mixed_poisson_counts_diagnostic([np.bincount(rng.poisson(lam))])
         assert report.passed
 
     def test_underdispersed_input_flagged(self):
@@ -540,7 +540,8 @@ class TestMixedPoissonCounts:
                                             *(5.0 * float(np.sqrt(q)) for q in forms))
         bounds = [25.0 * (np.abs(g) @ np.abs(cov) @ np.abs(g)) for g in _gradients(phi)]
         parts = [np.bincount(part) for part in np.array_split(samples, chunks)]
-        for got in (mixed_poisson_diagnostic(samples), mixed_poisson_counts_diagnostic(parts)):
+        for got in (mixed_poisson_counts_diagnostic([np.bincount(samples)]),
+                    mixed_poisson_counts_diagnostic(parts)):
             assert got.factorial_moments == want.factorial_moments
             assert (got.mean, got.hankel2, got.hankel3) == (want.mean, want.hankel2, want.hankel3)
             assert got.variance == pytest.approx(want.variance, rel=1e-12)
@@ -561,10 +562,10 @@ class TestMixedPoissonCounts:
 
     def test_pinned_sieve_sample(self):
         # criterion 14's beta(2,1) sieve sample at its pinned size, chunk by chunk
-        from sievesim import acceptance, cli
+        from sievesim import acceptance, runner
 
         stream, total, worker, payload, _ = acceptance.SAMPLES[14]
-        parts = cli._run_chunks(worker, acceptance.DEFAULT_SEED, total, 2, payload, stream)
+        parts = runner.run_chunks(worker, acceptance.DEFAULT_SEED, total, 2, payload, stream)
         empty = np.concatenate([table[:, 0] for table, _ in parts])
         self.assert_matches_samples(empty, len(parts))
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sievesim import acceptance, chains, cli, limitlaw, sieve, walks
-from sievesim.cli import (BLOCK, CHUNK, Detail, _chunk_plan, _chunk_prw, main, parse_marginal,
-                          parse_wlaw)
+from sievesim import acceptance, chains, checks, cli, limitlaw, runner, sieve, walks
+from sievesim.cli import BLOCK, Detail, main, parse_marginal, parse_wlaw
+from sievesim.runner import CHUNK, _chunk_plan, chunk_prw
 from sievesim.randkit import RngStream
 from sievesim.sieve import BetaW, LogParetoMixtureW, UniformW
 from sievesim.walks import ConstantLaw, ExponentialLaw, ParetoLaw
@@ -24,14 +24,19 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def _run_module(*argv):
-    """``python -m sievesim.cli`` in a subprocess with a 60 s timeout, for
-    runs that would hang the test process if a loop never ended."""
+def _run_python(*args):
+    """A fresh interpreter with ``src`` on its path and a 60 s timeout."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "sievesim.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def _run_module(*argv):
+    """``python -m sievesim.cli`` in a subprocess, for runs that would hang
+    the test process if a loop never ended."""
+    return _run_python("-m", "sievesim.cli", *argv)
 
 
 class TestParsing:
@@ -137,7 +142,7 @@ def _draw_with(rng, count, unpicklable, width):
 
 class TestJobs:
     def test_pool_is_capped_at_the_chunk_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         code = run_cli("sieve", "--wlaw", "uniform", "--balls", "20", "--reps", 2 * CHUNK,
                        "--jobs", "64", "--seed", "3", "--out", tmp_path)
@@ -145,23 +150,23 @@ class TestJobs:
         assert _RecordingPool.sizes == [2]
 
     def test_one_job_or_one_chunk_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         chunk_size = lambda rng, count: count
-        assert cli._run_chunks(chunk_size, 1, 2 * CHUNK, 1, ()) == [CHUNK, CHUNK]
-        assert cli._run_chunks(chunk_size, 1, CHUNK, 8, ()) == [CHUNK]
+        assert runner.run_chunks(chunk_size, 1, 2 * CHUNK, 1, ()) == [CHUNK, CHUNK]
+        assert runner.run_chunks(chunk_size, 1, CHUNK, 8, ()) == [CHUNK]
         assert _RecordingPool.sizes == []
 
     def test_payload_reaches_each_worker_once_and_unpickled(self):
         # under fork the pool workers inherit the payload: a payload that
         # cannot be pickled is drawn from at --jobs 2 exactly as at --jobs 1
         payload = (_Unpicklable(), 3)
-        want = cli._run_chunks(_draw_with, 4, 3 * CHUNK, 1, payload, reduce=np.sum)
-        assert cli._run_chunks(_draw_with, 4, 3 * CHUNK, 2, payload, reduce=np.sum) == want
-        assert len(want) == 3 and cli._run is None  # no run outlives its call
+        want = runner.run_chunks(_draw_with, 4, 3 * CHUNK, 1, payload, reduce=np.sum)
+        assert runner.run_chunks(_draw_with, 4, 3 * CHUNK, 2, payload, reduce=np.sum) == want
+        assert len(want) == 3 and runner._run is None  # no run outlives its call
 
     def test_run_is_cleared_after_a_failed_chunk(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
 
         def failing(rng, count):
             if count:
@@ -170,8 +175,8 @@ class TestJobs:
 
         for jobs in (1, 2):
             with pytest.raises(RuntimeError, match="chunk failed"):
-                cli._run_chunks(failing, 1, 2 * CHUNK, jobs, ())
-            assert cli._run is None
+                runner.run_chunks(failing, 1, 2 * CHUNK, jobs, ())
+            assert runner._run is None
 
     def test_each_flag_is_parsed_once(self, tmp_path, monkeypatch):
         # the parent parses each law flag and hands every chunk the object
@@ -199,7 +204,7 @@ class TestJobs:
     def test_experiment_chunks_draw_from_the_plain_chunk_streams(self):
         # stream 0, the experiments' default: chunk cid draws from RngStream(seed, cid)
         head = lambda rng, count: rng.random(4)
-        got = cli._run_chunks(head, 7, 2 * CHUNK + 1, 1, ())
+        got = runner.run_chunks(head, 7, 2 * CHUNK + 1, 1, ())
         assert all(np.array_equal(g, RngStream(7, cid).generator().random(4))
                    for cid, g in enumerate(got))
 
@@ -316,12 +321,12 @@ class TestDetailWriter:
 # chunk worker with the payload the command passes it, and the command line
 # up to its replicate count.
 _STREAMED = {
-    "sieve": (["replicate", "occupied", "last_occupied", "empty_in_range"], cli._chunk_sieve,
+    "sieve": (["replicate", "occupied", "last_occupied", "empty_in_range"], runner.chunk_sieve,
               (UniformW(), 10), ("--wlaw", "uniform", "--balls", "10", "--reps")),
-    "sample-z": (["replicate", "value"], cli._chunk_sample_z,
+    "sample-z": (["replicate", "value"], runner.chunk_sample_z,
                  (limitlaw.AlphaBeta(0.5, 0.0), "mittag-leffler", 1e-4, 1e-4),
                  ("--alpha", "0.5", "--beta", "0", "--sampler", "mittag-leffler", "--n")),
-    "prw": (["replicate", "value"], cli._chunk_prw,
+    "prw": (["replicate", "value"], runner.chunk_prw,
             (walks.PrwLaw.independent(ParetoLaw(0.5), ConstantLaw(0.0)), (100.0,),
              ("renewals",), 0.25),
             ("--xi", "pareto:0.5", "--stat", "renewals", "--t", "100", "--reps")),
@@ -334,16 +339,16 @@ _PAYLOADS = {
     **{f"SAMPLES-{'-'.join(map(str, name)) if isinstance(name, tuple) else name}":
        (worker, payload) for name, (_, _, worker, payload, _) in acceptance.SAMPLES.items()},
     **{cmd: (worker, payload) for cmd, (_, worker, payload, _) in _STREAMED.items()},
-    "sample-z-expfunc": (cli._chunk_sample_z,
+    "sample-z-expfunc": (runner.chunk_sample_z,
                          (limitlaw.AlphaBeta(0.5, 0.25), "expfunc", 1e-4, 1e-4)),
-    **{f"markov-{name}": (cli._chunk_markov, (chains.sieve_chain_spec(UniformW(), 8), 8, sample))
+    **{f"markov-{name}": (runner.chunk_markov, (chains.sieve_chain_spec(UniformW(), 8), 8, sample))
        for name, sample in (("direct", chains.sample_zero_decrements),
                             ("georep", chains.sample_geometric_rep))},
 }
 
 
 class TestPayloadCheck:
-    """_run_chunks draws a sample of size 0 in the parent first, so a chunk
+    """run_chunks draws a sample of size 0 in the parent first, so a chunk
     worker's own checks refuse a bad payload before any file or pool."""
 
     @pytest.mark.parametrize("name", list(_PAYLOADS))
@@ -357,7 +362,7 @@ class TestPayloadCheck:
         assert rng.bit_generator.state == state
 
     def test_refused_payload_opens_no_file_and_starts_no_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         counts = []
 
@@ -370,7 +375,7 @@ class TestPayloadCheck:
         out = tmp_path / "out"
         detail = Detail(out / "detail.csv", "csv", ["replicate", "value"], [None, None])
         with pytest.raises(ValueError, match="payload refused"):
-            cli._run_chunks(refusing, 1, 2 * CHUNK, 2, (), detail=detail)
+            runner.run_chunks(refusing, 1, 2 * CHUNK, 2, (), detail=detail)
         assert counts == [0] and _RecordingPool.sizes == []
         assert not out.exists()
 
@@ -398,7 +403,7 @@ class TestStreamedDetail:
         # rows formatted chunk by chunk, in or out of process, are the bytes
         # the writer makes of the whole table
         header, worker, payload, argv = _STREAMED[cmd]
-        parts = cli._run_chunks(worker, 5, total, 1, payload)
+        parts = runner.run_chunks(worker, 5, total, 1, payload)
         values = np.concatenate([p[0] if isinstance(p, tuple) else p for p in parts])
         columns = values.reshape(total, -1).T
         for jobs in (1, 2):
@@ -503,7 +508,7 @@ class TestMomentsCommand:
         assert code == 0
         payload = json.loads(next(tmp_path.glob("moments_*.summary.json")).read_text())
         assert sorted(payload["checks"]) == sorted(["phi_product_identity", check])
-        errors = acceptance.moment_identity_errors(0.5, range(1, 7))
+        errors = checks.moment_identity_errors(0.5, range(1, 7))
         assert payload["checks"][check]["value"] == max(e[column] for e in errors)
         assert payload["checks"][check]["passed"] is True
 
@@ -582,7 +587,7 @@ class TestSampleZCommand:
             "expfunc-eps-negative", "expfunc-eps-20", "expfunc-eps-1e-30", "grid-step-1e-300"])
     def test_bad_pair_exits_two_before_any_pool(self, argv, message, tmp_path, capsys,
                                                 monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         code = run_cli("sample-z", "--alpha", "0.5", "--beta", "0.25", *argv,
                        "--n", 3 * CHUNK, "--jobs", "2", "--seed", "1", "--out", tmp_path)
@@ -644,7 +649,7 @@ class TestSieveCommand:
 
     def test_negative_balls_exit_two_before_any_pool(self, tmp_path, capsys, monkeypatch):
         # 2**63 does not fit the int64 ball counts
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         for balls in (-5, 2**63):
             code = run_cli("sieve", "--wlaw", "uniform", "--balls", balls, "--reps", 3 * CHUNK,
@@ -796,7 +801,7 @@ class TestMarkovCommand:
             keys.append((seed, stream_id))
             return RngStream(seed, stream_id)
 
-        monkeypatch.setattr(cli, "RngStream", recording_stream)
+        monkeypatch.setattr(runner, "RngStream", recording_stream)
         run_cli("markov", "--chain", "sieve:uniform", "--n", "8", "--reps", 2 * CHUNK + 1,
                 "--seed", "5", "--jobs", "1", "--out", tmp_path)
         assert {seed for seed, _ in keys} == {5}
@@ -810,7 +815,7 @@ class TestMarkovCommand:
         draws = [sample(spec, 8, 1000, RngStream(5, stream << 32).generator())
                  for stream, sample in enumerate((chains.sample_zero_decrements,
                                                   chains.sample_geometric_rep))]
-        sim, rep, *_ = acceptance.chain_sampler_check(
+        sim, rep, *_ = checks.chain_sampler_check(
             chains.exact_zero_decrement_pmf(spec, 8), *([np.bincount(d)] for d in draws))
         with open(next(tmp_path.glob("markov_*.csv")), newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -868,7 +873,7 @@ class TestPrwCommand:
         assert code == 0
         payload = json.loads(next(tmp_path.glob("prw_*.summary.json")).read_text())
         law = walks.PrwLaw.coupled(ParetoLaw(0.5), 2.0)
-        values = _chunk_prw(RngStream(13, 0).generator(), 500, law, (100.0,), ("busy",), 0.25)
+        values = chunk_prw(RngStream(13, 0).generator(), 500, law, (100.0,), ("busy",), 0.25)
         assert payload["metrics"]["mean"] == float(values[:, 0].mean())
         assert payload["params"]["coupled_multiplier"] == 2.0
 
@@ -895,7 +900,7 @@ class TestPrwCommand:
         drawn = []
         monkeypatch.setattr(walks.PrwLaw, "sample_pairs", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="unknown statistic"):
-            _chunk_prw(np.random.default_rng(1), 3,
+            chunk_prw(np.random.default_rng(1), 3,
                        walks.PrwLaw.independent(ParetoLaw(0.5), ParetoLaw(0.25)), (100.0,),
                        ("bogus",), 0.25)
         assert drawn == []
@@ -970,6 +975,22 @@ class TestVerifyCommand:
         monkeypatch.setitem(sys.modules, "resource", None)
         res = acceptance.CriterionResult(2, "identities", True, "max error 0", {})
         assert cli._verify_line(res, 1.5) == f"{res.report_line()} [1.50 s]"
+
+    def test_only_verify_loads_the_suite(self, tmp_path):
+        # the experiments share their checks with the criteria through
+        # sievesim.checks, so none of them imports sievesim.acceptance
+        common = ["--seed", "1", "--jobs", "1", "--out", str(tmp_path)]
+        runs = [["moments", "--alpha", "0.5", "--beta", "0.25", *common],
+                ["sample-z", "--alpha", "0.5", "--beta", "0.25", "--n", "64", *common],
+                ["sieve", "--wlaw", "uniform", "--balls", "10", "--reps", "64", *common],
+                ["markov", "--reps", "64", *common]]
+        done = _run_python("-c", "import json, sys\nfrom sievesim import cli\n"
+                           f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+                           "print(json.dumps([codes, 'sievesim.acceptance' in sys.modules]))")
+        assert done.returncode == 0, done.stderr
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert len(codes) == 4 and set(codes) <= {0, 1}
+        assert not loaded
 
 
 _SCHEMAS = json.loads((Path(cli.__file__).parent / "output_schemas.json").read_text())

@@ -80,3 +80,52 @@ def test_no_function_rebinds_its_rng():
                         if isinstance(target, ast.Name) and target.id == "rng"
                         and isinstance(target.ctx, ast.Store)]
     assert rebound == []
+
+
+def _sievesim_imports(path: Path):
+    """(enclosing top-level function or None, imported ``sievesim`` module)
+    for every import statement of the source file ``path``."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                dotted = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["sievesim" if node.level else "", node.module]))
+                dotted = [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [(scope, d.split(".")[1]) for d in dotted if d.startswith("sievesim.")]
+    return found
+
+
+def _criterion_function(tree, number: int) -> str:
+    """The name of the function registered as criterion ``number``."""
+    return next(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                for d in node.decorator_list
+                if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_criterion"
+                and d.args[0].value == number)
+
+
+def test_runner_and_checks_import_neither_front_end():
+    # the chunk runner and the shared checks sit below both cli and acceptance
+    for name in ("runner", "checks"):
+        imported = {module for _, module in _sievesim_imports(PACKAGE / f"{name}.py")}
+        assert imported.isdisjoint({"cli", "acceptance"}), name
+
+
+def test_cli_and_acceptance_import_each_other_only_where_needed():
+    # cli loads the suite only to run it, and the suite loads cli only for
+    # criterion 15, which runs the command end to end
+    tree = ast.parse((PACKAGE / "acceptance.py").read_text())
+    determinism = _criterion_function(tree, 15)
+    assert [scope for scope, module in _sievesim_imports(PACKAGE / "cli.py")
+            if module == "acceptance"] == ["cmd_verify"]
+    assert [scope for scope, module in _sievesim_imports(PACKAGE / "acceptance.py")
+            if module == "cli"] == [determinism]
+    reads = {(top.name if isinstance(top, ast.FunctionDef) else None, node.attr)
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "cli"}
+    assert reads == {(determinism, "main")}
